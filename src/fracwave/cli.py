@@ -5,10 +5,11 @@ convergence (manufactured-solution refinement studies), damping (center
 trace demo), constants (positivity-constant table), solve (single run),
 acceptance (the numbered criteria, optionally asserted).
 
-All numeric output uses 17 significant digits.  A flat `key = value`
-config file can preset any flag of the chosen subcommand; command-line
-flags override it.  Every run that writes files also writes a config
-echo next to them.
+All numeric output uses 17 significant digits, and every table, printed
+or written, goes through one comma-separated table writer.  A flat
+`key = value` config file can preset any flag of the chosen subcommand;
+command-line flags override it.  Every run that writes files also writes
+a config echo next to them.
 """
 
 from __future__ import annotations
@@ -21,17 +22,19 @@ from pathlib import Path
 import numpy as np
 
 from fracwave.cq import CQScheme, bdf2_weights
+from fracwave.fem import assemble, build_mesh
 from fracwave.fraccalc import FracParams
 from fracwave.harness import (
     build_case,
-    constants_csv,
-    damping_demo_csv,
+    error_norm_energy,
+    error_norm_l2max,
+    level_cells,
     run_constants_figure,
     run_convergence,
     run_damping_demo,
+    solve_case,
 )
 from fracwave.oracle import VolterraProblem, asymptotic_check, solve_volterra
-from fracwave.solver import SeparableSource, SimConfig, run
 
 F = "%.17g"
 
@@ -56,18 +59,36 @@ def _print_echo(args: argparse.Namespace) -> None:
         print(f"# {line}")
 
 
+def _table(header, rows, path: Path | None = None) -> None:
+    """Comma-separated table, integers as they are and floats to 17
+    significant digits: printed, or written to path with CRLF line ends
+    (the csv module's default)."""
+    lines = [",".join(header)]
+    lines += [",".join(str(v) if isinstance(v, int) else F % v for v in row)
+              for row in rows]
+    if path is None:
+        print("\n".join(lines))
+    else:
+        path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+
+
+def _save(args: argparse.Namespace, name: str, header, rows) -> None:
+    """Write a table to the output directory, next to the config echo."""
+    outdir = Path(args.outdir)
+    _write_echo(outdir, args)
+    _table(header, rows, outdir / name)
+    print(f"wrote {outdir / name}")
+
+
 def cmd_weights(args) -> int:
     omega = bdf2_weights(args.gamma, args.kappa, args.n)
     in_domain = -1.0 < args.gamma < 1.0 and args.gamma != 0.0
     scheme = CQScheme.build(args.gamma, args.kappa, args.n) if in_domain else None
     _print_echo(args)
-    header = "n,t_n,omega_n" + (",w0_n,w1_n" if scheme else "")
-    print(header)
-    for n in range(args.n + 1):
-        row = [str(n), F % (n * args.kappa), F % omega[n]]
-        if scheme:
-            row += [F % scheme.w0[n], F % scheme.w1[n]]
-        print(",".join(row))
+    header = ["n", "t_n", "omega_n"] + (["w0_n", "w1_n"] if scheme else [])
+    _table(header, ([n, n * args.kappa, omega[n]]
+                    + ([scheme.w0[n], scheme.w1[n]] if scheme else [])
+                    for n in range(args.n + 1)))
     return 0
 
 
@@ -87,10 +108,8 @@ def cmd_ode(args) -> int:
         exponent = asymptotic_check(problem, args.T, args.m)
         print(f"startup_exponent = {F % exponent}")
     if args.outdir:
-        outdir = Path(args.outdir)
-        _write_echo(outdir, args)
-        solution.write_csv(outdir / "ode.csv")
-        print(f"wrote {outdir / 'ode.csv'}")
+        _save(args, "ode.csv", ["t", "u", "v"],
+              zip(solution.times, solution.u, solution.v))
     return 0
 
 
@@ -100,17 +119,13 @@ def cmd_convergence(args) -> int:
         case.coupling = args.coupling
     report = run_convergence(case, corrected=args.corrected, levels=args.levels,
                              kappa0=args.kappa0, T=args.T)
+    header = ["level", "h", "kappa", "error_energy", "error_l2max"]
+    rows = [(lev, *row) for lev, row in enumerate(report.levels)]
     _print_echo(args)
-    print("level,h,kappa,error_energy,error_l2max")
-    for lev, row in enumerate(report.levels):
-        print(",".join([str(lev)] + [F % v for v in row]))
+    _table(header, rows)
     print(report.summary())
     if args.outdir:
-        outdir = Path(args.outdir)
-        _write_echo(outdir, args)
-        path = outdir / f"convergence_{args.case}.csv"
-        report.write_csv(path)
-        print(f"wrote {path}")
+        _save(args, f"convergence_{args.case}.csv", header, rows)
     return 0
 
 
@@ -122,58 +137,40 @@ def cmd_damping(args) -> int:
     for label, e in energies.items():
         print(f"gamma={label}: E_final/E_1 = {F % (e[-1] / e[0])}")
     if args.outdir:
-        outdir = Path(args.outdir)
-        _write_echo(outdir, args)
-        path = outdir / "damping_trace.csv"
-        damping_demo_csv(path, times, traces)
-        print(f"wrote {path}")
+        _save(args, "damping_trace.csv",
+              ["t"] + [f"gamma_{label}" for label in traces],
+              zip(times, *traces.values()))
     return 0
 
 
 def cmd_constants(args) -> int:
     table = run_constants_figure(args.grid)
+    header = ["gamma", "C1", "C2"]
     _print_echo(args)
-    print("gamma,C1,C2")
-    for g, c1, c2 in table:
-        print(",".join(F % v for v in (g, c1, c2)))
+    _table(header, table)
     if args.outdir:
-        outdir = Path(args.outdir)
-        _write_echo(outdir, args)
-        path = outdir / "constants.csv"
-        constants_csv(path, table)
-        print(f"wrote {path}")
+        _save(args, "constants.csv", header, table)
     return 0
 
 
 def cmd_solve(args) -> int:
-    from fracwave.fem import assemble, build_mesh
-    from fracwave.harness import error_norm_energy, error_norm_l2max
-
     case = build_case(args.case, FracParams(gamma=args.gamma, alpha0=args.alpha0))
-    n = round((1.0 if case.dimension == 1 else 2.0) / (case.coupling * args.kappa))
-    mesh = build_mesh(case.dimension, case.domain, n)
+    mesh = build_mesh(case.dimension, case.domain, level_cells(case, args.kappa))
     system = assemble(mesh)
-    config = SimConfig(
-        fem=system, T=args.T, kappa=args.kappa, frac=case.frac,
-        corrected=args.corrected,
-        f=SeparableSource(spatial=case.spatial, temporal=case.source_temporal),
-        u0=case.spatial.scaled(case.exact(0.0)),
-        v0=case.spatial.scaled(case.exact_d1(0.0)),
-    )
-    traj = run(config)
+    traj = solve_case(case, system, args.kappa, args.corrected, args.T)
+    steps = len(traj.times) - 1
     _print_echo(args)
     print(f"h = {F % mesh.h}")
-    print(f"steps = {config.n_steps}")
+    print(f"steps = {steps}")
     print(f"error_energy = {F % error_norm_energy(traj, case, system, args.kappa)}")
     print(f"error_l2max = {F % error_norm_l2max(traj, case, system, args.kappa)}")
     if args.outdir:
-        outdir = Path(args.outdir)
-        _write_echo(outdir, args)
-        traj.energy_csv(outdir / "energy.csv", args.kappa)
-        np.savetxt(outdir / "final_state.csv",
-                   np.column_stack([mesh.nodes[mesh.interior], traj.us[-1]]),
+        _save(args, "energy.csv", ["n", "t_n", "E_n"],
+              zip(range(1, steps + 1), traj.times[1:], traj.energy))
+        path = Path(args.outdir) / "final_state.csv"
+        np.savetxt(path, np.column_stack([mesh.nodes[mesh.interior], traj.us[-1]]),
                    delimiter=",", fmt=F)
-        print(f"wrote {outdir / 'energy.csv'} and {outdir / 'final_state.csv'}")
+        print(f"wrote {path}")
     return 0
 
 

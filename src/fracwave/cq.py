@@ -9,8 +9,6 @@ operator approximating d_t^(gamma+1).
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +67,7 @@ class CQScheme:
     w0: np.ndarray
     w1: np.ndarray
     chi: int
-    omega_cumsum: np.ndarray = field(repr=False, default=None)
+    omega_cumsum: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, gamma: float, kappa: float, N: int) -> "CQScheme":
@@ -92,35 +90,40 @@ class CQScheme:
                 - (t[1:] * s0[1:] - s1[1:])
             ) / kappa
             w0 = -s0 - w1
-        for arr in (omega, w0, w1):
-            arr.setflags(write=False)
-        scheme = cls(
-            gamma=gamma, kappa=kappa, N=N, omega=omega, w0=w0, w1=w1, chi=chi
-        )
         cumsum = np.cumsum(omega)
-        cumsum.setflags(write=False)
-        object.__setattr__(scheme, "omega_cumsum", cumsum)
-        return scheme
+        for arr in (omega, w0, w1, cumsum):
+            arr.setflags(write=False)
+        return cls(gamma=gamma, kappa=kappa, N=N, omega=omega, w0=w0, w1=w1,
+                   chi=chi, omega_cumsum=cumsum)
 
     @property
     def times(self) -> np.ndarray:
         return self.kappa * np.arange(self.N + 1)
 
-    def write_csv(self, path) -> None:
-        """Dump (n, t_n, omega_n, w0_n, w1_n) for debugging."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "t_n", "omega_n", "w0_n", "w1_n"])
-            for n in range(self.N + 1):
-                writer.writerow(
-                    [
-                        n,
-                        "%.17g" % (n * self.kappa),
-                        "%.17g" % self.omega[n],
-                        "%.17g" % self.w0[n],
-                        "%.17g" % self.w1[n],
-                    ]
-                )
+    def self_weight(self, n: int, corrected: bool) -> float:
+        """Weight of values[n] in the CQ sum at step n."""
+        weight = self.omega[0]
+        if corrected and n == 1:
+            weight += self.w1[1]
+        return weight
+
+    def known_sum(self, values: np.ndarray, n: int, corrected: bool):
+        """CQ sum at step n over values[0..n-1], without the values[n] term.
+
+        Uncorrected: sum omega_{n-j} (g_j - chi g_0); corrected: sum
+        omega_{n-j} g_j + w0[n] g_0 + w1[n] g_1, where the constant shift
+        for positive orders is contained in w0.  Together with
+        self_weight(n) * values[n] this is the whole sum; the solver
+        keeps the two apart because values[n] holds its unknown.
+        """
+        out = np.tensordot(self.omega[n:0:-1], values[:n], axes=(0, 0))
+        if corrected:
+            out = out + self.w0[n] * values[0]
+            if n >= 2 and self.w1[n] != 0.0:
+                out = out + self.w1[n] * values[1]
+        elif self.chi:
+            out = out - self.omega_cumsum[n] * values[0]
+        return out
 
 
 @dataclass
@@ -141,38 +144,25 @@ class Sequence:
         return self.values.shape[0]
 
 
-def apply_cq(scheme: CQScheme, g: Sequence, n: int):
-    """Caputo-shifted CQ sum at step n: sum omega_{n-j} (g_j - chi g_0)."""
+def _cq_sum(scheme: CQScheme, g: Sequence, n: int, corrected: bool):
     if n > scheme.N:
         raise IndexError(f"step {n} exceeds scheme length {scheme.N}")
     if n >= len(g):
         raise IndexError(f"step {n} exceeds available history {len(g)}")
-    vals = g.values[: n + 1]
-    if scheme.chi:
-        vals = vals - g.values[0]
-    w = scheme.omega[n::-1]
-    return np.tensordot(w, vals, axes=(0, 0))
+    return (scheme.known_sum(g.values, n, corrected)
+            + scheme.self_weight(n, corrected) * g.values[n])
+
+
+def apply_cq(scheme: CQScheme, g: Sequence, n: int):
+    """Caputo-shifted CQ sum at step n: sum omega_{n-j} (g_j - chi g_0)."""
+    return _cq_sum(scheme, g, n, corrected=False)
 
 
 def apply_cq_corrected(scheme: CQScheme, g: Sequence, n: int):
-    """Corrected CQ sum at step n: raw values plus startup weights.
-
-    sum omega_{n-j} g_j + w0[n] g_0 + w1[n] g_1.  The constant shift for
-    positive orders is contained in w0, so no chi shift is applied.
-    """
-    if n > scheme.N:
-        raise IndexError(f"step {n} exceeds scheme length {scheme.N}")
-    if n >= len(g):
-        raise IndexError(f"step {n} exceeds available history {len(g)}")
+    """Corrected CQ sum at step n: sum omega_{n-j} g_j + w0[n] g_0 + w1[n] g_1."""
     if scheme.gamma > 0.0 and n < 1:
         raise IndexError("corrected CQ for positive order needs g(t_1)")
-    vals = g.values[: n + 1]
-    w = scheme.omega[n::-1]
-    out = np.tensordot(w, vals, axes=(0, 0))
-    out = out + scheme.w0[n] * g.values[0]
-    if scheme.w1[n] != 0.0:
-        out = out + scheme.w1[n] * g.values[1]
-    return out
+    return _cq_sum(scheme, g, n, corrected=True)
 
 
 def central_diff(g: Sequence, kappa: float, n: int):

@@ -8,14 +8,12 @@ computed lazily and reused across the many solves of a time loop.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.io import mmwrite
 
 
 @dataclass
@@ -57,18 +55,6 @@ class Mesh:
         d1 = pts[:, 1] - pts[:, 0]
         d2 = pts[:, 2] - pts[:, 0]
         return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def write_csv(self, node_path, element_path) -> None:
-        with open(node_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node"] + [f"x{d}" for d in range(self.dimension)])
-            for i, p in enumerate(self.nodes):
-                writer.writerow([i] + ["%.17g" % c for c in p])
-        with open(element_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"v{d}" for d in range(self.dimension + 1)])
-            for elem in self.elements:
-                writer.writerow(list(elem))
 
 
 def build_mesh(dimension: int, domain, n_per_side: int) -> Mesh:
@@ -172,10 +158,6 @@ class FemSystem:
         if self._K_solve is None:
             self._K_solve = spla.factorized(self.K.tocsc())
         return self._K_solve(rhs)
-
-    def export_matrices(self, mass_path, stiffness_path) -> None:
-        mmwrite(mass_path, sp.coo_matrix(self.M))
-        mmwrite(stiffness_path, sp.coo_matrix(self.K))
 
 
 def assemble(mesh: Mesh) -> FemSystem:

@@ -9,7 +9,6 @@ damping demonstration and the positivity-constant comparison table.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -278,13 +277,6 @@ class ConvergenceReport:
         self.rate_energy, self.pre_asymptotic = fit_rate([row[2] for row in self.levels])
         self.rate_l2, _ = fit_rate([row[3] for row in self.levels])
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["level", "h", "kappa", "error_energy", "error_l2max"])
-            for lev, row in enumerate(self.levels):
-                writer.writerow([lev] + ["%.17g" % v for v in row])
-
     def summary(self) -> str:
         flag = " (pre-asymptotic)" if self.pre_asymptotic else ""
         return (
@@ -391,7 +383,6 @@ def run_damping_demo(gammas=(0.25, 0.75, -0.25, -0.75), n_per_side: int = 32,
     mesh = build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), n_per_side)
     system = assemble(mesh)
     kappa = mesh.h / coupling
-    steps = int(math.ceil(T / kappa - 1e-12))
     center = np.flatnonzero(
         (np.abs(mesh.nodes[mesh.interior][:, 0]) < 1e-12)
         & (np.abs(mesh.nodes[mesh.interior][:, 1]) < 1e-12)
@@ -409,28 +400,8 @@ def run_damping_demo(gammas=(0.25, 0.75, -0.25, -0.75), n_per_side: int = 32,
         label = "none" if g is None else f"{g:g}"
         traces[label] = traj.us[:, dof].copy()
         energies[label] = traj.energy.copy()
-    times = kappa * np.arange(steps + 1)
-    return times, traces, energies
-
-
-def damping_demo_csv(path, times, traces) -> None:
-    labels = list(traces)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"gamma_{label}" for label in labels])
-        for i, t in enumerate(times):
-            writer.writerow(
-                ["%.17g" % t] + ["%.17g" % traces[label][i] for label in labels]
-            )
+    return traj.times, traces, energies
 
 
 def run_constants_figure(grid_points: int = 99):
     return constants_table(grid_points, T=1.0)
-
-
-def constants_csv(path, table) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["gamma", "C1", "C2"])
-        for g, c1, c2 in table:
-            writer.writerow(["%.17g" % g, "%.17g" % c1, "%.17g" % c2])

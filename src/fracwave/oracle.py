@@ -10,8 +10,6 @@ handles the non-integrable-by-Gauss singularity at tau = t.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,21 +58,6 @@ class VolterraProblem:
         return f0 - self.lam * self.u0
 
 
-def _moments(p: float, delta: float, m: int) -> tuple[float, float]:
-    """Exact moments of s^p over [(m-1) delta, m delta].
-
-    mu0 = int s^p ds;  mu1 = int (m delta - s) s^p ... no: mu1 is the
-    first moment int s^p * s ds shifted so the pair reproduces the
-    product-trapezoid weights below.  Here mu1(m) = int (A - s) s^p ds
-    with A = m delta is expressed through the raw moments.
-    """
-    A = m * delta
-    B = (m - 1) * delta
-    i0 = (A ** (p + 1.0) - B ** (p + 1.0)) / (p + 1.0)
-    i1 = A * i0 - (A ** (p + 2.0) - B ** (p + 2.0)) / (p + 2.0)
-    return i0, i1
-
-
 class _ProductWeights:
     """Lag-indexed product-trapezoid weights for the kernel s^p.
 
@@ -106,23 +89,11 @@ class _ProductWeights:
         return w
 
 
-def _kernel_weights(p: float, delta: float, n: int) -> np.ndarray:
-    """Product-trapezoid weights for int_0^{t_n} (t_n-tau)^p v(tau) dtau."""
-    return _ProductWeights(p, delta, n).weights(n)
-
-
 @dataclass
 class VolterraSolution:
     times: np.ndarray
     v: np.ndarray
     u: np.ndarray
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "u", "v"])
-            for t, u, v in zip(self.times, self.u, self.v):
-                writer.writerow(["%.17g" % t, "%.17g" % u, "%.17g" % v])
 
 
 def solve_volterra(problem: VolterraProblem, T: float, M: int) -> VolterraSolution:

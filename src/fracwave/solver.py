@@ -10,7 +10,6 @@ folded into the same scalar shift.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -83,20 +82,6 @@ class Trajectory:
     energy: np.ndarray    # E_n for n = 1..N (index 0 is E_1)
     history: np.ndarray   # central differences, entries 0..N-1
 
-    def energy_csv(self, path, kappa: float) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "t_n", "E_n"])
-            for i, e in enumerate(self.energy, start=1):
-                writer.writerow([i, "%.17g" % (i * kappa), "%.17g" % e])
-
-    def trace_csv(self, path, kappa: float, dof: int) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "value"])
-            for n, u in enumerate(self.us):
-                writer.writerow(["%.17g" % (n * kappa), "%.17g" % u[dof]])
-
 
 def _project_initial(system: FemSystem, data, quad_order: int) -> np.ndarray:
     if data is None:
@@ -167,20 +152,9 @@ def step(config: SimConfig, state: SimState, scheme: CQScheme | None,
 
     coef = 1.0 / kappa**2
     if a != 0.0:
-        omega = scheme.omega
-        hist = state.history
-        # scalar coefficient multiplying the unknown central difference
-        c_n = omega[0]
-        if config.corrected and scheme.chi and n == 1:
-            c_n += scheme.w1[1]
-        # known part of the CQ sum over history entries 0..n-1
-        H = np.tensordot(omega[n:0:-1], hist[:n], axes=(0, 0))
-        if config.corrected:
-            H = H + scheme.w0[n] * hist[0]
-            if scheme.chi and n >= 2 and scheme.w1[n] != 0.0:
-                H = H + scheme.w1[n] * hist[1]
-        elif scheme.chi:
-            H = H - scheme.omega_cumsum[n] * hist[0]
+        # the step-n central difference holds the unknown u_{n+1}
+        c_n = scheme.self_weight(n, config.corrected)
+        H = scheme.known_sum(state.history, n, config.corrected)
         rhs = rhs - a * (system.M @ H)
         rhs = rhs + (a * c_n / (2.0 * kappa)) * (system.M @ state.u_prev)
         coef += a * c_n / (2.0 * kappa)

@@ -51,3 +51,25 @@ def test_criterion_9_oracle_startup_asymptotics():
 
 def test_criterion_10_oracle_solver_equivalence():
     _check(10)
+
+
+def test_smooth2d_skip_guard_reads_the_graded_norm(monkeypatch):
+    # smooth2d is graded on max-L2: clean energy rates must not hide
+    # pre-asymptotic L2 rates
+    from fracwave.harness import ConvergenceReport
+
+    def fake_run_convergence(case, corrected, levels, kappa0, check_rhs):
+        energy = [4.0**-lev for lev in range(levels)]
+        l2 = [1.0, 0.25, 0.0625, 0.05]
+        rows = [(10 * kappa0 / 2**lev, kappa0 / 2**lev, energy[lev], l2[lev])
+                for lev in range(levels)]
+        report = ConvergenceReport(case=case.name, gamma=case.frac.gamma,
+                                   alpha0=case.frac.alpha0, corrected=corrected,
+                                   coupling=case.coupling, levels=rows)
+        report.fit()
+        return report
+
+    monkeypatch.setattr(acceptance, "run_convergence", fake_run_convergence)
+    ok, text = acceptance._fit_subcase("smooth2d", 0.7, 1.0, True, 2.0, 0.2)
+    assert ok is None
+    assert text.endswith("skipped(pre-asymptotic)")

@@ -65,16 +65,6 @@ class TestSolveVolterra:
         with pytest.raises(ValueError):
             solve_volterra(problem, -1.0, 32)
 
-    def test_csv_export(self, tmp_path):
-        problem = VolterraProblem(gamma=0.5, a_gamma=1.0, lam=1.0,
-                                  u0=1.0, v0=0.0)
-        sol = solve_volterra(problem, 1.0, 16)
-        path = tmp_path / "ode.csv"
-        sol.write_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "t,u,v"
-        assert len(rows) == 18
-
 
 class TestAsymptotics:
     def test_positive_order_startup_exponent(self):
