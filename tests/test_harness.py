@@ -116,6 +116,23 @@ class TestConvergence:
         fixed = run_convergence(case, corrected=True, levels=3, check_rhs=False)
         assert fixed.rate_energy >= plain.rate_energy - 0.1
 
+    def test_report_csv(self, tmp_path, capsys):
+        # the report's table is written by `fracwave convergence --outdir`
+        from fracwave.cli import main
+
+        case = build_case("smooth1d", FracParams(gamma=-0.25))
+        report = run_convergence(case, corrected=True, levels=3, check_rhs=False)
+        assert main(["convergence", "--case", "smooth1d", "--gamma", "-0.25",
+                     "--corrected", "--levels", "3", "--outdir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        rows = (tmp_path / "convergence_smooth1d.csv").read_text().strip().splitlines()
+        assert rows[0] == "level,h,kappa,error_energy,error_l2max"
+        assert len(rows) == 4
+        for level, (line, expected) in enumerate(zip(rows[1:], report.levels)):
+            fields = line.split(",")
+            assert int(fields[0]) == level
+            assert [float(v) for v in fields[1:]] == list(expected)
+
     def test_level_floor(self):
         case = build_case("smooth1d", FracParams(gamma=0.5))
         with pytest.raises(ValueError):
