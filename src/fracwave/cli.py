@@ -167,10 +167,8 @@ def cmd_solve(args) -> int:
     if args.outdir:
         _save(args, "energy.csv", ["n", "t_n", "E_n"],
               zip(range(1, steps + 1), traj.times[1:], traj.energy))
-        path = Path(args.outdir) / "final_state.csv"
-        np.savetxt(path, np.column_stack([mesh.nodes[mesh.interior], traj.us[-1]]),
-                   delimiter=",", fmt=F)
-        print(f"wrote {path}")
+        _save(args, "final_state.csv", ["x", "y"][:case.dimension] + ["u"],
+              np.column_stack([mesh.nodes[mesh.interior], traj.us[-1]]))
     return 0
 
 

@@ -3,8 +3,9 @@
 Weight generation from the generating function (delta(zeta)/kappa)^gamma
 with delta(zeta) = 3/2 - 2 zeta + zeta^2/2, the Caputo shift for positive
 orders, startup correction weights exact on constants (and linears for
-positive orders), the central difference operator, and the mixed
-operator approximating d_t^(gamma+1).
+positive orders), the CQ history sum (direct, and blocked-FFT for the
+time loop), the central difference operator, and the mixed operator
+approximating d_t^(gamma+1).
 """
 
 from __future__ import annotations
@@ -117,6 +118,11 @@ class CQScheme:
         keeps the two apart because values[n] holds its unknown.
         """
         out = np.tensordot(self.omega[n:0:-1], values[:n], axes=(0, 0))
+        return self.add_startup(out, values, n, corrected)
+
+    def add_startup(self, out, values: np.ndarray, n: int, corrected: bool):
+        """out plus the terms of known_sum beyond sum omega_{n-j} values[j]:
+        w0[n] g_0 + w1[n] g_1 (corrected) or -chi sum(omega[:n+1]) g_0."""
         if corrected:
             out = out + self.w0[n] * values[0]
             if n >= 2 and self.w1[n] != 0.0:
@@ -124,6 +130,70 @@ class CQScheme:
         elif self.chi:
             out = out - self.omega_cumsum[n] * values[0]
         return out
+
+
+NEAR_BITS = 5          # near field: aligned blocks of 2**5 = 32 steps
+FFT_WORKSPACE = 2**15  # float64 entries per column slice of one transform
+
+
+class CQHistory:
+    """The CQ history sum of a time loop, O(N log^2 N) work per column.
+
+    Blocked-FFT convolution of Hairer, Lubich & Schlichte (SIAM J. Sci.
+    Stat. Comput. 6, 1985), exact up to FFT round-off.  For a pair j < n
+    let k be the highest bit in which j and n differ.  If k < NEAR_BITS,
+    j and n share an aligned block of 2**NEAR_BITS steps and
+    omega_{n-j} values[j] is summed directly at step n.  Otherwise, with
+    m = n with its k low bits cleared, j lies in [m - 2**k, m) and n in
+    [m, m + 2**k): when step m is reached (k = ctz(m)), that block of
+    values is convolved once with omega[:2**(k+1)] by real FFT, and the
+    results are added to the rows [m, m + 2**k) of values.  Those rows
+    are not written yet: row n holds its pending far-field sum until the
+    caller overwrites it with values[n], so the history needs no memory
+    beyond values.  Transforms run in column slices of at most
+    FFT_WORKSPACE entries.
+
+    values has one row per step (1-D for scalar sequences) and rows
+    beyond the written ones must start at zero; known_sum is called for
+    n = 1, 2, ... in order, after rows 0..n-1 are written and before row
+    n is.
+    """
+
+    def __init__(self, scheme: CQScheme, values: np.ndarray) -> None:
+        if len(values) > scheme.N + 1:
+            raise ValueError(f"{len(values)} history rows exceed scheme length {scheme.N}")
+        self.scheme = scheme
+        self.values = values
+        self._columns = values if values.ndim == 2 else values[:, None]
+        self._n = 0
+        self._spectra: dict[int, np.ndarray] = {}
+
+    def known_sum(self, n: int, corrected: bool):
+        """CQScheme.known_sum(values, n, corrected), without its O(n) sum."""
+        if n != self._n + 1:
+            raise ValueError(f"history sums go in step order: expected {self._n + 1}, got {n}")
+        self._n = n
+        start = n >> NEAR_BITS << NEAR_BITS
+        if start == n:
+            self._far_field(n)
+        near = self.scheme.omega[n - start:0:-1] @ self.values[start:n]
+        return self.scheme.add_startup(self.values[n] + near, self.values, n,
+                                       corrected)
+
+    def _far_field(self, m: int) -> None:
+        """Add the block ending at step m to the pending rows after it."""
+        size = m & -m
+        count = min(size, len(self.values) - m)
+        if size not in self._spectra:
+            # zero-padded past omega_N, which no row of values reaches
+            self._spectra[size] = np.fft.rfft(self.scheme.omega[:2 * size], 2 * size)
+        spectrum = self._spectra[size][:, None]
+        cols = self._columns
+        width = max(1, FFT_WORKSPACE // (2 * size))
+        for c in range(0, cols.shape[1], width):
+            block = np.fft.rfft(cols[m - size:m, c:c + width], 2 * size, axis=0)
+            conv = np.fft.irfft(block * spectrum, 2 * size, axis=0)
+            cols[m:m + count, c:c + width] += conv[size:size + count]
 
 
 @dataclass

@@ -271,18 +271,23 @@ class ConvergenceReport:
     levels: list            # (h, kappa, error_energy, error_l2max)
     rate_energy: float = field(default=None)
     rate_l2: float = field(default=None)
-    pre_asymptotic: bool = False
+    pre_asymptotic_energy: bool = False
+    pre_asymptotic_l2: bool = False
 
     def fit(self) -> None:
-        self.rate_energy, self.pre_asymptotic = fit_rate([row[2] for row in self.levels])
-        self.rate_l2, _ = fit_rate([row[3] for row in self.levels])
+        self.rate_energy, self.pre_asymptotic_energy = fit_rate(
+            [row[2] for row in self.levels])
+        self.rate_l2, self.pre_asymptotic_l2 = fit_rate([row[3] for row in self.levels])
 
     def summary(self) -> str:
-        flag = " (pre-asymptotic)" if self.pre_asymptotic else ""
+        def flag(pre):
+            return " (pre-asymptotic)" if pre else ""
+
         return (
             f"case={self.case} gamma={self.gamma:g} alpha0={self.alpha0:g} "
-            f"corrected={self.corrected} rate_energy={self.rate_energy:.3f} "
-            f"rate_l2={self.rate_l2:.3f}{flag}"
+            f"corrected={self.corrected} "
+            f"rate_energy={self.rate_energy:.3f}{flag(self.pre_asymptotic_energy)} "
+            f"rate_l2={self.rate_l2:.3f}{flag(self.pre_asymptotic_l2)}"
         )
 
 

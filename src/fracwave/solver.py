@@ -5,7 +5,9 @@ differences of the solution.  The j = n history entry contains the
 unknown u_{n+1}, so each step solves a mass system with a scalar shift;
 one factorization of M is reused throughout.  For the corrected scheme
 the first step's w1 contribution also references the unknown and is
-folded into the same scalar shift.
+folded into the same scalar shift.  The known part of the sum comes
+from the blocked-FFT history `cq.CQHistory`, so the time loop costs
+O(N log^2 N * ndof).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from fracwave.cq import CQScheme
+from fracwave.cq import CQHistory, CQScheme
 from fracwave.fem import (
     FemSystem,
     ScalarField,
@@ -130,8 +132,10 @@ class SimState:
     n: int
     u_prev: np.ndarray
     u_cur: np.ndarray
-    history: np.ndarray       # (N, ndof) central differences filled through n-1
+    history: np.ndarray       # (N, ndof) central differences filled through n-1;
+                              # later rows hold pending far-field CQ sums
     energy: list
+    cq: CQHistory | None      # the damping term's history sum over `history`
 
 
 def step(config: SimConfig, state: SimState, scheme: CQScheme | None,
@@ -144,20 +148,18 @@ def step(config: SimConfig, state: SimState, scheme: CQScheme | None,
         raise ValueError("stepping starts at n = 1")
     a = config.a_gamma
 
-    rhs = system.M @ ((2.0 * state.u_cur - state.u_prev) / kappa**2)
-    rhs -= system.K @ state.u_cur
-    fn = _source_load(config, spatial_load, n * kappa)
-    if fn is not None:
-        rhs = rhs + fn
-
+    # M is applied once, to everything it multiplies
+    v = (2.0 * state.u_cur - state.u_prev) / kappa**2
     coef = 1.0 / kappa**2
     if a != 0.0:
         # the step-n central difference holds the unknown u_{n+1}
-        c_n = scheme.self_weight(n, config.corrected)
-        H = scheme.known_sum(state.history, n, config.corrected)
-        rhs = rhs - a * (system.M @ H)
-        rhs = rhs + (a * c_n / (2.0 * kappa)) * (system.M @ state.u_prev)
-        coef += a * c_n / (2.0 * kappa)
+        shift = a * scheme.self_weight(n, config.corrected) / (2.0 * kappa)
+        v = v - a * state.cq.known_sum(n, config.corrected) + shift * state.u_prev
+        coef += shift
+    rhs = system.M @ v - system.K @ state.u_cur
+    fn = _source_load(config, spatial_load, n * kappa)
+    if fn is not None:
+        rhs = rhs + fn
 
     u_next = system.solve_mass(rhs) / coef
     state.history[n] = (u_next - state.u_prev) / (2.0 * kappa)
@@ -169,6 +171,7 @@ def step(config: SimConfig, state: SimState, scheme: CQScheme | None,
         u_cur=u_next,
         history=state.history,
         energy=state.energy,
+        cq=state.cq,
     )
 
 
@@ -195,7 +198,9 @@ def run(config: SimConfig) -> Trajectory:
     history = np.zeros((max(N, 1), system.ndof))
     history[0] = dtu0_h
     e1 = discrete_energy(system, u1_h, u0_h, kappa)
-    state = SimState(n=1, u_prev=u0_h, u_cur=u1_h, history=history, energy=[e1])
+    cq = None if scheme is None else CQHistory(scheme, history)
+    state = SimState(n=1, u_prev=u0_h, u_cur=u1_h, history=history, energy=[e1],
+                     cq=cq)
     e_ref = abs(e1)
     for n in range(1, N):
         state = step(config, state, scheme, spatial_load)

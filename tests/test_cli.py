@@ -143,7 +143,12 @@ class TestSolve:
         np.testing.assert_array_equal(table[:, 0], np.arange(1, 65))
         np.testing.assert_array_equal(table[:, 1], traj.times[1:])
         np.testing.assert_array_equal(table[:, 2], traj.energy)
-        state = np.loadtxt(tmp_path / "final_state.csv", delimiter=",")
+        # final_state.csv comes from the same table writer: header, CRLF
+        raw = (tmp_path / "final_state.csv").read_bytes()
+        assert raw.count(b"\r\n") == raw.count(b"\n") == len(traj.us[-1]) + 1
+        rows = csv_rows(tmp_path / "final_state.csv")
+        assert rows[0] == "x,u"
+        state = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
         np.testing.assert_array_equal(state[:, 0], mesh.nodes[mesh.interior][:, 0])
         np.testing.assert_array_equal(state[:, 1], traj.us[-1])
 

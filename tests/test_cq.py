@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracwave.cq import (
+    CQHistory,
     CQScheme,
     Sequence,
     apply_cq,
@@ -102,6 +103,38 @@ class TestSchemeTables:
         scheme = CQScheme.build(0.5, 0.1, 8)
         with pytest.raises(ValueError):
             scheme.omega[0] = 0.0
+
+
+class TestCQHistory:
+    @pytest.mark.parametrize("ndof", [1, 7])
+    @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 64, 1000, 3000])
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("gamma", [-0.5, 0.5])
+    def test_matches_direct_sum_at_every_step(self, gamma, corrected, N, ndof):
+        # the blocked-FFT sum against CQScheme.known_sum, the direct sum;
+        # ndof = 1 runs on a 1-D (scalar) sequence
+        scheme = CQScheme.build(gamma, 1.0 / 64, N)
+        rng = np.random.default_rng(N + ndof)
+        shape = (N + 1,) if ndof == 1 else (N + 1, ndof)
+        values = rng.standard_normal(shape)
+        rows = np.zeros(shape)
+        rows[0] = values[0]
+        history = CQHistory(scheme, rows)
+        for n in range(1, N + 1):
+            got = history.known_sum(n, corrected)
+            want = scheme.known_sum(values, n, corrected)
+            assert np.shape(got) == np.shape(want)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+            rows[n] = values[n]
+
+    def test_sums_go_in_step_order(self):
+        scheme = CQScheme.build(0.5, 0.1, 8)
+        history = CQHistory(scheme, np.zeros(9))
+        history.known_sum(1, corrected=True)
+        with pytest.raises(ValueError):
+            history.known_sum(3, corrected=True)
+        with pytest.raises(ValueError):
+            CQHistory(scheme, np.zeros(10))
 
 
 class TestApplyCq:

@@ -146,7 +146,23 @@ class TestConvergence:
         report = ConvergenceReport(case="x", gamma=0.5, alpha0=1.0,
                                    corrected=False, coupling=6.0, levels=rows)
         report.fit()
-        assert report.pre_asymptotic
+        assert report.pre_asymptotic_energy and report.pre_asymptotic_l2
+
+    def test_pre_asymptotic_flag_per_norm(self):
+        # only the max-L2 column flattens; the flag sits by its rate alone
+        from fracwave.harness import ConvergenceReport
+
+        rows = [(0.1, 0.1, 1.0, 1.0), (0.05, 0.05, 0.25, 0.5),
+                (0.025, 0.025, 0.0625, 0.4999)]
+        report = ConvergenceReport(case="x", gamma=0.5, alpha0=1.0,
+                                   corrected=False, coupling=6.0, levels=rows)
+        report.fit()
+        assert not report.pre_asymptotic_energy
+        assert report.pre_asymptotic_l2
+        line = report.summary()
+        assert "rate_energy=2.000 rate_l2=" in line
+        assert line.endswith(" (pre-asymptotic)")
+        assert line.count("(pre-asymptotic)") == 1
 
     def test_run_level_respects_coupling(self):
         case = build_case("smooth1d", FracParams(gamma=-0.5))

@@ -182,6 +182,36 @@ class TestModeStructure:
         assert np.max(np.abs(traj.us[:, probe] / mode[probe] - d)) <= 1e-12
 
 
+    @pytest.mark.parametrize("gamma,corrected", [(-0.5, False), (0.5, True)])
+    def test_long_run_modes_and_history(self, gamma, corrected):
+        # N = 4096 steps: far-field FFT blocks up to 2048 steps long
+        N, kappa, cells = 4096, 1.0 / 1024, 64
+        system = interval_system(cells)
+        x = system.mesh.nodes[system.mesh.interior][:, 0]
+        amplitudes = {1: 1.0, 8: -0.75}
+        modes = {k: np.sin(k * np.pi * x) for k in amplitudes}
+        frac = FracParams(gamma=gamma)
+        config = SimConfig(fem=system, T=N * kappa, kappa=kappa, frac=frac,
+                           corrected=corrected,
+                           u0=sum(a * modes[k] for k, a in amplitudes.items()),
+                           v0=np.zeros_like(x))
+        traj = run(config)
+        assert config.n_steps == N
+        h = system.mesh.h
+        for k, a in amplitudes.items():
+            c = math.cos(k * math.pi * h)
+            lam_h = (6.0 / h**2) * (1.0 - c) / (2.0 + c)
+            d = scalar_run(gamma, frac.a_gamma, lam_h, kappa, N, d0=1.0,
+                           d1=1.0 - 0.5 * kappa**2 * lam_h, dtd0=0.0,
+                           corrected=corrected)
+            coef = traj.us @ modes[k] / (modes[k] @ modes[k])
+            assert np.max(np.abs(coef - a * d)) <= 1e-9
+        # every history row is a central difference: no pending sum is left
+        np.testing.assert_array_equal(traj.history[0], 0.0)
+        np.testing.assert_array_equal(traj.history[1:],
+                                      (traj.us[2:] - traj.us[:-2]) / (2.0 * kappa))
+
+
 class TestDampingTerm:
     @pytest.mark.parametrize("corrected", [False, True])
     @pytest.mark.parametrize("gamma", [-0.5, 0.5])
