@@ -1,13 +1,14 @@
 """P1 finite elements on uniform interval meshes and structured triangulations.
 
 Homogeneous Dirichlet conditions are imposed by elimination: the
-assembled mass and stiffness matrices act on interior nodes only.  Full
-(pre-elimination) matrices are kept for diagnostics.  Factorizations are
-computed lazily and reused across the many solves of a time loop.
+assembled mass and stiffness matrices act on interior nodes only.
+Factorizations are computed lazily and reused across the many solves of
+a time loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,12 +50,7 @@ class Mesh:
         return len(self.interior)
 
     def element_measures(self) -> np.ndarray:
-        pts = self.nodes[self.elements]
-        if self.dimension == 1:
-            return np.abs(pts[:, 1, 0] - pts[:, 0, 0])
-        d1 = pts[:, 1] - pts[:, 0]
-        d2 = pts[:, 2] - pts[:, 0]
-        return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return _element_geometry(self)[0]
 
 
 def build_mesh(dimension: int, domain, n_per_side: int) -> Mesh:
@@ -63,46 +59,30 @@ def build_mesh(dimension: int, domain, n_per_side: int) -> Mesh:
     diagonal for determinism."""
     if n_per_side < 2:
         raise ValueError(f"n_per_side must be at least 2, got {n_per_side}")
+    n = n_per_side
     if dimension == 1:
         a, b = domain
         if b <= a:
             raise ValueError(f"degenerate interval {domain}")
-        nodes = np.linspace(a, b, n_per_side + 1).reshape(-1, 1)
-        elements = np.column_stack(
-            [np.arange(n_per_side), np.arange(1, n_per_side + 1)]
-        )
-        boundary = np.zeros(n_per_side + 1, dtype=bool)
+        nodes = np.linspace(a, b, n + 1).reshape(-1, 1)
+        elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+        boundary = np.zeros(n + 1, dtype=bool)
         boundary[[0, -1]] = True
-        h = (b - a) / n_per_side
+        h = (b - a) / n
     elif dimension == 2:
         (a, b), (c, d) = domain
         if b <= a or d <= c:
             raise ValueError(f"degenerate rectangle {domain}")
-        n = n_per_side
-        xs = np.linspace(a, b, n + 1)
-        ys = np.linspace(c, d, n + 1)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        X, Y = np.meshgrid(np.linspace(a, b, n + 1), np.linspace(c, d, n + 1),
+                           indexing="ij")
         nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-        def node_id(i, j):
-            return i * (n + 1) + j
-
-        tris = []
-        for i in range(n):
-            for j in range(n):
-                v00 = node_id(i, j)
-                v10 = node_id(i + 1, j)
-                v01 = node_id(i, j + 1)
-                v11 = node_id(i + 1, j + 1)
-                # fixed diagonal v00-v11
-                tris.append((v00, v10, v11))
-                tris.append((v00, v11, v01))
-        elements = np.array(tris, dtype=int)
-        boundary = np.zeros(len(nodes), dtype=bool)
-        ii = np.arange(n + 1)
-        for i in (0, n):
-            boundary[[node_id(i, j) for j in ii]] = True
-            boundary[[node_id(j, i) for j in ii]] = True
+        # node (i, j) is i * (n + 1) + j; cell (i, j), i-major, is split
+        # along its diagonal v00-v11 into (v00, v10, v11) and (v00, v11, v01)
+        v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+        v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
+        elements = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
+        i, j = np.divmod(np.arange(len(nodes)), n + 1)
+        boundary = (i == 0) | (i == n) | (j == 0) | (j == n)
         h = max((b - a) / n, (d - c) / n)
     else:
         raise ValueError(f"dimension must be 1 or 2, got {dimension}")
@@ -121,16 +101,31 @@ def build_mesh(dimension: int, domain, n_per_side: int) -> Mesh:
     )
 
 
-# Quadrature rules on the reference element.
+def _element_geometry(mesh: Mesh):
+    """Per-element measure |det J| / d! and P1 basis gradients (ne, d+1, d).
 
-def _gauss_1d(order: int):
-    pts, wts = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (pts + 1.0), 0.5 * wts  # mapped to [0,1]
+    J holds the edges p_k - p_0 as columns, so the rows of J^{-1} are the
+    gradients of the barycentric coordinates lambda_1..lambda_d, and
+    lambda_0 = 1 - sum_k lambda_k.
+    """
+    pts = mesh.nodes[mesh.elements]
+    jac = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
+    d = mesh.dimension
+    measures = np.abs(np.linalg.det(jac)) / math.factorial(d)
+    inv = np.linalg.inv(jac)
+    grads = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
+    return measures, grads
 
 
-# Degree-2 exact midpoint rule in barycentric coordinates.
-_TRI_POINTS = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-_TRI_WEIGHTS = np.array([1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0])
+def _reference_rule(dimension: int, quad_order: int):
+    """Barycentric points (nq, dim+1) and weights (nq,) summing to one."""
+    if dimension == 1:
+        q, w = np.polynomial.legendre.leggauss(quad_order)
+        q = 0.5 * (q + 1.0)
+        return np.column_stack([1.0 - q, q]), 0.5 * w
+    # degree-2 exact edge-midpoint rule
+    return (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
+            np.full(3, 1.0 / 3.0))
 
 
 @dataclass
@@ -140,8 +135,6 @@ class FemSystem:
     mesh: Mesh
     M: sp.csr_matrix
     K: sp.csr_matrix
-    M_full: sp.csr_matrix
-    K_full: sp.csr_matrix
     _M_solve: Callable | None = field(default=None, repr=False)
     _K_solve: Callable | None = field(default=None, repr=False)
 
@@ -162,85 +155,64 @@ class FemSystem:
 
 def assemble(mesh: Mesh) -> FemSystem:
     """Standard P1 mass and stiffness assembly with Dirichlet elimination."""
-    nn = len(mesh.nodes)
-    rows, cols, mvals, kvals = [], [], [], []
-    pts = mesh.nodes[mesh.elements]
-    if mesh.dimension == 1:
-        hE = np.abs(pts[:, 1, 0] - pts[:, 0, 0])
-        m_loc = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-        k_loc = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        for e, elem in enumerate(mesh.elements):
-            for a in range(2):
-                for b in range(2):
-                    rows.append(elem[a])
-                    cols.append(elem[b])
-                    mvals.append(hE[e] * m_loc[a, b])
-                    kvals.append(k_loc[a, b] / hE[e])
-    else:
-        for elem in mesh.elements:
-            p = mesh.nodes[elem]
-            d1 = p[1] - p[0]
-            d2 = p[2] - p[0]
-            det = d1[0] * d2[1] - d1[1] * d2[0]
-            area = 0.5 * abs(det)
-            # gradients of barycentric coordinates
-            grads = np.array(
-                [
-                    [p[1, 1] - p[2, 1], p[2, 0] - p[1, 0]],
-                    [p[2, 1] - p[0, 1], p[0, 0] - p[2, 0]],
-                    [p[0, 1] - p[1, 1], p[1, 0] - p[0, 0]],
-                ]
-            ) / det
-            k_loc = area * grads @ grads.T
-            m_loc = area / 12.0 * (np.ones((3, 3)) + np.eye(3))
-            for a in range(3):
-                for b in range(3):
-                    rows.append(elem[a])
-                    cols.append(elem[b])
-                    mvals.append(m_loc[a, b])
-                    kvals.append(k_loc[a, b])
-    M_full = sp.coo_matrix((mvals, (rows, cols)), shape=(nn, nn)).tocsr()
-    K_full = sp.coo_matrix((kvals, (rows, cols)), shape=(nn, nn)).tocsr()
-    idx = mesh.interior
-    M = M_full[np.ix_(idx, idx)].tocsr()
-    K = K_full[np.ix_(idx, idx)].tocsr()
-    return FemSystem(mesh=mesh, M=M, K=K, M_full=M_full, K_full=K_full)
+    measures, grads = _element_geometry(mesh)
+    d = mesh.dimension
+    k_loc = measures[:, None, None] * grads @ np.swapaxes(grads, 1, 2)
+    m_loc = (measures / ((d + 1) * (d + 2)))[:, None, None] * (
+        np.ones((d + 1, d + 1)) + np.eye(d + 1))
+    dofs = mesh.interior_index[mesh.elements]
+    rows = np.broadcast_to(dofs[:, :, None], k_loc.shape)
+    cols = np.broadcast_to(dofs[:, None, :], k_loc.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    n = mesh.num_interior
+
+    def csr(vals):
+        return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
+                             shape=(n, n)).tocsr()
+
+    return FemSystem(mesh=mesh, M=csr(m_loc), K=csr(k_loc))
 
 
 def _element_quadrature(mesh: Mesh, quad_order: int):
     """Physical quadrature points, weights, and P1 values per element.
 
     Returns (points (ne, nq, dim), jac-weighted weights (ne, nq),
-    basis values (nq, dim+1)).
+    basis values (nq, dim+1), basis gradients (ne, dim+1, dim)).
     """
-    pts = mesh.nodes[mesh.elements]
-    if mesh.dimension == 1:
-        q, w = _gauss_1d(quad_order)
-        x0 = pts[:, 0, 0][:, None]
-        x1 = pts[:, 1, 0][:, None]
-        phys = (x0 + (x1 - x0) * q[None, :])[:, :, None]
-        wts = np.abs(x1 - x0) * w[None, :]
-        basis = np.column_stack([1.0 - q, q])
-    else:
-        lam = _TRI_POINTS
-        w = _TRI_WEIGHTS
-        phys = np.einsum("qa,ead->eqd", lam, pts)
-        areas = mesh.element_measures()
-        wts = areas[:, None] * w[None, :]
-        basis = lam
-    return phys, wts, basis
+    measures, grads = _element_geometry(mesh)
+    lam, w = _reference_rule(mesh.dimension, quad_order)
+    phys = np.einsum("qa,ead->eqd", lam, mesh.nodes[mesh.elements])
+    return phys, measures[:, None] * w, lam, grads
+
+
+def _scatter(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
+    """Sum per-element vertex entries (ne, dim+1) into interior dofs."""
+    full = np.zeros(len(mesh.nodes))
+    np.add.at(full, mesh.elements.ravel(), contrib.ravel())
+    return full[mesh.interior]
+
+
+def _gather(mesh: Mesh, x: np.ndarray) -> np.ndarray:
+    """Vertex values (ne, dim+1) of an interior coefficient vector."""
+    full = np.zeros(len(mesh.nodes))
+    full[mesh.interior] = x
+    return full[mesh.elements]
+
+
+def _field_at(fn, phys: np.ndarray) -> np.ndarray:
+    """Evaluate fn on (ne, nq, dim) points; the result keeps the (ne, nq)
+    lead and any trailing axes of fn's output."""
+    ne, nq, dim = phys.shape
+    vals = np.asarray(fn(phys.reshape(-1, dim)), dtype=float)
+    return vals.reshape(ne, nq, *vals.shape[1:])
 
 
 def load_vector(system: FemSystem, f, quad_order: int = 3) -> np.ndarray:
     """Interior load entries int f phi_i dx by per-element Gauss quadrature."""
     mesh = system.mesh
-    phys, wts, basis = _element_quadrature(mesh, quad_order)
-    ne, nq, dim = phys.shape
-    fvals = np.asarray(f(phys.reshape(-1, dim)), dtype=float).reshape(ne, nq)
-    contrib = np.einsum("eq,eq,qa->ea", wts, fvals, basis)
-    full = np.zeros(len(mesh.nodes))
-    np.add.at(full, mesh.elements.ravel(), contrib.ravel())
-    return full[mesh.interior]
+    phys, wts, basis, _ = _element_quadrature(mesh, quad_order)
+    contrib = np.einsum("eq,eq,qa->ea", wts, _field_at(f, phys), basis)
+    return _scatter(mesh, contrib)
 
 
 def _gradient_load(system: FemSystem, field: ScalarField, quad_order: int = 3):
@@ -248,39 +220,9 @@ def _gradient_load(system: FemSystem, field: ScalarField, quad_order: int = 3):
     mesh = system.mesh
     if field.gradient is None:
         raise ValueError("Ritz projection of a function needs its gradient")
-    pts = mesh.nodes[mesh.elements]
-    full = np.zeros(len(mesh.nodes))
-    if mesh.dimension == 1:
-        q, w = _gauss_1d(quad_order)
-        x0 = pts[:, 0, 0][:, None]
-        x1 = pts[:, 1, 0][:, None]
-        hE = x1 - x0
-        phys = (x0 + hE * q[None, :])[:, :, None]
-        gvals = field.gradient(phys.reshape(-1, 1)).reshape(len(pts), len(q))
-        integral = (np.abs(hE) * w[None, :] * gvals).sum(axis=1)
-        # grad phi is -1/h, +1/h on the element
-        contrib = np.column_stack([-integral, integral]) / hE[:, 0, None]
-    else:
-        lam = _TRI_POINTS
-        w = _TRI_WEIGHTS
-        phys = np.einsum("qa,ead->eqd", lam, pts)
-        areas = mesh.element_measures()
-        d1 = pts[:, 1] - pts[:, 0]
-        d2 = pts[:, 2] - pts[:, 0]
-        det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])[:, None]
-        grads = np.stack(
-            [
-                np.column_stack([pts[:, 1, 1] - pts[:, 2, 1], pts[:, 2, 0] - pts[:, 1, 0]]),
-                np.column_stack([pts[:, 2, 1] - pts[:, 0, 1], pts[:, 0, 0] - pts[:, 2, 0]]),
-                np.column_stack([pts[:, 0, 1] - pts[:, 1, 1], pts[:, 1, 0] - pts[:, 0, 0]]),
-            ],
-            axis=1,
-        ) / det[:, :, None]
-        gvals = field.gradient(phys.reshape(-1, 2)).reshape(len(pts), len(w), 2)
-        avg = np.einsum("q,eqd->ed", w, gvals)  # quadrature mean of grad u
-        contrib = areas[:, None] * np.einsum("ead,ed->ea", grads, avg)
-    np.add.at(full, system.mesh.elements.ravel(), contrib.ravel())
-    return full[system.mesh.interior]
+    phys, wts, _, grads = _element_quadrature(mesh, quad_order)
+    integral = np.einsum("eq,eqd->ed", wts, _field_at(field.gradient, phys))
+    return _scatter(mesh, np.einsum("ead,ed->ea", grads, integral))
 
 
 def ritz_projection(system: FemSystem, u, quad_order: int = 3) -> np.ndarray:
@@ -289,11 +231,6 @@ def ritz_projection(system: FemSystem, u, quad_order: int = 3) -> np.ndarray:
         return u.copy()
     g = _gradient_load(system, u, quad_order)
     return system.solve_stiffness(g)
-
-
-def l2_projection(system: FemSystem, f_load: np.ndarray) -> np.ndarray:
-    """Mass-matrix projection from a load vector."""
-    return system.solve_mass(f_load)
 
 
 def norms(system: FemSystem, x: np.ndarray) -> tuple[float, float]:
@@ -318,13 +255,9 @@ def l2_error_against(system: FemSystem, x: np.ndarray, field: ScalarField,
                      quad_order: int = 5) -> float:
     """L2 distance between a coefficient vector and a continuous function."""
     mesh = system.mesh
-    phys, wts, basis = _element_quadrature(mesh, quad_order)
-    ne, nq, dim = phys.shape
-    full = np.zeros(len(mesh.nodes))
-    full[mesh.interior] = x
-    uh = np.einsum("qa,ea->eq", basis, full[mesh.elements])
-    uex = np.asarray(field.value(phys.reshape(-1, dim)), dtype=float).reshape(ne, nq)
-    return float(np.sqrt(np.sum(wts * (uh - uex) ** 2)))
+    phys, wts, basis, _ = _element_quadrature(mesh, quad_order)
+    uh = np.einsum("qa,ea->eq", basis, _gather(mesh, x))
+    return float(np.sqrt(np.sum(wts * (uh - _field_at(field.value, phys)) ** 2)))
 
 
 def h1_seminorm_error_against(system: FemSystem, x: np.ndarray, field: ScalarField,
@@ -333,41 +266,10 @@ def h1_seminorm_error_against(system: FemSystem, x: np.ndarray, field: ScalarFie
     mesh = system.mesh
     if field.gradient is None:
         raise ValueError("H1 error needs the gradient of the reference function")
-    pts = mesh.nodes[mesh.elements]
-    full = np.zeros(len(mesh.nodes))
-    full[mesh.interior] = x
-    uh = full[mesh.elements]
-    if mesh.dimension == 1:
-        q, w = _gauss_1d(quad_order)
-        x0 = pts[:, 0, 0][:, None]
-        hE = pts[:, 1, 0][:, None] - x0
-        phys = (x0 + hE * q[None, :])[:, :, None]
-        grad_uh = ((uh[:, 1] - uh[:, 0]) / hE[:, 0])[:, None]
-        gex = field.gradient(phys.reshape(-1, 1)).reshape(len(pts), len(q))
-        return float(
-            np.sqrt(np.sum(np.abs(hE) * w[None, :] * (grad_uh - gex) ** 2))
-        )
-    lam = _TRI_POINTS
-    w = _TRI_WEIGHTS
-    phys = np.einsum("qa,ead->eqd", lam, pts)
-    areas = mesh.element_measures()
-    d1 = pts[:, 1] - pts[:, 0]
-    d2 = pts[:, 2] - pts[:, 0]
-    det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])[:, None]
-    grads = np.stack(
-        [
-            np.column_stack([pts[:, 1, 1] - pts[:, 2, 1], pts[:, 2, 0] - pts[:, 1, 0]]),
-            np.column_stack([pts[:, 2, 1] - pts[:, 0, 1], pts[:, 0, 0] - pts[:, 2, 0]]),
-            np.column_stack([pts[:, 0, 1] - pts[:, 1, 1], pts[:, 1, 0] - pts[:, 0, 0]]),
-        ],
-        axis=1,
-    ) / det[:, :, None]
-    grad_uh = np.einsum("ea,ead->ed", uh, grads)
-    gex = field.gradient(phys.reshape(-1, 2)).reshape(len(pts), len(w), 2)
-    diff = grad_uh[:, None, :] - gex
-    return float(
-        np.sqrt(np.sum(areas[:, None] * w[None, :] * np.sum(diff**2, axis=2)))
-    )
+    phys, wts, _, grads = _element_quadrature(mesh, quad_order)
+    grad_uh = np.einsum("ea,ead->ed", _gather(mesh, x), grads)
+    diff = grad_uh[:, None, :] - _field_at(field.gradient, phys)
+    return float(np.sqrt(np.sum(wts * np.sum(diff**2, axis=2))))
 
 
 def max_generalized_eigenvalue(system: FemSystem) -> float:

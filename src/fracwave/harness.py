@@ -21,6 +21,7 @@ from fracwave.fem import (
     ScalarField,
     assemble,
     build_mesh,
+    interpolate,
     l2_norm,
 )
 from fracwave.fraccalc import (
@@ -232,7 +233,7 @@ def error_norm_energy(traj: Trajectory, case: ManufacturedCase,
 
     Exact values enter through nodal interpolation of the spatial factor.
     """
-    s = np.asarray(case.spatial.value(system.mesh.nodes[system.mesh.interior]))
+    s = interpolate(system, case.spatial)
     err = 0.0
     for n in range(1, traj.us.shape[0]):
         t_half = (n - 0.5) * kappa
@@ -245,7 +246,7 @@ def error_norm_energy(traj: Trajectory, case: ManufacturedCase,
 def error_norm_l2max(traj: Trajectory, case: ManufacturedCase,
                      system: FemSystem, kappa: float) -> float:
     """max_n ||u_n - I_h u(t_n)||_M over all steps."""
-    s = np.asarray(case.spatial.value(system.mesh.nodes[system.mesh.interior]))
+    s = interpolate(system, case.spatial)
     return max(
         l2_norm(system, traj.us[n] - case.exact(n * kappa) * s)
         for n in range(traj.us.shape[0])

@@ -122,9 +122,10 @@ def initial_data(config: SimConfig):
     return u0_h, u1_h, dtu0_h
 
 
-def discrete_energy(system: FemSystem, u_cur, u_prev, kappa: float) -> float:
+def discrete_energy(system: FemSystem, u_cur, u_prev, k_u_prev, kappa: float) -> float:
+    """Discrete energy of the step pair (u_prev, u_cur); k_u_prev = K @ u_prev."""
     d = (u_cur - u_prev) / kappa
-    return 0.5 * float(d @ (system.M @ d)) + 0.5 * float(u_cur @ (system.K @ u_prev))
+    return 0.5 * float(d @ (system.M @ d)) + 0.5 * float(u_cur @ k_u_prev)
 
 
 @dataclass
@@ -156,14 +157,15 @@ def step(config: SimConfig, state: SimState, scheme: CQScheme | None,
         shift = a * scheme.self_weight(n, config.corrected) / (2.0 * kappa)
         v = v - a * state.cq.known_sum(n, config.corrected) + shift * state.u_prev
         coef += shift
-    rhs = system.M @ v - system.K @ state.u_cur
+    k_u_cur = system.K @ state.u_cur
+    rhs = system.M @ v - k_u_cur
     fn = _source_load(config, spatial_load, n * kappa)
     if fn is not None:
         rhs = rhs + fn
 
     u_next = system.solve_mass(rhs) / coef
     state.history[n] = (u_next - state.u_prev) / (2.0 * kappa)
-    e_next = discrete_energy(system, u_next, state.u_cur, kappa)
+    e_next = discrete_energy(system, u_next, state.u_cur, k_u_cur, kappa)
     state.energy.append(e_next)
     return SimState(
         n=n + 1,
@@ -197,7 +199,7 @@ def run(config: SimConfig) -> Trajectory:
     us[1] = u1_h
     history = np.zeros((max(N, 1), system.ndof))
     history[0] = dtu0_h
-    e1 = discrete_energy(system, u1_h, u0_h, kappa)
+    e1 = discrete_energy(system, u1_h, u0_h, system.K @ u0_h, kappa)
     cq = None if scheme is None else CQHistory(scheme, history)
     state = SimState(n=1, u_prev=u0_h, u_cur=u1_h, history=history, energy=[e1],
                      cq=cq)

@@ -15,7 +15,6 @@ from fracwave.fem import (
     inverse_constant,
     l2_error_against,
     l2_norm,
-    l2_projection,
     load_vector,
     max_generalized_eigenvalue,
     norms,
@@ -28,6 +27,29 @@ def sin_field():
         value=lambda x: np.sin(np.pi * x[:, 0]),
         gradient=lambda x: (np.pi * np.cos(np.pi * x[:, 0]))[:, None],
     )
+
+
+def sin_sin_field():
+    def value(x):
+        return np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+
+    def gradient(x):
+        sx, sy = np.sin(np.pi * x[:, 0]), np.sin(np.pi * x[:, 1])
+        cx, cy = np.cos(np.pi * x[:, 0]), np.cos(np.pi * x[:, 1])
+        return np.pi * np.column_stack([cx * sy, sx * cy])
+
+    return ScalarField(value=value, gradient=gradient)
+
+
+def bubble_field():
+    return ScalarField(
+        value=lambda x: x[:, 0] * (1.0 - x[:, 0]),
+        gradient=lambda x: (1.0 - 2.0 * x[:, 0])[:, None],
+    )
+
+
+UNIT_INTERVAL = (1, (0.0, 1.0))
+UNIT_SQUARE = (2, ((0.0, 1.0), (0.0, 1.0)))
 
 
 class TestBuildMesh:
@@ -57,6 +79,13 @@ class TestBuildMesh:
         assert np.all(mesh.interior_index[on_boundary] == -1)
         assert np.all(mesh.interior_index[~on_boundary] >= 0)
 
+    def test_square_element_order(self):
+        mesh = build_mesh(2, ((0.0, 1.0), (0.0, 1.0)), 2)
+        assert mesh.elements.tolist() == [
+            [0, 3, 4], [0, 4, 1], [1, 4, 5], [1, 5, 2],
+            [3, 6, 7], [3, 7, 4], [4, 7, 8], [4, 8, 5],
+        ]
+
     def test_degenerate_domains_rejected(self):
         with pytest.raises(ValueError):
             build_mesh(1, (1.0, 1.0), 4)
@@ -78,6 +107,30 @@ class TestAssembly:
         assert M == pytest.approx(
             (h / 6.0) * (4 * np.eye(3) + np.eye(3, k=1) + np.eye(3, k=-1)))
 
+    def test_square_closed_forms(self):
+        mesh = build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), 4)
+        system = assemble(mesh)
+        h = 0.5
+        K = system.K.toarray()
+        M = system.M.toarray()
+        # the centre node (2, 2) and its neighbours (2 + di, 2 + dj) are dofs
+        centre = mesh.interior_index[2 * 5 + 2]
+
+        def entry(A, di, dj):
+            return A[centre, mesh.interior_index[(2 + di) * 5 + 2 + dj]]
+
+        assert entry(K, 0, 0) == pytest.approx(4.0)
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            assert entry(K, di, dj) == pytest.approx(-1.0)
+        for di, dj in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
+            assert entry(K, di, dj) == pytest.approx(0.0, abs=1e-14)
+        assert entry(M, 0, 0) == pytest.approx(h**2 / 2.0)
+        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)):
+            assert entry(M, di, dj) == pytest.approx(h**2 / 12.0)
+        for di, dj in ((1, -1), (-1, 1)):
+            assert entry(M, di, dj) == 0.0
+        assert np.count_nonzero(M[centre]) == 7
+
     def test_symmetry_and_definiteness(self):
         system = assemble(build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), 8))
         M = system.M.toarray()
@@ -91,16 +144,24 @@ class TestAssembly:
             assert x @ (K @ x) > 0.0
 
     def test_full_stiffness_annihilates_constants(self):
-        system = assemble(build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), 6))
-        ones = np.ones(system.K_full.shape[0])
-        assert np.max(np.abs(system.K_full @ ones)) < 1e-12
+        # K 1 = 0 on every dof whose element neighbours are all dofs
+        mesh = build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), 6)
+        system = assemble(mesh)
+        i, j = np.divmod(mesh.interior, 7)
+        away = (i > 1) & (i < 5) & (j > 1) & (j < 5)
+        assert np.count_nonzero(away) == 9
+        residual = system.K @ np.ones(system.ndof)
+        assert np.max(np.abs(residual[away])) < 1e-12
+        assert np.all(np.abs(residual[~away]) > 0.5)
 
     def test_mass_row_sums_are_hat_integrals(self):
+        # a dof next to the boundary loses h/6 of its hat integral h to the
+        # eliminated boundary node
         system = assemble(build_mesh(1, (0.0, 1.0), 8))
-        row_sums = np.asarray(system.M_full.sum(axis=1)).ravel()
+        row_sums = np.asarray(system.M.sum(axis=1)).ravel()
         h = 1.0 / 8
-        expected = np.full(9, h)
-        expected[[0, -1]] = h / 2.0
+        expected = np.full(7, h)
+        expected[[0, -1]] = 5.0 * h / 6.0
         assert row_sums == pytest.approx(expected, abs=1e-14)
 
     def test_smallest_eigenvalue_approaches_pi_squared(self):
@@ -148,25 +209,27 @@ class TestProjections:
         x = np.arange(7, dtype=float)
         assert np.all(ritz_projection(system, x) == x)
 
-    def test_ritz_l2_rate(self):
+    @pytest.mark.parametrize("domain, field", [
+        (UNIT_INTERVAL, sin_field), (UNIT_SQUARE, sin_sin_field)],
+        ids=["1d", "2d"])
+    def test_ritz_l2_rate(self, domain, field):
         errs = []
         for n in (8, 16, 32):
-            system = assemble(build_mesh(1, (0.0, 1.0), n))
-            x = ritz_projection(system, sin_field(), quad_order=6)
-            errs.append(l2_error_against(system, x, sin_field()))
+            system = assemble(build_mesh(*domain, n))
+            x = ritz_projection(system, field(), quad_order=6)
+            errs.append(l2_error_against(system, x, field()))
         order = float(-np.polyfit(range(3), np.log2(errs), 1)[0])
         assert order == pytest.approx(2.0, abs=0.1)
 
-    def test_ritz_h1_rate(self):
-        bubble = ScalarField(
-            value=lambda x: x[:, 0] * (1.0 - x[:, 0]),
-            gradient=lambda x: (1.0 - 2.0 * x[:, 0])[:, None],
-        )
+    @pytest.mark.parametrize("domain, field", [
+        (UNIT_INTERVAL, bubble_field), (UNIT_SQUARE, sin_sin_field)],
+        ids=["1d", "2d"])
+    def test_ritz_h1_rate(self, domain, field):
         errs = []
         for n in (8, 16, 32):
-            system = assemble(build_mesh(1, (0.0, 1.0), n))
-            x = ritz_projection(system, bubble, quad_order=6)
-            errs.append(h1_seminorm_error_against(system, x, bubble))
+            system = assemble(build_mesh(*domain, n))
+            x = ritz_projection(system, field(), quad_order=6)
+            errs.append(h1_seminorm_error_against(system, x, field()))
         order = float(-np.polyfit(range(3), np.log2(errs), 1)[0])
         assert order == pytest.approx(1.0, abs=0.1)
 
@@ -182,11 +245,11 @@ class TestProjections:
     def test_l2_projection_recovers_grid_function(self):
         system = assemble(build_mesh(1, (0.0, 1.0), 16))
         y = np.sin(2.5 * system.mesh.nodes[system.mesh.interior][:, 0])
-        assert l2_projection(system, system.M @ y) == pytest.approx(y, abs=1e-12)
+        assert system.solve_mass(system.M @ y) == pytest.approx(y, abs=1e-12)
 
     def test_l2_projection_zero(self):
         system = assemble(build_mesh(1, (0.0, 1.0), 8))
-        assert np.all(l2_projection(system, np.zeros(7)) == 0.0)
+        assert np.all(system.solve_mass(np.zeros(7)) == 0.0)
 
 
 class TestNorms:

@@ -260,4 +260,4 @@ def test_discrete_energy_formula():
     kappa = 0.01
     d = (u1 - u0) / kappa
     expected = 0.5 * d @ (system.M @ d) + 0.5 * u1 @ (system.K @ u0)
-    assert discrete_energy(system, u1, u0, kappa) == pytest.approx(expected)
+    assert discrete_energy(system, u1, u0, system.K @ u0, kappa) == pytest.approx(expected)
