@@ -137,6 +137,7 @@ class FemSystem:
     K: sp.csr_matrix
     _M_solve: Callable | None = field(default=None, repr=False)
     _K_solve: Callable | None = field(default=None, repr=False)
+    _lambda_max: float | None = field(default=None, repr=False)
 
     @property
     def ndof(self) -> int:
@@ -151,6 +152,12 @@ class FemSystem:
         if self._K_solve is None:
             self._K_solve = spla.factorized(self.K.tocsc())
         return self._K_solve(rhs)
+
+    def lambda_max(self) -> float:
+        """lambda_max(K, M), computed once per system."""
+        if self._lambda_max is None:
+            self._lambda_max = max_generalized_eigenvalue(self)
+        return self._lambda_max
 
 
 def assemble(mesh: Mesh) -> FemSystem:
@@ -291,5 +298,4 @@ def max_generalized_eigenvalue(system: FemSystem) -> float:
 
 def inverse_constant(system: FemSystem) -> float:
     """Sharp inverse-inequality constant h * sqrt(lambda_max(K, M))."""
-    lam = max_generalized_eigenvalue(system)
-    return system.mesh.h * float(np.sqrt(lam))
+    return system.mesh.h * float(np.sqrt(system.lambda_max()))

@@ -16,62 +16,54 @@ from typing import Callable
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from fracwave.fem import (
-    FemSystem,
-    ScalarField,
-    assemble,
-    build_mesh,
-    interpolate,
-    l2_norm,
-)
+from fracwave.fem import FemSystem, ScalarField, assemble, build_mesh, interpolate
 from fracwave.fraccalc import (
+    GAUSS_JACOBI_NODES,
     FracParams,
     caputo_monomial,
     caputo_quadrature,
-    caputo_series,
+    caputo_series,  # unused here; perfbench/spans.py wraps harness.caputo_series
     constants_table,
-    cos_monomials,
-    merge_series,
-    sin_monomials,
+    rl_integral_gauss_jacobi,
 )
 from fracwave.solver import SeparableSource, SimConfig, Trajectory, run
 
-# The Taylor series of the trig temporal factor loses accuracy to
-# cancellation once the largest phase exceeds roughly this many radians;
-# beyond it the quadrature form of the same derivative takes over.
-_SERIES_PHASE_LIMIT = 12.0
+# Largest phase omega * t of the trig time factor at which the
+# Gauss-Jacobi rule has converged to round-off: against adaptive
+# quadrature it agrees to 1e-13 relative up to t = 4.5, 1e-11 at t = 5
+# and 6e-6 at t = 6.
+_MAX_PHASE = 2.0 * GAUSS_JACOBI_NODES
+
+# Floats per block of steps in the batched M-norms of trajectories.
+_NORM_BLOCK_FLOATS = 2**16
 
 
 @dataclass
 class TemporalFactor:
     """Scalar time factor with closed-form derivatives and its fractional
-    derivative of order gamma+1."""
+    derivative of order gamma+1; each maps a time or an array of times
+    to values of the same shape."""
 
-    value: Callable[[float], float]
-    d1: Callable[[float], float]
-    d2: Callable[[float], float]
-    frac: Callable[[float], float]
+    value: Callable[[np.ndarray], np.ndarray]
+    d1: Callable[[np.ndarray], np.ndarray]
+    d2: Callable[[np.ndarray], np.ndarray]
+    frac: Callable[[np.ndarray], np.ndarray]
 
 
 def _trig_temporal(gamma: float) -> TemporalFactor:
+    """sin(24 t) + cos(12 t); D^(gamma+1) is the Riemann-Liouville integral
+    of order 1-gamma of d2 (gamma > 0) or of order -gamma of d1 (gamma < 0)."""
     w1, w2 = 24.0, 12.0
-    series = merge_series(sin_monomials(w1), cos_monomials(w2))
-    value = lambda t: math.sin(w1 * t) + math.cos(w2 * t)
-    d1 = lambda t: w1 * math.cos(w1 * t) - w2 * math.sin(w2 * t)
-    d2 = lambda t: -w1**2 * math.sin(w1 * t) - w2**2 * math.cos(w2 * t)
-    cache: dict = {}
+    value = lambda t: np.sin(w1 * t) + np.cos(w2 * t)
+    d1 = lambda t: w1 * np.cos(w1 * t) - w2 * np.sin(w2 * t)
+    d2 = lambda t: -w1**2 * np.sin(w1 * t) - w2**2 * np.cos(w2 * t)
+    g, beta = (d2, 1.0 - gamma) if gamma > 0.0 else (d1, -gamma)
 
-    def frac(t: float) -> float:
-        if t not in cache:
-            if t == 0.0:
-                cache[t] = 0.0
-            elif w1 * t <= _SERIES_PHASE_LIMIT:
-                cache[t] = caputo_series(series, gamma + 1.0, t)
-            elif gamma > 0.0:
-                cache[t] = caputo_quadrature(gamma + 1.0, t, d2f=d2)
-            else:
-                cache[t] = caputo_quadrature(gamma + 1.0, t, df=d1)
-        return cache[t]
+    def frac(t):
+        if w1 * np.max(t) > _MAX_PHASE:
+            raise ValueError(
+                f"time {np.max(t):g} beyond the source's range t <= {_MAX_PHASE / w1:g}")
+        return rl_integral_gauss_jacobi(g, beta, t)
 
     return TemporalFactor(value=value, d1=d1, d2=d2, frac=frac)
 
@@ -82,19 +74,19 @@ def _poly_temporal(frac_params: FracParams) -> TemporalFactor:
     ceil_g = math.ceil(gamma)
     mu = 2.0 + ceil_g - gamma
     c = -frac_params.a_gamma / gamma_fn(3.0 - gamma + ceil_g)
+    # mu - 2 = ceil(gamma) - gamma > 0, so every power vanishes at t = 0
     value = lambda t: 1.0 + t + t * t + c * t**mu
-    d1 = lambda t: 1.0 + 2.0 * t + (c * mu * t ** (mu - 1.0) if t > 0.0 else 0.0)
-    d2 = lambda t: 2.0 + (
-        c * mu * (mu - 1.0) * t ** (mu - 2.0) if t > 0.0 else 0.0
-    )
-    terms = ((0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (mu, c))
+    d1 = lambda t: 1.0 + 2.0 * t + c * mu * t ** (mu - 1.0)
+    d2 = lambda t: 2.0 + c * mu * (mu - 1.0) * t ** (mu - 2.0)
+    # D^(gamma+1) t^m = caputo_monomial(gamma+1, m, 1) t^(m-gamma-1); the
+    # terms it annihilates are dropped, and the others have positive powers
+    order = gamma + 1.0
+    terms = [(m, coef * caputo_monomial(order, m, 1.0))
+             for m, coef in ((0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (mu, c))]
+    terms = [(m, k) for m, k in terms if k != 0.0]
 
-    def frac(t: float) -> float:
-        if t == 0.0:
-            return 0.0
-        return sum(
-            coef * caputo_monomial(gamma + 1.0, m, t) for m, coef in terms
-        )
+    def frac(t):
+        return sum(k * t ** (m - order) for m, k in terms)
 
     return TemporalFactor(value=value, d1=d1, d2=d2, frac=frac)
 
@@ -116,18 +108,18 @@ class ManufacturedCase:
     frac: FracParams
     alpha: float | None       # startup exponent class, None when smooth
 
-    def source_temporal(self, t: float) -> float:
-        """G(t) with f(x,t) = G(t) spatial(x)."""
+    def source_temporal(self, t):
+        """G(t) with f(x,t) = G(t) spatial(x), at a time or an array of times."""
         return (
             self.temporal.d2(t)
             + self.lap_coef * self.temporal.value(t)
             + self.frac.a_gamma * self.temporal.frac(t)
         )
 
-    def exact(self, t: float) -> float:
+    def exact(self, t):
         return self.temporal.value(t)
 
-    def exact_d1(self, t: float) -> float:
+    def exact_d1(self, t):
         return self.temporal.d1(t)
 
 
@@ -219,12 +211,22 @@ def singular_exponent_of_source(case: ManufacturedCase,
         raise ValueError("singular exponent only defined for nonsmooth cases")
     ts = np.geomspace(t_lo, t_hi, n_pts)
     smooth = 2.0 + case.lap_coef * (1.0 + ts + ts * ts)
-    resid = np.abs(
-        np.array([case.source_temporal(float(t)) for t in ts]) - smooth
-    )
+    resid = np.abs(case.source_temporal(ts) - smooth)
     if np.any(resid == 0.0):
         raise RuntimeError("vanishing singular residual; exponent undefined")
     return float(np.polyfit(np.log(ts), np.log(resid), 1)[0])
+
+
+def _m_norms(system: FemSystem, count: int, rows) -> np.ndarray:
+    """||d_i||_M for the rows d_0..d_{count-1} that rows(lo, hi) returns as a
+    (hi - lo, ndof) block; blocks hold at most _NORM_BLOCK_FLOATS floats."""
+    size = max(1, _NORM_BLOCK_FLOATS // system.ndof)
+    out = np.empty(count)
+    for lo in range(0, count, size):
+        hi = min(lo + size, count)
+        d = rows(lo, hi)
+        out[lo:hi] = np.einsum("ij,ji->i", d, system.M @ d.T)
+    return np.sqrt(np.maximum(out, 0.0))
 
 
 def error_norm_energy(traj: Trajectory, case: ManufacturedCase,
@@ -234,23 +236,29 @@ def error_norm_energy(traj: Trajectory, case: ManufacturedCase,
     Exact values enter through nodal interpolation of the spatial factor.
     """
     s = interpolate(system, case.spatial)
-    err = 0.0
-    for n in range(1, traj.us.shape[0]):
-        t_half = (n - 0.5) * kappa
-        dv = (traj.us[n] - traj.us[n - 1]) / kappa - case.exact_d1(t_half) * s
-        av = 0.5 * (traj.us[n] + traj.us[n - 1]) - case.exact(t_half) * s
-        err = max(err, l2_norm(system, dv) + l2_norm(system, av))
-    return err
+    us = traj.us
+    t_half = (np.arange(1, us.shape[0]) - 0.5) * kappa
+
+    def slope(lo, hi):
+        return ((us[lo + 1:hi + 1] - us[lo:hi]) / kappa
+                - case.exact_d1(t_half[lo:hi])[:, None] * s)
+
+    def mean(lo, hi):
+        return (0.5 * (us[lo + 1:hi + 1] + us[lo:hi])
+                - case.exact(t_half[lo:hi])[:, None] * s)
+
+    steps = len(t_half)
+    return float(np.max(_m_norms(system, steps, slope) + _m_norms(system, steps, mean)))
 
 
 def error_norm_l2max(traj: Trajectory, case: ManufacturedCase,
                      system: FemSystem, kappa: float) -> float:
     """max_n ||u_n - I_h u(t_n)||_M over all steps."""
     s = interpolate(system, case.spatial)
-    return max(
-        l2_norm(system, traj.us[n] - case.exact(n * kappa) * s)
-        for n in range(traj.us.shape[0])
-    )
+    us = traj.us
+    t = np.arange(us.shape[0]) * kappa
+    return float(np.max(_m_norms(
+        system, len(t), lambda lo, hi: us[lo:hi] - case.exact(t[lo:hi])[:, None] * s)))
 
 
 def fit_rate(errors) -> tuple[float, bool]:
@@ -364,8 +372,8 @@ def time_errors(case: ManufacturedCase, n_per_side: int, corrected: bool,
     errors = []
     for lev in range(1, levels + 1):
         fine = solve_case(case, system, kappa0 / 2**lev, corrected, T).us
-        errors.append(max(l2_norm(system, fine[2 * n] - coarse[n])
-                          for n in range(coarse.shape[0])))
+        diff = lambda lo, hi: fine[2 * lo:2 * hi:2] - coarse[lo:hi]
+        errors.append(float(np.max(_m_norms(system, coarse.shape[0], diff))))
         coarse = fine
     return errors
 

@@ -35,11 +35,12 @@ class SolverDivergence(RuntimeError):
 
 @dataclass
 class SeparableSource:
-    """Source f(x, t) = spatial(x) * temporal(t); the spatial load is
-    assembled once and rescaled every step."""
+    """Source f(x, t) = spatial(x) * temporal(t).  The spatial load is
+    assembled once per run, and temporal maps the array of all step times
+    to the array of its values, once per run."""
 
     spatial: ScalarField
-    temporal: Callable[[float], float]
+    temporal: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -49,7 +50,7 @@ class SimConfig:
     kappa: float
     frac: FracParams | None = None           # None disables the damping term
     corrected: bool = False
-    f: SeparableSource | Callable | None = None
+    f: SeparableSource | None = None
     u0: ScalarField | np.ndarray | None = None
     v0: ScalarField | np.ndarray | None = None
     quad_order: int = 3
@@ -60,6 +61,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.kappa <= 0.0 or self.T <= 0.0:
             raise ValueError("T and kappa must be positive")
+        if self.f is not None and not isinstance(self.f, SeparableSource):
+            raise TypeError(f"f must be a SeparableSource or None, got {type(self.f)}")
         if self.c_inv is None:
             self.c_inv = inverse_constant(self.fem)
         limit = math.sqrt(2.0) * self.fem.mesh.h / self.c_inv
@@ -93,28 +96,32 @@ def _project_initial(system: FemSystem, data, quad_order: int) -> np.ndarray:
     return ritz_projection(system, data, quad_order)
 
 
-def _source_load(config: SimConfig, spatial_load: np.ndarray | None, t: float):
-    if config.f is None:
-        return None
-    if isinstance(config.f, SeparableSource):
-        return config.f.temporal(t) * spatial_load
-    return load_vector(config.fem, lambda x: config.f(x, t), config.quad_order)
+def _spatial_load(config: SimConfig) -> np.ndarray:
+    return load_vector(config.fem, config.f.spatial.value, config.quad_order)
 
 
-def initial_data(config: SimConfig):
+def _temporal_values(config: SimConfig, times: np.ndarray) -> np.ndarray:
+    values = np.asarray(config.f.temporal(times), dtype=float)
+    if values.shape != times.shape:
+        raise ValueError(
+            f"source temporal factor returned shape {values.shape} for times of"
+            f" shape {times.shape}; it must map an array of times elementwise")
+    return values
+
+
+def initial_data(config: SimConfig, f0: np.ndarray | None = None):
     """Ritz-projected initial data and the L2-projected initial acceleration.
 
     u1 = R_h(u0 + kappa v0) + kappa^2/2 * w, where M w = F(0) - K u0_h;
-    the Ritz load of u0 equals K u0_h by Galerkin orthogonality.
+    the Ritz load of u0 equals K u0_h by Galerkin orthogonality.  f0 is
+    the source load F(0); by default it is assembled from config.f.
     """
     system = config.fem
     u0_h = _project_initial(system, config.u0, config.quad_order)
     dtu0_h = _project_initial(system, config.v0, config.quad_order)
-    spatial_load = None
-    if isinstance(config.f, SeparableSource):
-        spatial_load = load_vector(system, config.f.spatial.value, config.quad_order)
+    if f0 is None and config.f is not None:
+        f0 = _temporal_values(config, np.zeros(1))[0] * _spatial_load(config)
     rhs0 = -(system.K @ u0_h)
-    f0 = _source_load(config, spatial_load, 0.0)
     if f0 is not None:
         rhs0 = rhs0 + f0
     w = system.solve_mass(rhs0)
@@ -137,11 +144,15 @@ class SimState:
                               # later rows hold pending far-field CQ sums
     energy: list
     cq: CQHistory | None      # the damping term's history sum over `history`
+    source: np.ndarray | None  # G(t_n) for every step, with f = G(t) * load
 
 
 def step(config: SimConfig, state: SimState, scheme: CQScheme | None,
          spatial_load: np.ndarray | None = None) -> SimState:
-    """Advance u_n -> u_{n+1}; appends the step-n central difference."""
+    """Advance u_n -> u_{n+1}; appends the step-n central difference.
+
+    The source load at t_n is state.source[n] * spatial_load.
+    """
     system = config.fem
     kappa = config.kappa
     n = state.n
@@ -159,9 +170,8 @@ def step(config: SimConfig, state: SimState, scheme: CQScheme | None,
         coef += shift
     k_u_cur = system.K @ state.u_cur
     rhs = system.M @ v - k_u_cur
-    fn = _source_load(config, spatial_load, n * kappa)
-    if fn is not None:
-        rhs = rhs + fn
+    if spatial_load is not None:
+        rhs = rhs + state.source[n] * spatial_load
 
     u_next = system.solve_mass(rhs) / coef
     state.history[n] = (u_next - state.u_prev) / (2.0 * kappa)
@@ -174,6 +184,7 @@ def step(config: SimConfig, state: SimState, scheme: CQScheme | None,
         history=state.history,
         energy=state.energy,
         cq=state.cq,
+        source=state.source,
     )
 
 
@@ -189,11 +200,14 @@ def run(config: SimConfig) -> Trajectory:
     scheme = None
     if config.a_gamma != 0.0:
         scheme = CQScheme.build(config.frac.gamma, kappa, N)
-    spatial_load = None
-    if isinstance(config.f, SeparableSource):
-        spatial_load = load_vector(system, config.f.spatial.value, config.quad_order)
+    times = kappa * np.arange(N + 1)
+    spatial_load = source = f0 = None
+    if config.f is not None:
+        spatial_load = _spatial_load(config)
+        source = _temporal_values(config, times)
+        f0 = source[0] * spatial_load
 
-    u0_h, u1_h, dtu0_h = initial_data(config)
+    u0_h, u1_h, dtu0_h = initial_data(config, f0)
     us = np.empty((N + 1, system.ndof))
     us[0] = u0_h
     us[1] = u1_h
@@ -202,7 +216,7 @@ def run(config: SimConfig) -> Trajectory:
     e1 = discrete_energy(system, u1_h, u0_h, system.K @ u0_h, kappa)
     cq = None if scheme is None else CQHistory(scheme, history)
     state = SimState(n=1, u_prev=u0_h, u_cur=u1_h, history=history, energy=[e1],
-                     cq=cq)
+                     cq=cq, source=source)
     e_ref = abs(e1)
     for n in range(1, N):
         state = step(config, state, scheme, spatial_load)
@@ -218,7 +232,7 @@ def run(config: SimConfig) -> Trajectory:
                 f" at step {state.n}; check the CFL condition"
             )
     return Trajectory(
-        times=kappa * np.arange(N + 1),
+        times=times,
         us=us,
         energy=np.array(state.energy),
         history=state.history,

@@ -293,6 +293,24 @@ class TestInverseConstant:
         lam = (6.0 / h**2) * (1.0 - c) / (2.0 + c)
         assert max_generalized_eigenvalue(system) == pytest.approx(lam, rel=1e-12)
 
+    @pytest.mark.parametrize("dimension,domain,cells", [
+        (1, (0.0, 1.0), 7), (1, (0.0, 1.0), 170),
+        (2, ((-1.0, 1.0), (-1.0, 1.0)), 7), (2, ((-1.0, 1.0), (-1.0, 1.0)), 8),
+        (2, ((-1.0, 1.0), (-1.0, 1.0)), 15), (2, ((-1.0, 1.0), (-1.0, 1.0)), 16),
+        (2, ((0.0, 2.0), (0.0, 1.0)), 9), (2, ((0.0, 2.0), (0.0, 1.0)), 16),
+    ])
+    def test_guard_against_dense_eigenvalue(self, dimension, domain, cells):
+        # the CFL guard's eigenvalue must not fall below the true one (the
+        # unsafe side) by more than the dense solver's own round-off
+        import scipy.linalg as sla
+
+        system = assemble(build_mesh(dimension, domain, cells))
+        lam = max_generalized_eigenvalue(system)
+        dense = sla.eigh(system.K.toarray(), system.M.toarray(),
+                         eigvals_only=True)[-1]
+        assert abs(lam - dense) <= 1e-12 * dense
+        assert lam >= dense * (1.0 - 1e-14)
+
     def test_matches_dense_eigenvalue(self):
         import scipy.linalg as sla
 

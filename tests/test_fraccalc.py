@@ -17,6 +17,7 @@ from fracwave.fraccalc import (
     cos_monomials,
     merge_series,
     positivity_constants,
+    rl_integral_gauss_jacobi,
     rl_integral_monomial,
     rl_integral_quadrature,
     sin_monomials,
@@ -183,6 +184,40 @@ class TestCaputoSeries:
         divergent = [MonomialFrac(mu=float(k), coefficient=1.0) for k in range(60)]
         with pytest.raises(SeriesTruncationError):
             caputo_series(divergent, 0.5, 2.0, max_terms=60)
+
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("gamma", [-0.75, -0.25, 0.25, 0.7, 0.75])
+    @pytest.mark.parametrize("mu", [2, 3, 5, 8])
+    def test_caputo_of_monomials(self, gamma, mu):
+        # D^(gamma+1) t^mu as the integral of order 1-gamma of mu(mu-1)t^(mu-2)
+        # (gamma > 0) or of order -gamma of mu t^(mu-1) (gamma < 0)
+        t = np.array([0.01, 0.3, 1.0, 2.5])
+        if gamma > 0.0:
+            g, beta = (lambda s: mu * (mu - 1) * s ** (mu - 2)), 1.0 - gamma
+        else:
+            g, beta = (lambda s: mu * s ** (mu - 1)), -gamma
+        got = rl_integral_gauss_jacobi(g, beta, t)
+        want = np.array([caputo_monomial(gamma + 1.0, mu, x) for x in t])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 1.0, 1.7])
+    def test_integral_of_monomials(self, beta):
+        t = np.linspace(0.0, 2.0, 9)
+        for mu in (0, 1, 4):
+            got = rl_integral_gauss_jacobi(lambda s: s**mu + 0.0 * s, beta, t)
+            want = [rl_integral_monomial(beta, mu, x) for x in t]
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_scalar_time(self):
+        got = rl_integral_gauss_jacobi(np.cos, 0.5, 0.7)
+        assert np.ndim(got) == 0
+        assert got == pytest.approx(rl_integral_quadrature(math.cos, 0.5, 0.7),
+                                    rel=1e-13)
+
+    def test_rejects_nonpositive_order(self):
+        with pytest.raises(ValueError):
+            rl_integral_gauss_jacobi(np.cos, 0.0, 1.0)
 
 
 class TestPositivityConstants:

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from fracwave.fem import assemble, build_mesh
-from fracwave.fraccalc import FracParams
+from fracwave.fem import assemble, build_mesh, l2_norm
+from fracwave.fraccalc import FracParams, caputo_quadrature
 from fracwave.harness import (
+    _NORM_BLOCK_FLOATS,
     build_case,
     error_norm_energy,
     error_norm_l2max,
@@ -17,6 +18,7 @@ from fracwave.harness import (
     run_damping_demo,
     run_level,
     singular_exponent_of_source,
+    solve_case,
     time_errors,
     verify_case,
 )
@@ -64,6 +66,42 @@ class TestBuildCase:
         if gamma < 0.0:
             assert exponent > -gamma + 0.4
 
+    @pytest.mark.parametrize("gamma", [-0.75, -0.25, 0.25, 0.7, 0.75])
+    def test_trig_fractional_derivative_against_quadrature(self, gamma):
+        # D^(gamma+1) of sin 24t + cos 12t at every t_n of the kappa = 1/512
+        # grid, against adaptive quadrature of the defining integral
+        case = build_case("smooth1d", FracParams(gamma=gamma))
+        t = np.arange(1, 513) / 512
+        got = case.temporal.frac(t)
+        if gamma > 0.0:
+            ref = [caputo_quadrature(gamma + 1.0, x, d2f=case.temporal.d2) for x in t]
+        else:
+            ref = [caputo_quadrature(gamma + 1.0, x, df=case.temporal.d1) for x in t]
+        ref = np.array(ref)
+        assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert case.temporal.frac(0.0) == 0.0
+
+    @pytest.mark.parametrize("name,gamma", [
+        ("smooth1d", -0.25), ("smooth1d", 0.75), ("smooth2d", 0.7),
+        ("nonsmooth1d", 0.25), ("nonsmooth1d", -0.75),
+    ])
+    def test_source_on_grid_equals_single_times(self, name, gamma):
+        case = build_case(name, FracParams(gamma=gamma))
+        t = np.arange(513) / 512
+        grid = case.source_temporal(t)
+        single = np.array([case.source_temporal(float(x)) for x in t])
+        assert grid.shape == t.shape
+        # the same arithmetic; numpy's array sin and power may round
+        # differently from their scalar forms in the last bit
+        np.testing.assert_allclose(grid, single, rtol=0.0,
+                                   atol=1e-14 * np.max(np.abs(grid)))
+
+    def test_trig_source_rejects_times_beyond_its_range(self):
+        case = build_case("smooth1d", FracParams(gamma=0.5))
+        case.source_temporal(np.linspace(0.0, 4.0, 9))
+        with pytest.raises(ValueError):
+            case.source_temporal(np.linspace(0.0, 4.5, 9))
+
     def test_singular_exponent_needs_nonsmooth_case(self):
         case = build_case("smooth1d", FracParams(gamma=0.5))
         with pytest.raises(ValueError):
@@ -73,8 +111,8 @@ class TestBuildCase:
 class TestErrorNorms:
     def test_zero_solution_zero_error(self):
         case = build_case("smooth1d", FracParams(gamma=0.5))
-        case.temporal.value = lambda t: 0.0
-        case.temporal.d1 = lambda t: 0.0
+        case.temporal.value = lambda t: 0.0 * t
+        case.temporal.d1 = lambda t: 0.0 * t
         kappa = 1.0 / 16
         system = assemble(build_mesh(1, (0.0, 1.0), 8))
         us = np.zeros((17, system.ndof))
@@ -98,6 +136,59 @@ class TestErrorNorms:
         err = error_norm_energy(traj, case, system, kappa)
         assert err < 0.05
         assert error_norm_l2max(traj, case, system, kappa) < 1e-12
+
+
+def _random_trajectory(system, kappa, steps, seed):
+    # growing, so that the largest norms sit in the last, partial block
+    us = np.random.default_rng(seed).standard_normal((steps, system.ndof))
+    us *= np.linspace(1.0, 3.0, steps)[:, None]
+    return Trajectory(times=kappa * np.arange(steps), us=us,
+                      energy=np.zeros(steps - 1), history=us[:-1])
+
+
+class TestBlockedNorms:
+    """The batched M-norms against a loop of one l2_norm per step."""
+
+    @pytest.mark.parametrize("dimension,cells,steps", [
+        (1, 8, 17),          # one block
+        (1, 256, 600),       # 255 dofs: three blocks, the last one partial
+        (2, 16, 700),        # 225 dofs: three blocks, the last one partial
+    ])
+    def test_norms_equal_per_step_loop(self, dimension, cells, steps):
+        domain = (0.0, 1.0) if dimension == 1 else ((-1.0, 1.0), (-1.0, 1.0))
+        name = "smooth1d" if dimension == 1 else "smooth2d"
+        case = build_case(name, FracParams(gamma=0.5))
+        system = assemble(build_mesh(dimension, domain, cells))
+        block = _NORM_BLOCK_FLOATS // system.ndof
+        if cells > 8:
+            assert steps > 2 * block and steps % block != 0
+        kappa = 1.0 / (steps - 1)
+        traj = _random_trajectory(system, kappa, steps, seed=cells)
+        us = traj.us
+        s = case.spatial.value(system.mesh.nodes[system.mesh.interior])
+        energy_ref = max(
+            l2_norm(system, (us[n] - us[n - 1]) / kappa
+                    - case.exact_d1((n - 0.5) * kappa) * s)
+            + l2_norm(system, 0.5 * (us[n] + us[n - 1])
+                      - case.exact((n - 0.5) * kappa) * s)
+            for n in range(1, steps))
+        l2_ref = max(l2_norm(system, us[n] - case.exact(n * kappa) * s)
+                     for n in range(steps))
+        assert error_norm_energy(traj, case, system, kappa) == pytest.approx(
+            energy_ref, rel=1e-14)
+        assert error_norm_l2max(traj, case, system, kappa) == pytest.approx(
+            l2_ref, rel=1e-14)
+
+    def test_time_errors_equal_per_step_loop(self):
+        case = build_case("smooth1d", FracParams(gamma=-0.25))
+        system = assemble(build_mesh(1, (0.0, 1.0), 8))
+        got = time_errors(case, 8, corrected=True, kappa0=1.0 / 32, levels=2)
+        runs = [solve_case(case, system, kappa, True).us
+                for kappa in (1.0 / 32, 1.0 / 64, 1.0 / 128)]
+        want = [max(l2_norm(system, fine[2 * n] - coarse[n])
+                    for n in range(coarse.shape[0]))
+                for coarse, fine in zip(runs, runs[1:])]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestConvergence:

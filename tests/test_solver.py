@@ -129,6 +129,23 @@ class TestRun:
         closed = h * math.sqrt((6.0 / h**2) * (1.0 - c) / (2.0 + c))
         assert config.c_inv == pytest.approx(closed, rel=1e-10)
 
+    def test_cfl_constant_is_computed_once_per_system(self, monkeypatch):
+        import fracwave.fem as fem
+
+        system = interval_system(64)
+        first = SimConfig(fem=system, T=1.0, kappa=1.0 / 512).c_inv
+        calls = []
+        eigsh = fem.spla.eigsh
+        monkeypatch.setattr(fem.spla, "eigsh",
+                            lambda *a, **k: calls.append(1) or eigsh(*a, **k))
+        second = SimConfig(fem=system, T=0.5, kappa=1.0 / 256,
+                           frac=FracParams(gamma=0.5)).c_inv
+        assert calls == []
+        assert second == first
+        # a new system computes its own
+        SimConfig(fem=interval_system(64), T=1.0, kappa=1.0 / 512)
+        assert calls == [1]
+
     def test_cfl_violation_diverges_with_override(self):
         system = interval_system(32)
         kappa = 1.5 * math.sqrt(2.0) * system.mesh.h / math.sqrt(12.0)
@@ -222,7 +239,7 @@ class TestDampingTerm:
         kappa = 1.0 / 64
         frac = FracParams(gamma=gamma)
         source = SeparableSource(spatial=sin_field(),
-                                 temporal=lambda t: math.sin(2.0 * t))
+                                 temporal=lambda t: np.sin(2.0 * t))
         config = SimConfig(fem=system, T=1.0, kappa=kappa, frac=frac,
                            corrected=corrected, f=source, u0=sin_field(),
                            v0=sin_field().scaled(-1.0))
@@ -246,10 +263,41 @@ class TestSources:
     def test_separable_source_drives_motion(self):
         system = interval_system(32)
         source = SeparableSource(spatial=sin_field(),
-                                 temporal=lambda t: math.sin(2.0 * t))
+                                 temporal=lambda t: np.sin(2.0 * t))
         config = SimConfig(fem=system, T=0.5, kappa=1.0 / 128, f=source)
         traj = run(config)
         assert l2_norm(system, traj.us[-1]) > 0.0
+
+    def test_temporal_factor_is_evaluated_once_on_the_grid(self):
+        system = interval_system(32)
+        calls = []
+
+        def temporal(t):
+            calls.append(np.array(t, copy=True))
+            return np.cos(2.0 * t)
+
+        kappa = 1.0 / 128
+        config = SimConfig(fem=system, T=0.5, kappa=kappa, frac=FracParams(gamma=0.5),
+                           f=SeparableSource(spatial=sin_field(), temporal=temporal))
+        traj = run(config)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], kappa * np.arange(config.n_steps + 1))
+        # initial_data on its own evaluates G(0) alone and gives the run's u1
+        calls.clear()
+        _, u1, _ = initial_data(config)
+        np.testing.assert_array_equal(u1, traj.us[1])
+        assert len(calls) == 1 and calls[0].shape == (1,)
+
+    def test_bare_callable_source_rejected(self):
+        with pytest.raises(TypeError, match="SeparableSource"):
+            SimConfig(fem=interval_system(8), T=1.0, kappa=0.01,
+                      f=lambda x, t: np.sin(t) + 0.0 * x[:, 0])
+
+    def test_scalar_temporal_factor_rejected(self):
+        source = SeparableSource(spatial=sin_field(), temporal=lambda t: 1.0)
+        config = SimConfig(fem=interval_system(8), T=0.1, kappa=0.01, f=source)
+        with pytest.raises(ValueError, match="array of times"):
+            run(config)
 
 
 def test_discrete_energy_formula():
