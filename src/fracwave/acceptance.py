@@ -174,8 +174,10 @@ def _fit_subcase(case_name, gamma, alpha0, corrected, target, tol,
     case = build_case(case_name, FracParams(gamma=gamma, alpha0=alpha0))
     report = run_convergence(case, corrected=corrected, levels=levels,
                              kappa0=kappa0, check_rhs=False)
-    column = 3 if case_name == "smooth2d" else 2
-    rate, pre_asymptotic = fit_rate([row[column] for row in report.levels])
+    if case_name == "smooth2d":
+        rate, pre_asymptotic = report.rate_l2, report.pre_asymptotic_l2
+    else:
+        rate, pre_asymptotic = report.rate_energy, report.pre_asymptotic_energy
     label = f"g={gamma:g}{'@a0=' + format(alpha0, 'g') if alpha0 != 1.0 else ''}" \
             f"{'C' if corrected else 'U'}"
     return _grade(label, rate, pre_asymptotic, target, tol)

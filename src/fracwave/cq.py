@@ -97,10 +97,6 @@ class CQScheme:
         return cls(gamma=gamma, kappa=kappa, N=N, omega=omega, w0=w0, w1=w1,
                    chi=chi, omega_cumsum=cumsum)
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.kappa * np.arange(self.N + 1)
-
     def self_weight(self, n: int, corrected: bool) -> float:
         """Weight of values[n] in the CQ sum at step n."""
         weight = self.omega[0]
@@ -156,19 +152,25 @@ class CQHistory:
     values has one row per step (1-D for scalar sequences) and rows
     beyond the written ones must start at zero; known_sum is called for
     n = 1, 2, ... in order, after rows 0..n-1 are written and before row
-    n is.
+    n is.  corrected chooses the startup terms of CQScheme.known_sum
+    once for the whole loop.
     """
 
-    def __init__(self, scheme: CQScheme, values: np.ndarray) -> None:
+    def __init__(self, scheme: CQScheme, values: np.ndarray, corrected: bool) -> None:
         if len(values) > scheme.N + 1:
             raise ValueError(f"{len(values)} history rows exceed scheme length {scheme.N}")
         self.scheme = scheme
         self.values = values
+        self.corrected = corrected
         self._columns = values if values.ndim == 2 else values[:, None]
         self._n = 0
         self._spectra: dict[int, np.ndarray] = {}
 
-    def known_sum(self, n: int, corrected: bool):
+    def self_weight(self, n: int) -> float:
+        """CQScheme.self_weight(n, corrected)."""
+        return self.scheme.self_weight(n, self.corrected)
+
+    def known_sum(self, n: int):
         """CQScheme.known_sum(values, n, corrected), without its O(n) sum."""
         if n != self._n + 1:
             raise ValueError(f"history sums go in step order: expected {self._n + 1}, got {n}")
@@ -178,7 +180,7 @@ class CQHistory:
             self._far_field(n)
         near = self.scheme.omega[n - start:0:-1] @ self.values[start:n]
         return self.scheme.add_startup(self.values[n] + near, self.values, n,
-                                       corrected)
+                                       self.corrected)
 
     def _far_field(self, m: int) -> None:
         """Add the block ending at step m to the pending rows after it."""
@@ -235,23 +237,19 @@ def apply_cq_corrected(scheme: CQScheme, g: Sequence, n: int):
     return _cq_sum(scheme, g, n, corrected=True)
 
 
-def central_diff(g: Sequence, kappa: float, n: int):
-    """Symmetric difference (g_{n+1} - g_{n-1})/(2 kappa); exact slope at n=0."""
+def central_diff_sequence(g: Sequence, kappa: float, n: int) -> Sequence:
+    """Central differences (g_{j+1} - g_{j-1})/(2 kappa) for steps 0..n
+    (needs g up to n+1), with the supplied exact slope at step 0."""
     if n < 0:
         raise IndexError(f"negative step {n}")
-    if n == 0:
-        if g.t0_derivative is None:
-            raise ValueError("central difference at n=0 needs t0_derivative")
-        return np.asarray(g.t0_derivative, dtype=float) + 0.0
-    if n + 1 >= len(g):
+    if n > 0 and n + 1 >= len(g):
         raise IndexError(f"central difference at {n} needs sample {n + 1}")
-    return (g.values[n + 1] - g.values[n - 1]) / (2.0 * kappa)
-
-
-def central_diff_sequence(g: Sequence, kappa: float, n: int) -> Sequence:
-    """Sequence of central differences for steps 0..n (needs g up to n+1)."""
-    vals = [central_diff(g, kappa, j) for j in range(n + 1)]
-    return Sequence(values=np.stack([np.asarray(v, dtype=float) for v in vals]))
+    if g.t0_derivative is None:
+        raise ValueError("central difference at n=0 needs t0_derivative")
+    out = np.empty((n + 1,) + g.values.shape[1:])
+    out[0] = g.t0_derivative
+    out[1:] = (g.values[2:n + 2] - g.values[:n]) / (2.0 * kappa)
+    return Sequence(values=out)
 
 
 def mixed_operator(scheme: CQScheme, g: Sequence, n: int, corrected: bool = False):

@@ -50,7 +50,8 @@ class Mesh:
         return len(self.interior)
 
     def element_measures(self) -> np.ndarray:
-        return _element_geometry(self)[0]
+        """Per-element measure |det J| / d!."""
+        return np.abs(np.linalg.det(_jacobians(self))) / math.factorial(self.dimension)
 
 
 def build_mesh(dimension: int, domain, n_per_side: int) -> Mesh:
@@ -101,20 +102,20 @@ def build_mesh(dimension: int, domain, n_per_side: int) -> Mesh:
     )
 
 
-def _element_geometry(mesh: Mesh):
-    """Per-element measure |det J| / d! and P1 basis gradients (ne, d+1, d).
-
-    J holds the edges p_k - p_0 as columns, so the rows of J^{-1} are the
-    gradients of the barycentric coordinates lambda_1..lambda_d, and
-    lambda_0 = 1 - sum_k lambda_k.
-    """
+def _jacobians(mesh: Mesh) -> np.ndarray:
+    """Per-element J (ne, d, d) with the edges p_k - p_0 as columns."""
     pts = mesh.nodes[mesh.elements]
-    jac = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
-    d = mesh.dimension
-    measures = np.abs(np.linalg.det(jac)) / math.factorial(d)
-    inv = np.linalg.inv(jac)
-    grads = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
-    return measures, grads
+    return np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
+
+
+def _basis_gradients(mesh: Mesh) -> np.ndarray:
+    """P1 basis gradients (ne, d+1, d).
+
+    The rows of J^{-1} are the gradients of the barycentric coordinates
+    lambda_1..lambda_d, and lambda_0 = 1 - sum_k lambda_k.
+    """
+    inv = np.linalg.inv(_jacobians(mesh))
+    return np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
 
 
 def _reference_rule(dimension: int, quad_order: int):
@@ -162,7 +163,7 @@ class FemSystem:
 
 def assemble(mesh: Mesh) -> FemSystem:
     """Standard P1 mass and stiffness assembly with Dirichlet elimination."""
-    measures, grads = _element_geometry(mesh)
+    measures, grads = mesh.element_measures(), _basis_gradients(mesh)
     d = mesh.dimension
     k_loc = measures[:, None, None] * grads @ np.swapaxes(grads, 1, 2)
     m_loc = (measures / ((d + 1) * (d + 2)))[:, None, None] * (
@@ -184,12 +185,11 @@ def _element_quadrature(mesh: Mesh, quad_order: int):
     """Physical quadrature points, weights, and P1 values per element.
 
     Returns (points (ne, nq, dim), jac-weighted weights (ne, nq),
-    basis values (nq, dim+1), basis gradients (ne, dim+1, dim)).
+    basis values (nq, dim+1)).
     """
-    measures, grads = _element_geometry(mesh)
     lam, w = _reference_rule(mesh.dimension, quad_order)
     phys = np.einsum("qa,ead->eqd", lam, mesh.nodes[mesh.elements])
-    return phys, measures[:, None] * w, lam, grads
+    return phys, mesh.element_measures()[:, None] * w, lam
 
 
 def _scatter(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
@@ -217,7 +217,7 @@ def _field_at(fn, phys: np.ndarray) -> np.ndarray:
 def load_vector(system: FemSystem, f, quad_order: int = 3) -> np.ndarray:
     """Interior load entries int f phi_i dx by per-element Gauss quadrature."""
     mesh = system.mesh
-    phys, wts, basis, _ = _element_quadrature(mesh, quad_order)
+    phys, wts, basis = _element_quadrature(mesh, quad_order)
     contrib = np.einsum("eq,eq,qa->ea", wts, _field_at(f, phys), basis)
     return _scatter(mesh, contrib)
 
@@ -227,9 +227,9 @@ def _gradient_load(system: FemSystem, field: ScalarField, quad_order: int = 3):
     mesh = system.mesh
     if field.gradient is None:
         raise ValueError("Ritz projection of a function needs its gradient")
-    phys, wts, _, grads = _element_quadrature(mesh, quad_order)
+    phys, wts, _ = _element_quadrature(mesh, quad_order)
     integral = np.einsum("eq,eqd->ed", wts, _field_at(field.gradient, phys))
-    return _scatter(mesh, np.einsum("ead,ed->ea", grads, integral))
+    return _scatter(mesh, np.einsum("ead,ed->ea", _basis_gradients(mesh), integral))
 
 
 def ritz_projection(system: FemSystem, u, quad_order: int = 3) -> np.ndarray:
@@ -262,7 +262,7 @@ def l2_error_against(system: FemSystem, x: np.ndarray, field: ScalarField,
                      quad_order: int = 5) -> float:
     """L2 distance between a coefficient vector and a continuous function."""
     mesh = system.mesh
-    phys, wts, basis, _ = _element_quadrature(mesh, quad_order)
+    phys, wts, basis = _element_quadrature(mesh, quad_order)
     uh = np.einsum("qa,ea->eq", basis, _gather(mesh, x))
     return float(np.sqrt(np.sum(wts * (uh - _field_at(field.value, phys)) ** 2)))
 
@@ -273,8 +273,8 @@ def h1_seminorm_error_against(system: FemSystem, x: np.ndarray, field: ScalarFie
     mesh = system.mesh
     if field.gradient is None:
         raise ValueError("H1 error needs the gradient of the reference function")
-    phys, wts, _, grads = _element_quadrature(mesh, quad_order)
-    grad_uh = np.einsum("ea,ead->ed", _gather(mesh, x), grads)
+    phys, wts, _ = _element_quadrature(mesh, quad_order)
+    grad_uh = np.einsum("ea,ead->ed", _gather(mesh, x), _basis_gradients(mesh))
     diff = grad_uh[:, None, :] - _field_at(field.gradient, phys)
     return float(np.sqrt(np.sum(wts * np.sum(diff**2, axis=2))))
 

@@ -37,6 +37,18 @@ _MAX_PHASE = 2.0 * GAUSS_JACOBI_NODES
 # Floats per block of steps in the batched M-norms of trajectories.
 _NORM_BLOCK_FLOATS = 2**16
 
+# verify_case: quad cross-checks of the source at this many seeded random
+# times, each within this relative tolerance.
+_VERIFY_SAMPLES = 20
+_VERIFY_TOL = 1e-7
+_VERIFY_SEED = 7
+
+# Times near t = 0 at which the source's singular exponent is fitted.
+_SINGULAR_FIT_TIMES = np.geomspace(1e-9, 1e-7, 12)
+
+# Step of the damping demonstration: kappa = h / _DAMPING_COUPLING.
+_DAMPING_COUPLING = 10.0
+
 
 @dataclass
 class TemporalFactor:
@@ -168,16 +180,15 @@ def build_case(name: str, frac: FracParams) -> ManufacturedCase:
     raise ValueError(f"unknown case {name!r}")
 
 
-def verify_case(case: ManufacturedCase, n_samples: int = 20,
-                tol: float = 1e-7, seed: int = 7) -> float:
+def verify_case(case: ManufacturedCase, T: float = 1.0) -> float:
     """Cross-check the assembled source against the quadrature-evaluated
-    operator at random times; returns the worst deviation scaled by the
-    sample magnitude (sources reach O(10^3), so the comparison is
-    relative once |ref| exceeds 1)."""
-    rng = np.random.default_rng(seed)
+    operator at random times in (0.05, T); returns the worst deviation
+    scaled by the sample magnitude (sources reach O(10^3), so the
+    comparison is relative once |ref| exceeds 1)."""
+    rng = np.random.default_rng(_VERIFY_SEED)
     gamma = case.frac.gamma
     worst = 0.0
-    for t in rng.uniform(0.05, 1.0, size=n_samples):
+    for t in rng.uniform(0.05, T, size=_VERIFY_SAMPLES):
         t = float(t)
         if gamma > 0.0:
             fr = caputo_quadrature(gamma + 1.0, t, d2f=case.temporal.d2)
@@ -190,16 +201,14 @@ def verify_case(case: ManufacturedCase, n_samples: int = 20,
         )
         dev = abs(case.source_temporal(t) - ref) / max(1.0, abs(ref))
         worst = max(worst, dev)
-    if worst > tol:
+    if worst > _VERIFY_TOL:
         raise RuntimeError(
-            f"source inconsistency {worst:.3e} exceeds {tol:.1e} for {case.name}"
+            f"source inconsistency {worst:.3e} exceeds {_VERIFY_TOL:.1e} for {case.name}"
         )
     return worst
 
 
-def singular_exponent_of_source(case: ManufacturedCase,
-                                t_lo: float = 1e-9, t_hi: float = 1e-7,
-                                n_pts: int = 12) -> float:
+def singular_exponent_of_source(case: ManufacturedCase) -> float:
     """Fitted exponent of the non-polynomial part of G near t = 0.
 
     Only defined for the startup-singularity case, whose smooth part is
@@ -209,7 +218,7 @@ def singular_exponent_of_source(case: ManufacturedCase,
     """
     if case.alpha is None:
         raise ValueError("singular exponent only defined for nonsmooth cases")
-    ts = np.geomspace(t_lo, t_hi, n_pts)
+    ts = _SINGULAR_FIT_TIMES
     smooth = 2.0 + case.lap_coef * (1.0 + ts + ts * ts)
     resid = np.abs(case.source_temporal(ts) - smooth)
     if np.any(resid == 0.0):
@@ -342,7 +351,7 @@ def run_convergence(case: ManufacturedCase, corrected: bool, levels: int = 4,
     if levels < 3:
         raise ValueError(f"need at least 3 refinement levels, got {levels}")
     if check_rhs:
-        verify_case(case)
+        verify_case(case, T)
     if kappa0 is None:
         kappa0 = 1.0 / 64 if case.dimension == 1 else 1.0 / 40
     rows = []
@@ -385,7 +394,7 @@ def _gaussian_bump() -> ScalarField:
 
 
 def run_damping_demo(gammas=(0.25, 0.75, -0.25, -0.75), n_per_side: int = 32,
-                     T: float = 2.0, coupling: float = 10.0):
+                     T: float = 2.0):
     """Gaussian initial bump on the square, traced at the center node.
 
     Returns (times, dict gamma-label -> trace, dict gamma-label -> energy).
@@ -396,7 +405,7 @@ def run_damping_demo(gammas=(0.25, 0.75, -0.25, -0.75), n_per_side: int = 32,
         raise ValueError("n_per_side must be even so (0,0) is a node")
     mesh = build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), n_per_side)
     system = assemble(mesh)
-    kappa = mesh.h / coupling
+    kappa = mesh.h / _DAMPING_COUPLING
     center = np.flatnonzero(
         (np.abs(mesh.nodes[mesh.interior][:, 0]) < 1e-12)
         & (np.abs(mesh.nodes[mesh.interior][:, 1]) < 1e-12)

@@ -16,6 +16,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
+# Grid indices (first, last) of the startup-exponent fit.
+FIT_WINDOW = (4, 64)
+
 
 @dataclass(frozen=True)
 class VolterraProblem:
@@ -115,32 +118,29 @@ def solve_volterra(problem: VolterraProblem, T: float, M: int) -> VolterraSoluti
     times = delta * np.arange(M + 1)
     v = np.empty(M + 1)
     v[0] = problem.v_at_zero()
-    for n in range(1, M + 1):
-        w = problem.lam * lin.weights(n) + sing_coef * sing.weights(n)
-        known = float(np.dot(w[:n], v[:n]))
-        v[n] = (problem.forcing(times[n]) - known) / (1.0 + w[n])
     u = np.empty(M + 1)
     u[0] = problem.u0
     for n in range(1, M + 1):
-        u[n] = problem.u0 + times[n] * problem.v0 + float(
-            np.dot(lin.weights(n), v[: n + 1])
-        )
+        lin_n = lin.weights(n)
+        w = problem.lam * lin_n + sing_coef * sing.weights(n)
+        known = float(np.dot(w[:n], v[:n]))
+        v[n] = (problem.forcing(times[n]) - known) / (1.0 + w[n])
+        u[n] = problem.u0 + times[n] * problem.v0 + float(np.dot(lin_n, v[: n + 1]))
     return VolterraSolution(times=times, v=v, u=u)
 
 
-def asymptotic_check(problem: VolterraProblem, T: float, M: int,
-                     window: tuple[int, int] = (4, 64)) -> float:
+def asymptotic_check(problem: VolterraProblem, T: float, M: int) -> float:
     """Fitted singular exponent of v - (f - lam*u0) near t = 0.
 
     The expansion of v has leading residual t^(1-gamma) for positive
     orders and t^(-gamma) (when v0 != 0) for negative ones; the exponent
-    is fitted by least squares on log residuals over grid indices in the
-    given window.
+    is fitted by least squares on log residuals over the grid indices
+    FIT_WINDOW.
     """
-    sol = solve_volterra(problem, T, M)
-    lo, hi = window
+    lo, hi = FIT_WINDOW
     if hi >= M:
-        raise ValueError(f"fit window {window} exceeds grid length {M}")
+        raise ValueError(f"fit window {FIT_WINDOW} exceeds grid length {M}")
+    sol = solve_volterra(problem, T, M)
     idx = np.arange(lo, hi + 1)
     base = problem.v_at_zero()
     if problem.f is not None:
@@ -155,19 +155,3 @@ def asymptotic_check(problem: VolterraProblem, T: float, M: int,
         raise RuntimeError("zero residual in fit window; exponent undefined")
     slope = np.polyfit(np.log(sol.times[idx]), np.log(mags), 1)[0]
     return float(slope)
-
-
-def second_difference_error(g, t: float, kappa: float) -> tuple[float, float]:
-    """Second-difference error and its classical fourth-derivative bound.
-
-    g supplies callables g.value, g.d2, g.d4.  Returns (actual error of
-    the centered second difference against g'', kappa^2/12 * max |g''''|
-    over [t-kappa, t+kappa] sampled densely).
-    """
-    if kappa <= 0.0 or t - kappa < 0.0:
-        raise ValueError("need kappa > 0 and t >= kappa")
-    second = (g.value(t + kappa) - 2.0 * g.value(t) + g.value(t - kappa)) / kappa**2
-    err = abs(second - g.d2(t))
-    ts = np.linspace(t - kappa, t + kappa, 33)
-    bound = kappa**2 / 12.0 * max(abs(g.d4(s)) for s in ts)
-    return err, bound

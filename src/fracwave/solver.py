@@ -13,7 +13,7 @@ O(N log^2 N * ndof).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -27,6 +27,10 @@ from fracwave.fem import (
     ritz_projection,
 )
 from fracwave.fraccalc import FracParams
+
+
+# Energy growth beyond this multiple of E_1 aborts the run as divergent.
+ENERGY_ABORT_FACTOR = 1e6
 
 
 class SolverDivergence(RuntimeError):
@@ -53,20 +57,16 @@ class SimConfig:
     f: SeparableSource | None = None
     u0: ScalarField | np.ndarray | None = None
     v0: ScalarField | np.ndarray | None = None
-    quad_order: int = 3
-    cfl_override: bool = False
-    energy_abort_factor: float = 1e6
-    c_inv: float = field(default=None)
+    c_inv: float = field(init=False)         # the CFL guard's inverse constant
 
     def __post_init__(self) -> None:
         if self.kappa <= 0.0 or self.T <= 0.0:
             raise ValueError("T and kappa must be positive")
         if self.f is not None and not isinstance(self.f, SeparableSource):
             raise TypeError(f"f must be a SeparableSource or None, got {type(self.f)}")
-        if self.c_inv is None:
-            self.c_inv = inverse_constant(self.fem)
+        self.c_inv = inverse_constant(self.fem)
         limit = math.sqrt(2.0) * self.fem.mesh.h / self.c_inv
-        if self.kappa > limit and not self.cfl_override:
+        if self.kappa > limit:
             raise ValueError(
                 f"CFL violated: kappa={self.kappa} exceeds sqrt(2) h/C_inv={limit}"
             )
@@ -88,16 +88,16 @@ class Trajectory:
     history: np.ndarray   # central differences, entries 0..N-1
 
 
-def _project_initial(system: FemSystem, data, quad_order: int) -> np.ndarray:
+def _project_initial(system: FemSystem, data) -> np.ndarray:
     if data is None:
         return np.zeros(system.ndof)
     if isinstance(data, np.ndarray):
         return data.copy()
-    return ritz_projection(system, data, quad_order)
+    return ritz_projection(system, data)
 
 
 def _spatial_load(config: SimConfig) -> np.ndarray:
-    return load_vector(config.fem, config.f.spatial.value, config.quad_order)
+    return load_vector(config.fem, config.f.spatial.value)
 
 
 def _temporal_values(config: SimConfig, times: np.ndarray) -> np.ndarray:
@@ -117,8 +117,8 @@ def initial_data(config: SimConfig, f0: np.ndarray | None = None):
     the source load F(0); by default it is assembled from config.f.
     """
     system = config.fem
-    u0_h = _project_initial(system, config.u0, config.quad_order)
-    dtu0_h = _project_initial(system, config.v0, config.quad_order)
+    u0_h = _project_initial(system, config.u0)
+    dtu0_h = _project_initial(system, config.v0)
     if f0 is None and config.f is not None:
         f0 = _temporal_values(config, np.zeros(1))[0] * _spatial_load(config)
     rhs0 = -(system.K @ u0_h)
@@ -145,67 +145,56 @@ class SimState:
     energy: list
     cq: CQHistory | None      # the damping term's history sum over `history`
     source: np.ndarray | None  # G(t_n) for every step, with f = G(t) * load
+    load: np.ndarray | None    # the assembled spatial load
 
 
-def step(config: SimConfig, state: SimState, scheme: CQScheme | None,
-         spatial_load: np.ndarray | None = None) -> SimState:
+def step(config: SimConfig, state: SimState) -> SimState:
     """Advance u_n -> u_{n+1}; appends the step-n central difference.
 
-    The source load at t_n is state.source[n] * spatial_load.
+    Returns a new state; the one passed in keeps its n and vectors, and
+    shares its history rows and energy log with the new one.
     """
     system = config.fem
     kappa = config.kappa
     n = state.n
     if n < 1:
         raise ValueError("stepping starts at n = 1")
-    a = config.a_gamma
 
     # M is applied once, to everything it multiplies
     v = (2.0 * state.u_cur - state.u_prev) / kappa**2
     coef = 1.0 / kappa**2
-    if a != 0.0:
+    if state.cq is not None:
         # the step-n central difference holds the unknown u_{n+1}
-        shift = a * scheme.self_weight(n, config.corrected) / (2.0 * kappa)
-        v = v - a * state.cq.known_sum(n, config.corrected) + shift * state.u_prev
+        a = config.a_gamma
+        shift = a * state.cq.self_weight(n) / (2.0 * kappa)
+        v = v - a * state.cq.known_sum(n) + shift * state.u_prev
         coef += shift
     k_u_cur = system.K @ state.u_cur
     rhs = system.M @ v - k_u_cur
-    if spatial_load is not None:
-        rhs = rhs + state.source[n] * spatial_load
+    if state.load is not None:
+        rhs = rhs + state.source[n] * state.load
 
     u_next = system.solve_mass(rhs) / coef
     state.history[n] = (u_next - state.u_prev) / (2.0 * kappa)
-    e_next = discrete_energy(system, u_next, state.u_cur, k_u_cur, kappa)
-    state.energy.append(e_next)
-    return SimState(
-        n=n + 1,
-        u_prev=state.u_cur,
-        u_cur=u_next,
-        history=state.history,
-        energy=state.energy,
-        cq=state.cq,
-        source=state.source,
-    )
+    state.energy.append(discrete_energy(system, u_next, state.u_cur, k_u_cur, kappa))
+    return replace(state, n=n + 1, u_prev=state.u_cur, u_cur=u_next)
 
 
 def run(config: SimConfig) -> Trajectory:
     """Execute initial data and all time steps, recording the energy log.
 
-    Aborts with SolverDivergence on NaN or energy growth beyond the
-    configured factor of E_1, which flags CFL violations cleanly.
+    Aborts with SolverDivergence on NaN or energy growth beyond
+    ENERGY_ABORT_FACTOR times E_1, which flags CFL violations cleanly.
     """
     system = config.fem
     N = config.n_steps
     kappa = config.kappa
-    scheme = None
-    if config.a_gamma != 0.0:
-        scheme = CQScheme.build(config.frac.gamma, kappa, N)
     times = kappa * np.arange(N + 1)
-    spatial_load = source = f0 = None
+    load = source = f0 = None
     if config.f is not None:
-        spatial_load = _spatial_load(config)
+        load = _spatial_load(config)
         source = _temporal_values(config, times)
-        f0 = source[0] * spatial_load
+        f0 = source[0] * load
 
     u0_h, u1_h, dtu0_h = initial_data(config, f0)
     us = np.empty((N + 1, system.ndof))
@@ -214,21 +203,24 @@ def run(config: SimConfig) -> Trajectory:
     history = np.zeros((max(N, 1), system.ndof))
     history[0] = dtu0_h
     e1 = discrete_energy(system, u1_h, u0_h, system.K @ u0_h, kappa)
-    cq = None if scheme is None else CQHistory(scheme, history)
+    cq = None
+    if config.a_gamma != 0.0:
+        cq = CQHistory(CQScheme.build(config.frac.gamma, kappa, N), history,
+                       config.corrected)
     state = SimState(n=1, u_prev=u0_h, u_cur=u1_h, history=history, energy=[e1],
-                     cq=cq, source=source)
+                     cq=cq, source=source, load=load)
     e_ref = abs(e1)
     for n in range(1, N):
-        state = step(config, state, scheme, spatial_load)
+        state = step(config, state)
         us[state.n] = state.u_cur
         e_n = state.energy[-1]
         if not np.isfinite(e_n) or not np.all(np.isfinite(state.u_cur)):
             raise SolverDivergence(
                 f"non-finite solution at step {state.n}; check the CFL condition"
             )
-        if e_ref > 0.0 and e_n > config.energy_abort_factor * e_ref:
+        if e_ref > 0.0 and e_n > ENERGY_ABORT_FACTOR * e_ref:
             raise SolverDivergence(
-                f"energy grew to {e_n:.3e} (> {config.energy_abort_factor:.0e} x E_1)"
+                f"energy grew to {e_n:.3e} (> {ENERGY_ABORT_FACTOR:.0e} x E_1)"
                 f" at step {state.n}; check the CFL condition"
             )
     return Trajectory(

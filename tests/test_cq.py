@@ -12,7 +12,7 @@ from fracwave.cq import (
     apply_cq,
     apply_cq_corrected,
     bdf2_weights,
-    central_diff,
+    central_diff_sequence,
     mixed_operator,
 )
 from fracwave.fraccalc import caputo_monomial
@@ -79,7 +79,7 @@ class TestSchemeTables:
         scheme = CQScheme.build(-0.5, 0.1, 16)
         assert scheme.chi == 0
         assert np.all(scheme.w1 == 0.0)
-        t = scheme.times
+        t = 0.1 * np.arange(17)
         partial = np.cumsum(scheme.omega)
         expected = t[1:] ** 0.5 / math.gamma(1.5) - partial[1:]
         assert scheme.w0[1:] == pytest.approx(expected, abs=1e-12)
@@ -87,7 +87,7 @@ class TestSchemeTables:
     def test_positive_order_corrections(self):
         scheme = CQScheme.build(0.5, 0.1, 16)
         assert scheme.chi == 1
-        t = scheme.times
+        t = 0.1 * np.arange(17)
         partial = np.cumsum(scheme.omega)
         lin = np.cumsum(t * scheme.omega)
         w1 = (t[1:] ** 0.5 / math.gamma(1.5) - (t[1:] * partial[1:] - lin[1:])) / 0.1
@@ -119,9 +119,9 @@ class TestCQHistory:
         values = rng.standard_normal(shape)
         rows = np.zeros(shape)
         rows[0] = values[0]
-        history = CQHistory(scheme, rows)
+        history = CQHistory(scheme, rows, corrected)
         for n in range(1, N + 1):
-            got = history.known_sum(n, corrected)
+            got = history.known_sum(n)
             want = scheme.known_sum(values, n, corrected)
             assert np.shape(got) == np.shape(want)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -129,12 +129,12 @@ class TestCQHistory:
 
     def test_sums_go_in_step_order(self):
         scheme = CQScheme.build(0.5, 0.1, 8)
-        history = CQHistory(scheme, np.zeros(9))
-        history.known_sum(1, corrected=True)
+        history = CQHistory(scheme, np.zeros(9), corrected=True)
+        history.known_sum(1)
         with pytest.raises(ValueError):
-            history.known_sum(3, corrected=True)
+            history.known_sum(3)
         with pytest.raises(ValueError):
-            CQHistory(scheme, np.zeros(10))
+            CQHistory(scheme, np.zeros(10), corrected=True)
 
 
 class TestApplyCq:
@@ -223,31 +223,32 @@ class TestCentralDiff:
     def test_exact_on_quadratics(self):
         kappa = 0.125
         t = kappa * np.arange(10)
-        g = Sequence(values=t**2)
+        g = Sequence(values=t**2, t0_derivative=0.0)
+        d = central_diff_sequence(g, kappa, 8).values
         for n in range(1, 9):
-            assert central_diff(g, kappa, n) == pytest.approx(2.0 * t[n], rel=1e-13)
+            assert d[n] == pytest.approx(2.0 * t[n], rel=1e-13)
 
     def test_cubic_truncation_term(self):
         kappa = 0.125
         t = kappa * np.arange(10)
-        g = Sequence(values=t**3)
+        g = Sequence(values=t**3, t0_derivative=0.0)
+        d = central_diff_sequence(g, kappa, 8).values
         for n in range(1, 9):
-            assert central_diff(g, kappa, n) == pytest.approx(
-                3.0 * t[n] ** 2 + kappa**2, rel=1e-12)
+            assert d[n] == pytest.approx(3.0 * t[n] ** 2 + kappa**2, rel=1e-12)
 
     def test_uses_supplied_slope_at_zero(self):
         g = Sequence(values=np.zeros(4), t0_derivative=2.5)
-        assert central_diff(g, 0.1, 0) == pytest.approx(2.5)
+        assert central_diff_sequence(g, 0.1, 0).values[0] == pytest.approx(2.5)
 
     def test_missing_slope_raises(self):
         g = Sequence(values=np.zeros(4))
         with pytest.raises(ValueError):
-            central_diff(g, 0.1, 0)
+            central_diff_sequence(g, 0.1, 0)
 
     def test_end_of_history_raises(self):
         g = Sequence(values=np.zeros(4))
         with pytest.raises(IndexError):
-            central_diff(g, 0.1, 3)
+            central_diff_sequence(g, 0.1, 3)
 
 
 class TestMixedOperator:

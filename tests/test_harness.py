@@ -57,6 +57,16 @@ class TestBuildCase:
         case = build_case(name, FracParams(gamma=gamma))
         assert verify_case(case) <= 1e-7
 
+    def test_rhs_check_covers_the_horizon(self):
+        # a source wrong only after t = 1 passes the check up to T = 1
+        # and is caught once the horizon reaches past it
+        case = build_case("smooth1d", FracParams(gamma=0.5))
+        exact = case.source_temporal
+        case.source_temporal = lambda t: exact(t) * (1.0 + 1e-5 * (np.asarray(t) > 1.0))
+        assert verify_case(case, T=1.0) <= 1e-7
+        with pytest.raises(RuntimeError, match="source inconsistency"):
+            verify_case(case, T=2.0)
+
     @pytest.mark.parametrize("gamma", [0.25, 0.75, -0.25, -0.75])
     def test_source_singular_exponent(self, gamma):
         case = build_case("nonsmooth1d", FracParams(gamma=gamma))

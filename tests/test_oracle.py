@@ -9,7 +9,6 @@ from fracwave.fraccalc import FracParams
 from fracwave.oracle import (
     VolterraProblem,
     asymptotic_check,
-    second_difference_error,
     solve_volterra,
 )
 
@@ -94,34 +93,4 @@ class TestAsymptotics:
         problem = VolterraProblem(gamma=0.5, a_gamma=1.0, lam=1.0,
                                   u0=1.0, v0=0.0)
         with pytest.raises(ValueError):
-            asymptotic_check(problem, 1.0, 32, window=(4, 64))
-
-
-class _Quartic:
-    value = staticmethod(lambda t: t**4)
-    d2 = staticmethod(lambda t: 12.0 * t**2)
-    d4 = staticmethod(lambda t: 24.0 + 0.0 * t)
-
-
-class _Sine:
-    value = staticmethod(math.sin)
-    d2 = staticmethod(lambda t: -math.sin(t))
-    d4 = staticmethod(math.sin)
-
-
-class TestSecondDifference:
-    def test_quartic_error_is_exact(self):
-        # second difference of t^4 is 12 t^2 + 2 kappa^2
-        err, bound = second_difference_error(_Quartic(), 1.0, 0.1)
-        assert err == pytest.approx(2.0 * 0.1**2, rel=1e-9)
-        # the quartic attains the bound exactly; allow rounding slack
-        assert err <= bound * (1.0 + 1e-9)
-
-    def test_sine_classical_bound(self):
-        err, bound = second_difference_error(_Sine(), 1.0, 0.05)
-        assert err <= bound
-        assert err == pytest.approx(0.05**2 / 12.0 * math.sin(1.0), rel=0.05)
-
-    def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            second_difference_error(_Sine(), 0.05, 0.1)
+            asymptotic_check(problem, 1.0, 32)

@@ -146,11 +146,15 @@ class TestRun:
         SimConfig(fem=interval_system(64), T=1.0, kappa=1.0 / 512)
         assert calls == [1]
 
-    def test_cfl_violation_diverges_with_override(self):
+    def test_cfl_violation_diverges(self, monkeypatch):
+        import fracwave.solver as solver
+
+        # a guard that underestimates C_inv lets the violating step through
+        monkeypatch.setattr(solver, "inverse_constant", lambda system: 1e-3)
         system = interval_system(32)
         kappa = 1.5 * math.sqrt(2.0) * system.mesh.h / math.sqrt(12.0)
         config = SimConfig(fem=system, T=200.0 * kappa, kappa=kappa,
-                           u0=sin_field(), cfl_override=True)
+                           u0=sin_field())
         with pytest.raises(SolverDivergence):
             run(config)
 
