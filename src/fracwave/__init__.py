@@ -15,7 +15,7 @@ from fracwave.fraccalc import (
     positivity_constants,
     rl_integral_monomial,
 )
-from fracwave.cq import CQScheme, Sequence, bdf2_weights
+from fracwave.cq import CQScheme, bdf2_weights
 from fracwave.fem import FemSystem, Mesh, ScalarField, assemble, build_mesh
 from fracwave.harness import ConvergenceReport, ManufacturedCase, build_case, run_convergence
 from fracwave.oracle import VolterraProblem, VolterraSolution, solve_volterra
@@ -30,7 +30,6 @@ __all__ = [
     "positivity_constants",
     "rl_integral_monomial",
     "CQScheme",
-    "Sequence",
     "bdf2_weights",
     "FemSystem",
     "Mesh",

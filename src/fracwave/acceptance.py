@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fracwave.cq import CQScheme, Sequence, apply_cq, apply_cq_corrected, mixed_operator
+from fracwave.cq import CQScheme, apply_cq, apply_cq_corrected, mixed_operator
 from fracwave.fem import assemble, build_mesh
 from fracwave.fraccalc import FracParams, caputo_monomial, positivity_constants
 from fracwave.harness import (build_case, fit_rate, level_cells, run_convergence,
@@ -45,14 +45,12 @@ def criterion_1() -> CriterionResult:
         scheme = CQScheme.build(gamma, kappa, N)
         t = kappa * np.arange(N + 1)
         if gamma < 0.0:
-            g = Sequence(values=np.ones(N + 1))
+            g = np.ones(N + 1)
             exact = lambda s: s ** (-gamma) / math.gamma(1.0 - gamma)
-            start = 1
         else:
-            g = Sequence(values=t)
+            g = t
             exact = lambda s: s ** (1.0 - gamma) / math.gamma(2.0 - gamma)
-            start = 1
-        for n in range(start, N + 1):
+        for n in range(1, N + 1):
             ref = exact(t[n])
             rel = abs(apply_cq_corrected(scheme, g, n) - ref) / abs(ref)
             worst = max(worst, rel)
@@ -89,7 +87,7 @@ def _monomial_errors(op: str, gamma: float, beta: float, Ns) -> tuple[np.ndarray
         kappa = 1.0 / N
         scheme = CQScheme.build(gamma, kappa, N)
         t = kappa * np.arange(N + 2)
-        g = Sequence(values=t**beta, t0_derivative=1.0 if beta == 1.0 else 0.0)
+        g = t**beta
         if op == "cq":
             value = apply_cq(scheme, g, N)
             ref = caputo_monomial(gamma, beta, 1.0)
@@ -97,7 +95,8 @@ def _monomial_errors(op: str, gamma: float, beta: float, Ns) -> tuple[np.ndarray
             value = apply_cq_corrected(scheme, g, N)
             ref = caputo_monomial(gamma, beta, 1.0)
         else:
-            value = mixed_operator(scheme, g, N, corrected=(op == "mixc"))
+            slope0 = 1.0 if beta == 1.0 else 0.0
+            value = mixed_operator(scheme, g, N, slope0, corrected=(op == "mixc"))
             ref = caputo_monomial(gamma + 1.0, beta, 1.0)
         errors.append(abs(value - ref))
     return np.array(errors), ref

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
+from fracwave.fraccalc import check_order
+
 
 def bdf2_weights(gamma: float, kappa: float, N: int) -> np.ndarray:
     """First N+1 Taylor coefficients of (delta(zeta)/kappa)^gamma.
@@ -72,8 +74,7 @@ class CQScheme:
 
     @classmethod
     def build(cls, gamma: float, kappa: float, N: int) -> "CQScheme":
-        if not (-1.0 < gamma < 1.0) or gamma == 0.0:
-            raise ValueError(f"order must lie in (-1,1) excluding 0, got {gamma}")
+        check_order(gamma)
         omega = bdf2_weights(gamma, kappa, N)
         t = kappa * np.arange(N + 1)
         s0 = _kahan_cumsum(omega)
@@ -198,67 +199,50 @@ class CQHistory:
             cols[m:m + count, c:c + width] += conv[size:size + count]
 
 
-@dataclass
-class Sequence:
-    """Time-indexed samples, scalar- or vector-valued, with optional t=0 slope.
-
-    values has shape (steps,) or (steps, dim); t0_derivative is needed by
-    the central-difference extension at n = 0.
-    """
-
-    values: np.ndarray
-    t0_derivative: np.ndarray | float | None = None
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-def _cq_sum(scheme: CQScheme, g: Sequence, n: int, corrected: bool):
+def _cq_sum(scheme: CQScheme, g: np.ndarray, n: int, corrected: bool):
     if n > scheme.N:
         raise IndexError(f"step {n} exceeds scheme length {scheme.N}")
     if n >= len(g):
         raise IndexError(f"step {n} exceeds available history {len(g)}")
-    return (scheme.known_sum(g.values, n, corrected)
-            + scheme.self_weight(n, corrected) * g.values[n])
+    return scheme.known_sum(g, n, corrected) + scheme.self_weight(n, corrected) * g[n]
 
 
-def apply_cq(scheme: CQScheme, g: Sequence, n: int):
-    """Caputo-shifted CQ sum at step n: sum omega_{n-j} (g_j - chi g_0)."""
+def apply_cq(scheme: CQScheme, g: np.ndarray, n: int):
+    """Caputo-shifted CQ sum at step n: sum omega_{n-j} (g_j - chi g_0).
+
+    g holds the samples g(t_j), with shape (steps,) or (steps, dim).
+    """
     return _cq_sum(scheme, g, n, corrected=False)
 
 
-def apply_cq_corrected(scheme: CQScheme, g: Sequence, n: int):
+def apply_cq_corrected(scheme: CQScheme, g: np.ndarray, n: int):
     """Corrected CQ sum at step n: sum omega_{n-j} g_j + w0[n] g_0 + w1[n] g_1."""
     if scheme.gamma > 0.0 and n < 1:
         raise IndexError("corrected CQ for positive order needs g(t_1)")
     return _cq_sum(scheme, g, n, corrected=True)
 
 
-def central_diff_sequence(g: Sequence, kappa: float, n: int) -> Sequence:
+def central_diff_sequence(g: np.ndarray, kappa: float, n: int, slope0) -> np.ndarray:
     """Central differences (g_{j+1} - g_{j-1})/(2 kappa) for steps 0..n
-    (needs g up to n+1), with the supplied exact slope at step 0."""
+    (needs g up to n+1), with the exact slope slope0 at step 0."""
     if n < 0:
         raise IndexError(f"negative step {n}")
     if n > 0 and n + 1 >= len(g):
         raise IndexError(f"central difference at {n} needs sample {n + 1}")
-    if g.t0_derivative is None:
-        raise ValueError("central difference at n=0 needs t0_derivative")
-    out = np.empty((n + 1,) + g.values.shape[1:])
-    out[0] = g.t0_derivative
-    out[1:] = (g.values[2:n + 2] - g.values[:n]) / (2.0 * kappa)
-    return Sequence(values=out)
+    out = np.empty((n + 1,) + g.shape[1:])
+    out[0] = slope0
+    out[1:] = (g[2:n + 2] - g[:n]) / (2.0 * kappa)
+    return out
 
 
-def mixed_operator(scheme: CQScheme, g: Sequence, n: int, corrected: bool = False):
+def mixed_operator(scheme: CQScheme, g: np.ndarray, n: int, slope0,
+                   corrected: bool = False):
     """CQ of order gamma applied to central differences of g at step n.
 
     Approximates the derivative of order gamma+1; requires g known up to
-    index n+1 and a supplied slope at t=0.
+    index n+1 and its slope slope0 at t=0.
     """
-    h = central_diff_sequence(g, scheme.kappa, n)
+    h = central_diff_sequence(g, scheme.kappa, n, slope0)
     if corrected:
         return apply_cq_corrected(scheme, h, n)
     return apply_cq(scheme, h, n)

@@ -240,13 +240,6 @@ def ritz_projection(system: FemSystem, u, quad_order: int = 3) -> np.ndarray:
     return system.solve_stiffness(g)
 
 
-def norms(system: FemSystem, x: np.ndarray) -> tuple[float, float]:
-    """(L2, H1) norms of an interior coefficient vector."""
-    mx = x @ (system.M @ x)
-    kx = x @ (system.K @ x)
-    return float(np.sqrt(max(mx, 0.0))), float(np.sqrt(max(mx + kx, 0.0)))
-
-
 def l2_norm(system: FemSystem, x: np.ndarray) -> float:
     return float(np.sqrt(max(x @ (system.M @ x), 0.0)))
 

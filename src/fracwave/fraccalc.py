@@ -30,7 +30,8 @@ class SeriesTruncationError(RuntimeError):
     """Raised when the tail bound of a monomial series does not drop below tol."""
 
 
-def _check_gamma_order(gamma: float) -> None:
+def check_order(gamma: float) -> None:
+    """Raise ValueError unless the order gamma lies in (-1,1) excluding 0."""
     if not (-1.0 < gamma < 1.0) or gamma == 0.0:
         raise ValueError(f"fractional order must lie in (-1,1) excluding 0, got {gamma}")
 
@@ -45,7 +46,7 @@ def a_gamma(gamma: float, alpha0: float) -> float:
     evaluated by scipy's reflection-based implementation, which avoids the
     cancellation of a naive pole-adjacent evaluation.
     """
-    _check_gamma_order(gamma)
+    check_order(gamma)
     if alpha0 <= 0.0:
         raise ValueError(f"alpha0 must be positive, got {alpha0}")
     value = (

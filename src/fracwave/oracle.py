@@ -16,6 +16,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
+from fracwave.fraccalc import check_order
+
 # Grid indices (first, last) of the startup-exponent fit.
 FIT_WINDOW = (4, 64)
 
@@ -38,8 +40,7 @@ class VolterraProblem:
     f: Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
-        if not (-1.0 < self.gamma < 1.0) or self.gamma == 0.0:
-            raise ValueError(f"order must lie in (-1,1) excluding 0, got {self.gamma}")
+        check_order(self.gamma)
 
     def forcing(self, t: float) -> float:
         """g(t) = f(t) - lam*(u0 + t v0) minus the singular gamma<0 term."""

@@ -88,10 +88,13 @@ class Trajectory:
     history: np.ndarray   # central differences, entries 0..N-1
 
 
-def _project_initial(system: FemSystem, data) -> np.ndarray:
+def _project_initial(system: FemSystem, data, name: str) -> np.ndarray:
     if data is None:
         return np.zeros(system.ndof)
     if isinstance(data, np.ndarray):
+        if data.shape != (system.ndof,):
+            raise ValueError(f"{name} has shape {data.shape}; nodal initial data needs"
+                             f" shape ({system.ndof},), one value per interior node")
         return data.copy()
     return ritz_projection(system, data)
 
@@ -117,8 +120,8 @@ def initial_data(config: SimConfig, f0: np.ndarray | None = None):
     the source load F(0); by default it is assembled from config.f.
     """
     system = config.fem
-    u0_h = _project_initial(system, config.u0)
-    dtu0_h = _project_initial(system, config.v0)
+    u0_h = _project_initial(system, config.u0, "u0")
+    dtu0_h = _project_initial(system, config.v0, "v0")
     if f0 is None and config.f is not None:
         f0 = _temporal_values(config, np.zeros(1))[0] * _spatial_load(config)
     rhs0 = -(system.K @ u0_h)
@@ -233,12 +236,12 @@ def run(config: SimConfig) -> Trajectory:
 
 def scalar_run(gamma: float | None, a_gamma: float, lam: float, kappa: float,
                N: int, d0: float, d1: float, dtd0: float,
-               corrected: bool = False,
-               forcing: Callable[[float], float] | None = None) -> np.ndarray:
-    """The identical recurrence on a single mode: d'' + lam d + damping = f.
+               corrected: bool = False) -> np.ndarray:
+    """The identical recurrence on a single mode: d'' + lam d + damping = 0.
 
     Mirrors step() with M = 1, K = lam; used to isolate the time
-    discretization from space.
+    discretization from space.  The damping term takes the direct CQ sum
+    of CQScheme, independent of the time loop's CQHistory.
     """
     d = np.empty(N + 1)
     d[0], d[1] = d0, d1
@@ -249,24 +252,12 @@ def scalar_run(gamma: float | None, a_gamma: float, lam: float, kappa: float,
         scheme = CQScheme.build(gamma, kappa, N)
     for n in range(1, N):
         rhs = (2.0 * d[n] - d[n - 1]) / kappa**2 - lam * d[n]
-        if forcing is not None:
-            rhs += forcing(n * kappa)
         coef = 1.0 / kappa**2
-        if a_gamma != 0.0:
-            omega = scheme.omega
-            c_n = omega[0]
-            if corrected and scheme.chi and n == 1:
-                c_n += scheme.w1[1]
-            H = float(np.dot(omega[n:0:-1], hist[:n]))
-            if corrected:
-                H += scheme.w0[n] * hist[0]
-                if scheme.chi and n >= 2:
-                    H += scheme.w1[n] * hist[1]
-            elif scheme.chi:
-                H -= scheme.omega_cumsum[n] * hist[0]
-            rhs -= a_gamma * H
-            rhs += (a_gamma * c_n / (2.0 * kappa)) * d[n - 1]
-            coef += a_gamma * c_n / (2.0 * kappa)
+        if scheme is not None:
+            shift = a_gamma * scheme.self_weight(n, corrected) / (2.0 * kappa)
+            rhs -= a_gamma * scheme.known_sum(hist, n, corrected)
+            rhs += shift * d[n - 1]
+            coef += shift
         d[n + 1] = rhs / coef
         hist[n] = (d[n + 1] - d[n - 1]) / (2.0 * kappa)
     return d

@@ -8,7 +8,6 @@ import pytest
 from fracwave.cq import (
     CQHistory,
     CQScheme,
-    Sequence,
     apply_cq,
     apply_cq_corrected,
     bdf2_weights,
@@ -140,7 +139,7 @@ class TestCQHistory:
 class TestApplyCq:
     def test_constant_annihilated_for_positive_order(self):
         scheme = CQScheme.build(0.5, 0.1, 16)
-        g = Sequence(values=np.full(17, 3.7))
+        g = np.full(17, 3.7)
         for n in (0, 5, 16):
             assert apply_cq(scheme, g, n) == pytest.approx(0.0, abs=1e-14)
 
@@ -149,7 +148,7 @@ class TestApplyCq:
         for N in (16, 32, 64, 128):
             kappa = 1.0 / N
             scheme = CQScheme.build(-0.5, kappa, N)
-            g = Sequence(values=np.ones(N + 1))
+            g = np.ones(N + 1)
             ref = 1.0 / math.gamma(1.5)
             errors.append(abs(apply_cq(scheme, g, N) - ref))
         assert fitted_order(errors) == pytest.approx(1.0, abs=0.1)
@@ -160,7 +159,7 @@ class TestApplyCq:
             kappa = 1.0 / N
             scheme = CQScheme.build(0.5, kappa, N)
             t = kappa * np.arange(N + 1)
-            g = Sequence(values=t**2)
+            g = t**2
             ref = caputo_monomial(0.5, 2.0, 1.0)
             errors.append(abs(apply_cq(scheme, g, N) - ref))
         assert fitted_order(errors) == pytest.approx(2.0, abs=0.1)
@@ -169,15 +168,14 @@ class TestApplyCq:
         scheme = CQScheme.build(-0.5, 0.1, 8)
         rng = np.random.default_rng(3)
         vals = rng.standard_normal((9, 3))
-        g = Sequence(values=vals)
-        out = apply_cq(scheme, g, 8)
-        ref = np.array([apply_cq(scheme, Sequence(values=vals[:, k]), 8)
+        out = apply_cq(scheme, vals, 8)
+        ref = np.array([apply_cq(scheme, vals[:, k], 8)
                         for k in range(3)])
         assert out == pytest.approx(ref)
 
     def test_history_index_error(self):
         scheme = CQScheme.build(0.5, 0.1, 8)
-        g = Sequence(values=np.ones(5))
+        g = np.ones(5)
         with pytest.raises(IndexError):
             apply_cq(scheme, g, 6)
 
@@ -186,7 +184,7 @@ class TestApplyCqCorrected:
     def test_exact_on_constants_negative_order(self):
         N = 64
         scheme = CQScheme.build(-0.5, 1.0 / N, N)
-        g = Sequence(values=np.ones(N + 1))
+        g = np.ones(N + 1)
         for n in range(1, N + 1):
             ref = (n / N) ** 0.5 / math.gamma(1.5)
             assert apply_cq_corrected(scheme, g, n) == pytest.approx(ref, rel=1e-12)
@@ -196,7 +194,7 @@ class TestApplyCqCorrected:
         kappa = 1.0 / N
         scheme = CQScheme.build(0.5, kappa, N)
         t = kappa * np.arange(N + 1)
-        g = Sequence(values=t)
+        g = t
         for n in range(1, N + 1):
             ref = t[n] ** 0.5 / math.gamma(1.5)
             assert apply_cq_corrected(scheme, g, n) == pytest.approx(ref, rel=1e-11)
@@ -207,14 +205,14 @@ class TestApplyCqCorrected:
             kappa = 1.0 / N
             scheme = CQScheme.build(0.5, kappa, N)
             t = kappa * np.arange(N + 1)
-            g = Sequence(values=t**3)
+            g = t**3
             ref = caputo_monomial(0.5, 3.0, 1.0)
             errors.append(abs(apply_cq_corrected(scheme, g, N) - ref))
         assert fitted_order(errors) == pytest.approx(2.0, abs=0.1)
 
     def test_needs_second_sample_for_positive_order(self):
         scheme = CQScheme.build(0.5, 0.1, 8)
-        g = Sequence(values=np.ones(9))
+        g = np.ones(9)
         with pytest.raises(IndexError):
             apply_cq_corrected(scheme, g, 0)
 
@@ -223,32 +221,24 @@ class TestCentralDiff:
     def test_exact_on_quadratics(self):
         kappa = 0.125
         t = kappa * np.arange(10)
-        g = Sequence(values=t**2, t0_derivative=0.0)
-        d = central_diff_sequence(g, kappa, 8).values
+        d = central_diff_sequence(t**2, kappa, 8, 0.0)
         for n in range(1, 9):
             assert d[n] == pytest.approx(2.0 * t[n], rel=1e-13)
 
     def test_cubic_truncation_term(self):
         kappa = 0.125
         t = kappa * np.arange(10)
-        g = Sequence(values=t**3, t0_derivative=0.0)
-        d = central_diff_sequence(g, kappa, 8).values
+        d = central_diff_sequence(t**3, kappa, 8, 0.0)
         for n in range(1, 9):
             assert d[n] == pytest.approx(3.0 * t[n] ** 2 + kappa**2, rel=1e-12)
 
     def test_uses_supplied_slope_at_zero(self):
-        g = Sequence(values=np.zeros(4), t0_derivative=2.5)
-        assert central_diff_sequence(g, 0.1, 0).values[0] == pytest.approx(2.5)
-
-    def test_missing_slope_raises(self):
-        g = Sequence(values=np.zeros(4))
-        with pytest.raises(ValueError):
-            central_diff_sequence(g, 0.1, 0)
+        assert central_diff_sequence(np.zeros(4), 0.1, 0, 2.5)[0] == pytest.approx(2.5)
 
     def test_end_of_history_raises(self):
-        g = Sequence(values=np.zeros(4))
+        g = np.zeros(4)
         with pytest.raises(IndexError):
-            central_diff_sequence(g, 0.1, 3)
+            central_diff_sequence(g, 0.1, 3, 0.0)
 
 
 class TestMixedOperator:
@@ -257,18 +247,16 @@ class TestMixedOperator:
         kappa = 1.0 / N
         scheme = CQScheme.build(0.5, kappa, N)
         t = kappa * np.arange(N + 2)
-        g = Sequence(values=t, t0_derivative=1.0)
         ref = caputo_monomial(1.5, 1.0, 1.0)
-        assert mixed_operator(scheme, g, N) == pytest.approx(ref, abs=1e-13)
+        assert mixed_operator(scheme, t, N, 1.0) == pytest.approx(ref, abs=1e-13)
 
     def test_quadratic_exact_corrected_positive_order(self):
         N = 32
         kappa = 1.0 / N
         scheme = CQScheme.build(0.5, kappa, N)
         t = kappa * np.arange(N + 2)
-        g = Sequence(values=t**2, t0_derivative=0.0)
         ref = caputo_monomial(1.5, 2.0, 1.0)
-        assert mixed_operator(scheme, g, N, corrected=True) == pytest.approx(
+        assert mixed_operator(scheme, t**2, N, 0.0, corrected=True) == pytest.approx(
             ref, abs=1e-12)
 
     def test_cubic_second_order_corrected_negative_order(self):
@@ -277,9 +265,8 @@ class TestMixedOperator:
             kappa = 1.0 / N
             scheme = CQScheme.build(-0.5, kappa, N)
             t = kappa * np.arange(N + 2)
-            g = Sequence(values=t**3, t0_derivative=0.0)
             ref = caputo_monomial(0.5, 3.0, 1.0)
-            errors.append(abs(mixed_operator(scheme, g, N, corrected=True) - ref))
+            errors.append(abs(mixed_operator(scheme, t**3, N, 0.0, corrected=True) - ref))
         assert fitted_order(errors) == pytest.approx(2.0, abs=0.1)
 
     @pytest.mark.parametrize("gamma", [0.5, -0.5])
@@ -292,9 +279,9 @@ class TestMixedOperator:
             kappa = 1.0 / N
             scheme = CQScheme.build(gamma, kappa, N)
             t = kappa * np.arange(N + 2)
-            g = Sequence(values=t**beta, t0_derivative=0.0)
             ref = caputo_monomial(gamma + 1.0, beta, 1.0)
-            errors.append(abs(mixed_operator(scheme, g, N, corrected=True) - ref))
+            errors.append(abs(mixed_operator(scheme, t**beta, N, 0.0, corrected=True)
+                              - ref))
         assert fitted_order(errors) >= min(2.0, 1.0 + alpha) - 0.15
 
 

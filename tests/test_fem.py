@@ -17,7 +17,6 @@ from fracwave.fem import (
     l2_norm,
     load_vector,
     max_generalized_eigenvalue,
-    norms,
     ritz_projection,
 )
 
@@ -253,17 +252,10 @@ class TestProjections:
 
 
 class TestNorms:
-    def test_zero_vector(self):
-        system = assemble(build_mesh(1, (0.0, 1.0), 8))
-        assert norms(system, np.zeros(7)) == (0.0, 0.0)
-
     def test_sine_interpolant_l2_limit(self):
         system = assemble(build_mesh(1, (0.0, 1.0), 128))
         x = interpolate(system, sin_field())
-        l2, h1 = norms(system, x)
-        assert l2 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-3)
-        assert h1 >= l2
-        assert l2_norm(system, x) == pytest.approx(l2)
+        assert l2_norm(system, x) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-3)
 
 
 class TestInverseConstant:

@@ -1,12 +1,13 @@
 """Fully discrete leapfrog + CQ time stepping."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from fracwave.cq import CQScheme, Sequence, mixed_operator
+from fracwave.cq import CQScheme, mixed_operator
 from fracwave.fem import ScalarField, assemble, build_mesh, l2_norm, load_vector
 from fracwave.fraccalc import FracParams
 from fracwave.solver import (
@@ -58,6 +59,15 @@ class TestInitialData:
             exact = -math.pi**2 * np.sin(math.pi * nodes)
             errs.append(l2_norm(system, w - exact))
         assert errs[1] < errs[0] / 3.0  # about O(h^2)
+
+    @pytest.mark.parametrize("name, shape", [("u0", (17,)), ("v0", (15, 1))])
+    def test_nodal_data_of_the_wrong_shape_is_named(self, name, shape):
+        # 16 cells have 17 nodes and 15 interior dofs
+        config = SimConfig(fem=interval_system(16), T=1.0, kappa=0.01,
+                           **{name: np.ones(shape)})
+        expected = re.escape(f"{name} has shape {shape}") + ".*" + re.escape("(15,)")
+        with pytest.raises(ValueError, match=expected):
+            initial_data(config)
 
 
 class TestRun:
@@ -249,13 +259,13 @@ class TestDampingTerm:
                            v0=sin_field().scaled(-1.0))
         traj = run(config)
         _, _, v0_h = initial_data(config)
-        g = Sequence(values=traj.us, t0_derivative=v0_h)
         scheme = CQScheme.build(gamma, kappa, config.n_steps)
         load = load_vector(system, sin_field().value)
         us = traj.us
         for n in range(1, config.n_steps):
             inertia = system.M @ (us[n + 1] - 2.0 * us[n] + us[n - 1]) / kappa**2
-            damping = frac.a_gamma * (system.M @ mixed_operator(scheme, g, n, corrected))
+            damping = frac.a_gamma * (
+                system.M @ mixed_operator(scheme, traj.us, n, v0_h, corrected))
             forcing = math.sin(2.0 * n * kappa) * load
             residual = inertia + system.K @ us[n] + damping - forcing
             # round-off scale: the terms of the second difference before cancelling
