@@ -8,7 +8,6 @@ startup correction weights.
 
 from fracwave.fraccalc import (
     FracParams,
-    MonomialFrac,
     a_gamma,
     caputo_monomial,
     caputo_series,
@@ -23,7 +22,6 @@ from fracwave.solver import SeparableSource, SimConfig, Trajectory, run, scalar_
 
 __all__ = [
     "FracParams",
-    "MonomialFrac",
     "a_gamma",
     "caputo_monomial",
     "caputo_series",

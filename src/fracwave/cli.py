@@ -23,13 +23,12 @@ import numpy as np
 
 from fracwave.cq import CQScheme, bdf2_weights
 from fracwave.fem import assemble, build_mesh
-from fracwave.fraccalc import FracParams
+from fracwave.fraccalc import FracParams, constants_table
 from fracwave.harness import (
     build_case,
     error_norm_energy,
     error_norm_l2max,
     level_cells,
-    run_constants_figure,
     run_convergence,
     run_damping_demo,
     solve_case,
@@ -82,8 +81,12 @@ def _save(args: argparse.Namespace, name: str, header, rows) -> None:
 
 def cmd_weights(args) -> int:
     omega = bdf2_weights(args.gamma, args.kappa, args.n)
-    in_domain = -1.0 < args.gamma < 1.0 and args.gamma != 0.0
-    scheme = CQScheme.build(args.gamma, args.kappa, args.n) if in_domain else None
+    try:
+        scheme = CQScheme.build(args.gamma, args.kappa, args.n)
+    except ValueError:
+        # bdf2_weights accepted kappa and n, so check_order rejected the
+        # order: correction weights exist only for fractional orders
+        scheme = None
     _print_echo(args)
     header = ["n", "t_n", "omega_n"] + (["w0_n", "w1_n"] if scheme else [])
     _table(header, ([n, n * args.kappa, omega[n]]
@@ -144,7 +147,7 @@ def cmd_damping(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    table = run_constants_figure(args.grid)
+    table = constants_table(args.grid)
     header = ["gamma", "C1", "C2"]
     _print_echo(args)
     _table(header, table)

@@ -114,7 +114,7 @@ class CQScheme:
         self_weight(n) * values[n] this is the whole sum; the solver
         keeps the two apart because values[n] holds its unknown.
         """
-        out = np.tensordot(self.omega[n:0:-1], values[:n], axes=(0, 0))
+        out = self.omega[n:0:-1] @ values[:n]
         return self.add_startup(out, values, n, corrected)
 
     def add_startup(self, out, values: np.ndarray, n: int, corrected: bool):

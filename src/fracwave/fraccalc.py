@@ -1,12 +1,12 @@
 """Closed-form fractional calculus of monomials and related constants.
 
 Everything here is analytic: the damping coefficient of the model, the
-Riemann-Liouville integral and Caputo derivative of t^mu, termwise
-fractional derivatives of monomial series, and the pair of positivity
-constants compared in the damping analysis.  Riemann-Liouville integrals
-of smooth functions are evaluated on whole time grids by Gauss-Jacobi
-quadrature; adaptive quadrature of the defining integral is kept as the
-independent cross-check for both.
+Riemann-Liouville integral and Caputo derivative of t^mu and of a
+finite sum of monomials (the time factor of the nonsmooth manufactured
+solution), and the pair of positivity constants compared in the damping
+analysis.  Riemann-Liouville integrals of smooth functions are evaluated
+on whole time grids by Gauss-Jacobi quadrature; adaptive quadrature of
+the defining integral is kept as the independent cross-check for both.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from scipy.special import gammaln
 # Nodes of the Gauss-Jacobi rule for Riemann-Liouville integrals of
 # smooth functions; the rule is exact on polynomials of degree 95.
 GAUSS_JACOBI_NODES = 48
-
-
-class SeriesTruncationError(RuntimeError):
-    """Raised when the tail bound of a monomial series does not drop below tol."""
 
 
 def check_order(gamma: float) -> None:
@@ -69,18 +65,6 @@ class FracParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "a_gamma", a_gamma(self.gamma, self.alpha0))
-
-
-@dataclass(frozen=True)
-class MonomialFrac:
-    """One term coefficient * t^mu of a monomial series, mu > -1."""
-
-    mu: float
-    coefficient: float
-
-    def __post_init__(self) -> None:
-        if self.mu <= -1.0:
-            raise ValueError(f"monomial exponent must exceed -1, got {self.mu}")
 
 
 def _gamma_ratio(a: float, b: float) -> float:
@@ -127,82 +111,22 @@ def caputo_monomial(gamma: float, mu: float, t: float) -> float:
     return _gamma_ratio(mu + 1.0, mu + 1.0 - gamma) * t ** (mu - gamma)
 
 
-def caputo_series(
-    coeffs: list[MonomialFrac],
-    gamma: float,
-    t: float,
-    tol: float = 1e-12,
-    max_terms: int = 500,
-) -> float:
-    """Termwise Caputo derivative of a monomial series at time t.
+def caputo_series(terms, gamma: float, t):
+    """Caputo derivative of order gamma of a finite sum of monomials.
 
-    Terms are consumed in the given order (ascending exponent for a Taylor
-    expansion).  Truncation requires a run of consecutive terms below tol,
-    which guards against interleaved expansions (merged series of two
-    frequencies) where one parity chain decays long before the other.
-    Intended for absolutely convergent expansions such as the Taylor
-    series of trigonometric time factors.
+    terms is a sequence of (mu, c) pairs for the sum of c t^mu; t is a
+    time or an array of times.  Returns the sum of
+    c * caputo_monomial(gamma, mu, 1) * t^(mu-gamma), added in the given
+    order.  Terms whose factor c * caputo_monomial(gamma, mu, 1) is 0 (a
+    zero coefficient, or a monomial the derivative annihilates) are
+    skipped, so no negative power of t is formed for them.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if t == 0.0:
-        # Every surviving term carries a positive power of t for the
-        # orders used by the model (gamma+1 applied to smooth factors).
-        return 0.0
     total = 0.0
-    small_run = 0
-    last_mag = 0.0
-    for term in coeffs[:max_terms]:
-        if term.coefficient == 0.0:
-            continue
-        value = term.coefficient * caputo_monomial(gamma, term.mu, t)
-        total += value
-        mag = abs(value)
-        last_mag = mag
-        small_run = small_run + 1 if mag < tol else 0
-        if small_run >= 4:
-            return total
-    # Zero-branch-only series (constants, low-degree polynomials) and
-    # series whose final terms already sit below tol are converged.
-    if last_mag < tol:
-        return total
-    raise SeriesTruncationError(
-        f"tail bound did not fall below tol={tol} within {max_terms} terms"
-    )
-
-
-def sin_monomials(omega: float, n_terms: int = 200) -> list[MonomialFrac]:
-    """Taylor expansion of sin(omega t) as monomial terms."""
-    terms = []
-    sign = 1.0
-    for k in range(n_terms):
-        mu = 2 * k + 1
-        log_c = mu * math.log(abs(omega)) - gammaln(mu + 1.0)
-        coeff = sign * math.copysign(1.0, omega) ** mu * math.exp(log_c)
-        terms.append(MonomialFrac(mu=float(mu), coefficient=coeff))
-        sign = -sign
-    return terms
-
-
-def cos_monomials(omega: float, n_terms: int = 200) -> list[MonomialFrac]:
-    """Taylor expansion of cos(omega t) as monomial terms."""
-    terms = []
-    sign = 1.0
-    for k in range(n_terms):
-        mu = 2 * k
-        log_c = mu * math.log(abs(omega)) - gammaln(mu + 1.0) if mu else 0.0
-        terms.append(MonomialFrac(mu=float(mu), coefficient=sign * math.exp(log_c)))
-        sign = -sign
-    return terms
-
-
-def merge_series(*series: list[MonomialFrac]) -> list[MonomialFrac]:
-    """Merge monomial series, sorting by exponent and combining duplicates."""
-    combined: dict[float, float] = {}
-    for s in series:
-        for term in s:
-            combined[term.mu] = combined.get(term.mu, 0.0) + term.coefficient
-    return [MonomialFrac(mu=mu, coefficient=c) for mu, c in sorted(combined.items())]
+    for mu, c in terms:
+        k = c * caputo_monomial(gamma, mu, 1.0)
+        if k != 0.0:
+            total = total + k * t ** (mu - gamma)
+    return total
 
 
 def rl_integral_quadrature(f, beta: float, t: float) -> float:

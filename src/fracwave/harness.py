@@ -4,7 +4,7 @@ Builds the three manufactured cases (trigonometric 1D and 2D, and a 1D
 solution with the characteristic t^(2+ceil(gamma)-gamma) startup
 singularity), computes the two error norms used to report convergence,
 runs refinement ladders with h proportional to kappa, and produces the
-damping demonstration and the positivity-constant comparison table.
+damping demonstration.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from fracwave.fem import FemSystem, ScalarField, assemble, build_mesh, interpola
 from fracwave.fraccalc import (
     GAUSS_JACOBI_NODES,
     FracParams,
-    caputo_monomial,
     caputo_quadrature,
-    caputo_series,  # unused here; perfbench/spans.py wraps harness.caputo_series
-    constants_table,
+    caputo_series,
     rl_integral_gauss_jacobi,
 )
 from fracwave.solver import SeparableSource, SimConfig, Trajectory, run
@@ -90,15 +88,10 @@ def _poly_temporal(frac_params: FracParams) -> TemporalFactor:
     value = lambda t: 1.0 + t + t * t + c * t**mu
     d1 = lambda t: 1.0 + 2.0 * t + c * mu * t ** (mu - 1.0)
     d2 = lambda t: 2.0 + c * mu * (mu - 1.0) * t ** (mu - 2.0)
-    # D^(gamma+1) t^m = caputo_monomial(gamma+1, m, 1) t^(m-gamma-1); the
-    # terms it annihilates are dropped, and the others have positive powers
-    order = gamma + 1.0
-    terms = [(m, coef * caputo_monomial(order, m, 1.0))
-             for m, coef in ((0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (mu, c))]
-    terms = [(m, k) for m, k in terms if k != 0.0]
 
     def frac(t):
-        return sum(k * t ** (m - order) for m, k in terms)
+        return caputo_series(((0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (mu, c)),
+                             gamma + 1.0, t)
 
     return TemporalFactor(value=value, d1=d1, d2=d2, frac=frac)
 
@@ -425,6 +418,3 @@ def run_damping_demo(gammas=(0.25, 0.75, -0.25, -0.75), n_per_side: int = 32,
         energies[label] = traj.energy.copy()
     return traj.times, traces, energies
 
-
-def run_constants_figure(grid_points: int = 99):
-    return constants_table(grid_points, T=1.0)

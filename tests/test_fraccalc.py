@@ -7,20 +7,15 @@ import pytest
 
 from fracwave.fraccalc import (
     FracParams,
-    MonomialFrac,
-    SeriesTruncationError,
     a_gamma,
     caputo_monomial,
     caputo_quadrature,
     caputo_series,
     constants_table,
-    cos_monomials,
-    merge_series,
     positivity_constants,
     rl_integral_gauss_jacobi,
     rl_integral_monomial,
     rl_integral_quadrature,
-    sin_monomials,
 )
 
 # Independent Gamma via the classic 9-term Lanczos approximation (g = 7),
@@ -157,33 +152,20 @@ class TestCaputoMonomial:
 
 
 class TestCaputoSeries:
-    def test_integer_order_recovers_cosine(self):
-        series = sin_monomials(1.0)
-        for t in (0.3, 1.0, 2.0):
-            assert caputo_series(series, 1.0, t) == pytest.approx(
-                math.cos(t), abs=1e-12)
-
-    def test_fast_trig_vs_quadrature(self):
-        series = sin_monomials(24.0)
-        value = caputo_series(series, 0.5, 0.1)
-        ref = caputo_quadrature(0.5, 0.1, df=lambda s: 24.0 * np.cos(24.0 * s))
-        assert value == pytest.approx(ref, abs=1e-8)
+    @pytest.mark.parametrize("gamma", [-0.5, 0.5, 1.5])
+    def test_termwise_against_monomials(self, gamma):
+        terms = ((0.0, 1.0), (1.0, -2.0), (2.5, 0.7), (3.0, 4.0))
+        t = np.linspace(0.0, 2.0, 9)
+        got = caputo_series(terms, gamma, t)
+        want = [sum(c * caputo_monomial(gamma, mu, x) for mu, c in terms)
+                for x in t[1:]]
+        assert got[0] == 0.0
+        np.testing.assert_allclose(got[1:], want, rtol=1e-14, atol=1e-14)
+        scalar = caputo_series(terms, gamma, float(t[3]))
+        assert scalar == pytest.approx(got[3], rel=1e-14)
 
     def test_constant_series_is_annihilated(self):
-        constant = [MonomialFrac(mu=0.0, coefficient=3.0)]
-        assert caputo_series(constant, 0.5, 1.0) == 0.0
-
-    def test_merged_two_frequency_series(self):
-        series = merge_series(sin_monomials(24.0), cos_monomials(12.0))
-        t = 0.4
-        ref = caputo_quadrature(
-            0.5, t, df=lambda s: 24.0 * np.cos(24.0 * s) - 12.0 * np.sin(12.0 * s))
-        assert caputo_series(series, 0.5, t) == pytest.approx(ref, abs=1e-8)
-
-    def test_truncation_failure_raises(self):
-        divergent = [MonomialFrac(mu=float(k), coefficient=1.0) for k in range(60)]
-        with pytest.raises(SeriesTruncationError):
-            caputo_series(divergent, 0.5, 2.0, max_terms=60)
+        assert caputo_series(((0.0, 3.0),), 0.5, 1.0) == 0.0
 
 
 class TestGaussJacobi:
