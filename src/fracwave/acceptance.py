@@ -17,7 +17,7 @@ import numpy as np
 
 from fracwave.cq import CQScheme, apply_cq, apply_cq_corrected, mixed_operator
 from fracwave.fem import assemble, build_mesh
-from fracwave.fraccalc import FracParams, caputo_monomial, positivity_constants
+from fracwave.fraccalc import FracParams, caputo_monomial, constants_table
 from fracwave.harness import (build_case, fit_rate, level_cells, run_convergence,
                               time_errors)
 from fracwave.oracle import VolterraProblem, asymptotic_check, solve_volterra
@@ -81,44 +81,43 @@ def _expected_order(op: str, gamma: float, beta: float) -> float | None:
     return 2.0
 
 
-def _monomial_errors(op: str, gamma: float, beta: float, Ns) -> tuple[np.ndarray, float]:
+def _monomial_errors(op: str, beta: float, schemes) -> tuple[np.ndarray, float]:
+    """Errors at t = 1 of op on t^beta, one per scheme, and the exact value."""
+    gamma = schemes[0].gamma
+    ref = caputo_monomial(gamma + 1.0 if op.startswith("mix") else gamma, beta, 1.0)
     errors = []
-    for N in Ns:
-        kappa = 1.0 / N
-        scheme = CQScheme.build(gamma, kappa, N)
-        t = kappa * np.arange(N + 2)
-        g = t**beta
+    for scheme in schemes:
+        N = scheme.N
+        g = (scheme.kappa * np.arange(N + 2)) ** beta
         if op == "cq":
             value = apply_cq(scheme, g, N)
-            ref = caputo_monomial(gamma, beta, 1.0)
         elif op == "cqc":
             value = apply_cq_corrected(scheme, g, N)
-            ref = caputo_monomial(gamma, beta, 1.0)
         else:
             slope0 = 1.0 if beta == 1.0 else 0.0
             value = mixed_operator(scheme, g, N, slope0, corrected=(op == "mixc"))
-            ref = caputo_monomial(gamma + 1.0, beta, 1.0)
         errors.append(abs(value - ref))
     return np.array(errors), ref
 
 
 def criterion_2() -> CriterionResult:
     """Empirical monomial orders against the lemma rate tables."""
-    Ns = [2**k for k in range(4, 11)]
-    levels = np.arange(len(Ns))
+    gammas = (0.25, 0.75, -0.25, -0.75)
+    schemes = {gamma: [CQScheme.build(gamma, 1.0 / 2**k, 2**k) for k in range(4, 11)]
+               for gamma in gammas}
     failures = []
     checked = 0
     for op in ("cq", "cqc", "mix", "mixc"):
-        for gamma in (0.25, 0.75, -0.25, -0.75):
+        for gamma in gammas:
             for beta in (1.0, 2.0, 2.5, 3.0):
-                errors, ref = _monomial_errors(op, gamma, beta, Ns)
+                errors, ref = _monomial_errors(op, beta, schemes[gamma])
                 expected = _expected_order(op, gamma, beta)
                 checked += 1
                 if expected is None:
                     if errors.max() > 1e-10 * max(1.0, abs(ref)):
                         failures.append(f"{op} g={gamma:g} b={beta:g} not exact")
                     continue
-                order = float(-np.polyfit(levels, np.log2(errors), 1)[0])
+                order = fit_rate(errors)[0]
                 if order < expected - 0.1:
                     failures.append(
                         f"{op} g={gamma:g} b={beta:g} order {order:.2f} < {expected:g}"
@@ -153,10 +152,8 @@ def criterion_3() -> CriterionResult:
 
 def criterion_4() -> CriterionResult:
     """C2 >= C1 strictly on the 99-point gamma grid at T = 1."""
-    margin = math.inf
-    for i in range(1, 100):
-        c1, c2 = positivity_constants(i / 100.0, 1.0)
-        margin = min(margin, c2 - c1)
+    table = constants_table(99)
+    margin = float(np.min(table[:, 2] - table[:, 1]))
     passed = margin > 0.0
     return CriterionResult(4, "positivity constants", passed,
                            f"min C2-C1 = {margin:.4f} over 99 gammas")
@@ -214,9 +211,9 @@ def criterion_6() -> CriterionResult:
     """Nonsmooth 1D corrected rates against the startup-regularity bound."""
     parts, passed = [], True
     for gamma in (-0.75, -0.25, 0.25, 0.75):
-        alpha = math.ceil(gamma) - gamma
-        bound = (min(2.0, 1.0 + alpha) if gamma < 0.0 else 1.0 + alpha) - 0.15
         case = build_case("nonsmooth1d", FracParams(gamma=gamma))
+        alpha = case.alpha
+        bound = (min(2.0, 1.0 + alpha) if gamma < 0.0 else 1.0 + alpha) - 0.15
         report = run_convergence(case, corrected=True, levels=4,
                                  kappa0=1.0 / 64, check_rhs=False)
         ok = report.rate_energy >= bound

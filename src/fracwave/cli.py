@@ -80,13 +80,14 @@ def _save(args: argparse.Namespace, name: str, header, rows) -> None:
 
 
 def cmd_weights(args) -> int:
-    omega = bdf2_weights(args.gamma, args.kappa, args.n)
     try:
         scheme = CQScheme.build(args.gamma, args.kappa, args.n)
+        omega = scheme.omega
     except ValueError:
-        # bdf2_weights accepted kappa and n, so check_order rejected the
-        # order: correction weights exist only for fractional orders
+        # correction weights exist only for fractional orders; a bad kappa
+        # or n raises again here, with bdf2_weights' own message
         scheme = None
+        omega = bdf2_weights(args.gamma, args.kappa, args.n)
     _print_echo(args)
     header = ["n", "t_n", "omega_n"] + (["w0_n", "w1_n"] if scheme else [])
     _table(header, ([n, n * args.kappa, omega[n]]

@@ -58,9 +58,9 @@ def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
 class CQScheme:
     """Immutable weight tables for a fixed (gamma, kappa, N).
 
-    omega are the convolution weights, w0/w1 the startup correction
-    weights evaluated at t_n, chi the Caputo shift indicator (1 for
-    positive orders).
+    omega are the convolution weights, omega_cumsum their compensated
+    partial sums, w0/w1 the startup correction weights evaluated at t_n,
+    chi the Caputo shift indicator (1 for positive orders).
     """
 
     gamma: float
@@ -92,11 +92,10 @@ class CQScheme:
                 - (t[1:] * s0[1:] - s1[1:])
             ) / kappa
             w0 = -s0 - w1
-        cumsum = np.cumsum(omega)
-        for arr in (omega, w0, w1, cumsum):
+        for arr in (omega, w0, w1, s0):
             arr.setflags(write=False)
         return cls(gamma=gamma, kappa=kappa, N=N, omega=omega, w0=w0, w1=w1,
-                   chi=chi, omega_cumsum=cumsum)
+                   chi=chi, omega_cumsum=s0)
 
     def self_weight(self, n: int, corrected: bool) -> float:
         """Weight of values[n] in the CQ sum at step n."""

@@ -233,9 +233,7 @@ def _gradient_load(system: FemSystem, field: ScalarField, quad_order: int = 3):
 
 
 def ritz_projection(system: FemSystem, u, quad_order: int = 3) -> np.ndarray:
-    """H1-elliptic projection; nodal input is returned unchanged."""
-    if isinstance(u, np.ndarray):
-        return u.copy()
+    """H1-elliptic projection of a continuous field."""
     g = _gradient_load(system, u, quad_order)
     return system.solve_stiffness(g)
 

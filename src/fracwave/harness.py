@@ -183,10 +183,7 @@ def verify_case(case: ManufacturedCase, T: float = 1.0) -> float:
     worst = 0.0
     for t in rng.uniform(0.05, T, size=_VERIFY_SAMPLES):
         t = float(t)
-        if gamma > 0.0:
-            fr = caputo_quadrature(gamma + 1.0, t, d2f=case.temporal.d2)
-        else:
-            fr = caputo_quadrature(gamma + 1.0, t, df=case.temporal.d1)
+        fr = caputo_quadrature(gamma + 1.0, t, df=case.temporal.d1, d2f=case.temporal.d2)
         ref = (
             case.temporal.d2(t)
             + case.lap_coef * case.temporal.value(t)

@@ -131,7 +131,8 @@ def solve_volterra(problem: VolterraProblem, T: float, M: int) -> VolterraSoluti
 
 
 def asymptotic_check(problem: VolterraProblem, T: float, M: int) -> float:
-    """Fitted singular exponent of v - (f - lam*u0) near t = 0.
+    """Fitted singular exponent of v - (f - lam*u0) near t = 0, with f = 0
+    when problem.f is None.
 
     The expansion of v has leading residual t^(1-gamma) for positive
     orders and t^(-gamma) (when v0 != 0) for negative ones; the exponent
@@ -143,15 +144,8 @@ def asymptotic_check(problem: VolterraProblem, T: float, M: int) -> float:
         raise ValueError(f"fit window {FIT_WINDOW} exceeds grid length {M}")
     sol = solve_volterra(problem, T, M)
     idx = np.arange(lo, hi + 1)
-    base = problem.v_at_zero()
-    if problem.f is not None:
-        resid = np.array(
-            [sol.v[i] - (problem.f(sol.times[i]) - problem.lam * problem.u0)
-             for i in idx]
-        )
-    else:
-        resid = sol.v[idx] - base
-    mags = np.abs(resid)
+    f = problem.f or (lambda t: 0.0)
+    mags = np.abs([sol.v[i] - (f(sol.times[i]) - problem.lam * problem.u0) for i in idx])
     if np.any(mags == 0.0):
         raise RuntimeError("zero residual in fit window; exponent undefined")
     slope = np.polyfit(np.log(sol.times[idx]), np.log(mags), 1)[0]

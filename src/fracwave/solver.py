@@ -64,6 +64,10 @@ class SimConfig:
             raise ValueError("T and kappa must be positive")
         if self.f is not None and not isinstance(self.f, SeparableSource):
             raise TypeError(f"f must be a SeparableSource or None, got {type(self.f)}")
+        steps = self.T / self.kappa
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(f"T={self.T} is not a whole number of steps kappa={self.kappa}:"
+                             f" T/kappa={steps}")
         self.c_inv = inverse_constant(self.fem)
         limit = math.sqrt(2.0) * self.fem.mesh.h / self.c_inv
         if self.kappa > limit:
@@ -73,7 +77,7 @@ class SimConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(math.ceil(self.T / self.kappa - 1e-12))
+        return round(self.T / self.kappa)
 
     @property
     def a_gamma(self) -> float:

@@ -21,6 +21,22 @@ def test_criterion_2_monomial_rate_tables():
     _check(2)
 
 
+def test_criterion_2_builds_each_scheme_once(monkeypatch):
+    # 4 orders x 7 step sizes, shared by the four operators and four powers
+    from fracwave.cq import CQScheme
+
+    builds = []
+    build = CQScheme.build.__func__
+
+    def counting_build(cls, *args):
+        builds.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(CQScheme, "build", classmethod(counting_build))
+    assert acceptance.criterion_2().passed
+    assert len(builds) == len(set(builds)) == 28
+
+
 def test_criterion_3_discrete_positivity():
     _check(3)
 

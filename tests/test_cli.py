@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracwave.cli import main
+from fracwave.cq import CQScheme, bdf2_weights
 from fracwave.fem import assemble, build_mesh
 from fracwave.fraccalc import FracParams
 from fracwave.harness import build_case, level_cells, run_level, solve_case
@@ -38,6 +39,30 @@ class TestWeights:
         assert code == 0
         header = [line for line in out.splitlines() if line.startswith("n,")][0]
         assert header == "n,t_n,omega_n,w0_n,w1_n"
+
+    @pytest.mark.parametrize("gamma, calls", [("0.5", 0), ("1", 1)])
+    def test_weights_are_computed_once(self, capsys, monkeypatch, gamma, calls):
+        import fracwave.cli as cli
+
+        counted = []
+
+        def counting_weights(*args):
+            counted.append(args)
+            return bdf2_weights(*args)
+
+        monkeypatch.setattr(cli, "bdf2_weights", counting_weights)
+        code, out, _ = run_cli(capsys, "weights", "--gamma", gamma, "--kappa",
+                               "0.25", "--n", "8")
+        assert code == 0
+        assert len(counted) == calls
+        rows = [line.split(",") for line in out.splitlines()
+                if not line.startswith(("#", "n,"))]
+        table = np.array(rows, dtype=float)
+        np.testing.assert_array_equal(table[:, 2], bdf2_weights(float(gamma), 0.25, 8))
+        if calls == 0:
+            scheme = CQScheme.build(float(gamma), 0.25, 8)
+            np.testing.assert_array_equal(table[:, 3], scheme.w0)
+            np.testing.assert_array_equal(table[:, 4], scheme.w1)
 
 
 class TestConstants:
@@ -151,6 +176,13 @@ class TestSolve:
         state = np.array([[float(v) for v in row.split(",")] for row in rows[1:]])
         np.testing.assert_array_equal(state[:, 0], mesh.nodes[mesh.interior][:, 0])
         np.testing.assert_array_equal(state[:, 1], traj.us[-1])
+
+    def test_step_that_does_not_divide_T_is_an_error(self, capsys):
+        code, _, err = run_cli(capsys, "solve", "--case", "smooth1d", "--gamma",
+                               "0.5", "--kappa", "0.007", "--T", "4")
+        assert code == 1
+        assert "T=4.0" in err
+        assert "kappa=0.007" in err
 
 
 class TestConfigFile:

@@ -203,11 +203,6 @@ class TestLoadVector:
 
 
 class TestProjections:
-    def test_ritz_idempotent_on_nodal_input(self):
-        system = assemble(build_mesh(1, (0.0, 1.0), 8))
-        x = np.arange(7, dtype=float)
-        assert np.all(ritz_projection(system, x) == x)
-
     @pytest.mark.parametrize("domain, field", [
         (UNIT_INTERVAL, sin_field), (UNIT_SQUARE, sin_sin_field)],
         ids=["1d", "2d"])

@@ -89,6 +89,13 @@ class TestAsymptotics:
         exponent = asymptotic_check(problem, 1.0, 2048)
         assert exponent > (1.0 - gamma) + 0.3
 
+    def test_absent_forcing_is_zero_forcing(self):
+        params = dict(gamma=0.5, a_gamma=FracParams(0.5, 0.25).a_gamma, lam=4.0,
+                      u0=1.0, v0=0.0)
+        unforced = asymptotic_check(VolterraProblem(**params), 1.0, 2048)
+        zero = asymptotic_check(VolterraProblem(**params, f=lambda t: 0.0), 1.0, 2048)
+        assert unforced == zero
+
     def test_window_exceeding_grid_rejected(self):
         problem = VolterraProblem(gamma=0.5, a_gamma=1.0, lam=1.0,
                                   u0=1.0, v0=0.0)

@@ -130,6 +130,13 @@ class TestRun:
         with pytest.raises(ValueError, match="CFL"):
             SimConfig(fem=system, T=1.0, kappa=0.2, u0=sin_field())
 
+    def test_step_must_divide_the_end_time(self):
+        system = interval_system(16)
+        with pytest.raises(ValueError, match=r"T=1\.0 .* kappa=0\.007: T/kappa=142\.857"):
+            SimConfig(fem=system, T=1.0, kappa=0.007, u0=sin_field())
+        # T/kappa = 2.9999999999999996 in floating point
+        assert SimConfig(fem=system, T=0.03, kappa=0.01).n_steps == 3
+
     @pytest.mark.parametrize("cells", [171, 341, 683])
     def test_default_cfl_guard_is_exact_at_hundreds_of_dofs(self, cells):
         system = interval_system(cells)
