@@ -3,9 +3,10 @@
 Weight generation from the generating function (delta(zeta)/kappa)^gamma
 with delta(zeta) = 3/2 - 2 zeta + zeta^2/2, the Caputo shift for positive
 orders, startup correction weights exact on constants (and linears for
-positive orders), the CQ history sum (direct, and blocked-FFT for the
-time loop), the central difference operator, and the mixed operator
-approximating d_t^(gamma+1).
+positive orders), the CQ history sum (direct, and blocked for the time
+loop: short blocks by dense Toeplitz product, long ones by FFT), the
+central difference operator, and the mixed operator approximating
+d_t^(gamma+1).
 """
 
 from __future__ import annotations
@@ -129,25 +130,28 @@ class CQScheme:
 
 
 NEAR_BITS = 5          # near field: aligned blocks of 2**5 = 32 steps
+DIRECT_SIZE = 256      # far-field blocks up to this size by dense product, not FFT
 FFT_WORKSPACE = 2**15  # float64 entries per column slice of one transform
 
 
 class CQHistory:
     """The CQ history sum of a time loop, O(N log^2 N) work per column.
 
-    Blocked-FFT convolution of Hairer, Lubich & Schlichte (SIAM J. Sci.
-    Stat. Comput. 6, 1985), exact up to FFT round-off.  For a pair j < n
+    Blocked convolution of Hairer, Lubich & Schlichte (SIAM J. Sci.
+    Stat. Comput. 6, 1985), exact up to round-off.  For a pair j < n
     let k be the highest bit in which j and n differ.  If k < NEAR_BITS,
     j and n share an aligned block of 2**NEAR_BITS steps and
     omega_{n-j} values[j] is summed directly at step n.  Otherwise, with
     m = n with its k low bits cleared, j lies in [m - 2**k, m) and n in
     [m, m + 2**k): when step m is reached (k = ctz(m)), that block of
-    values is convolved once with omega[:2**(k+1)] by real FFT, and the
-    results are added to the rows [m, m + 2**k) of values.  Those rows
-    are not written yet: row n holds its pending far-field sum until the
-    caller overwrites it with values[n], so the history needs no memory
-    beyond values.  Transforms run in column slices of at most
-    FFT_WORKSPACE entries.
+    values is convolved once with omega[:2**(k+1)], and the results are
+    added to the rows [m, m + 2**k) of values.  Blocks of at most
+    DIRECT_SIZE steps take a dense Toeplitz product, which is faster than
+    the FFT at those sizes; longer ones take a real FFT, in column slices
+    of at most FFT_WORKSPACE entries.  The rows [m, m + 2**k) are not
+    written yet: row n holds its pending far-field sum until the caller
+    overwrites it with values[n], so the history needs no memory beyond
+    values and one Toeplitz matrix or spectrum per block size.
 
     values has one row per step (1-D for scalar sequences) and rows
     beyond the written ones must start at zero; known_sum is called for
@@ -164,7 +168,7 @@ class CQHistory:
         self.corrected = corrected
         self._columns = values if values.ndim == 2 else values[:, None]
         self._n = 0
-        self._spectra: dict[int, np.ndarray] = {}
+        self._kernels: dict[int, np.ndarray] = {}   # per block size
 
     def self_weight(self, n: int) -> float:
         """CQScheme.self_weight(n, corrected)."""
@@ -186,16 +190,30 @@ class CQHistory:
         """Add the block ending at step m to the pending rows after it."""
         size = m & -m
         count = min(size, len(self.values) - m)
-        if size not in self._spectra:
-            # zero-padded past omega_N, which no row of values reaches
-            self._spectra[size] = np.fft.rfft(self.scheme.omega[:2 * size], 2 * size)
-        spectrum = self._spectra[size][:, None]
+        if size not in self._kernels:
+            self._kernels[size] = self._kernel(size)
+        kernel = self._kernels[size]
         cols = self._columns
+        if size <= DIRECT_SIZE:
+            cols[m:m + count] += kernel[:count] @ cols[m - size:m]
+            return
         width = max(1, FFT_WORKSPACE // (2 * size))
         for c in range(0, cols.shape[1], width):
             block = np.fft.rfft(cols[m - size:m, c:c + width], 2 * size, axis=0)
-            conv = np.fft.irfft(block * spectrum, 2 * size, axis=0)
+            conv = np.fft.irfft(block * kernel, 2 * size, axis=0)
             cols[m:m + count, c:c + width] += conv[size:size + count]
+
+    def _kernel(self, size: int) -> np.ndarray:
+        """The Toeplitz matrix (size <= DIRECT_SIZE) or the spectrum of
+        omega[:2 size] that _far_field applies to a block of that size."""
+        # zero-padded past omega_N, which no row of values reaches
+        omega = np.zeros(2 * size)
+        head = self.scheme.omega[:2 * size]
+        omega[:len(head)] = head
+        if size <= DIRECT_SIZE:
+            # T[r, c] = omega[size + r - c] takes row m - size + c to row m + r
+            return omega[size + np.arange(size)[:, None] - np.arange(size)]
+        return np.fft.rfft(omega)[:, None]
 
 
 def _cq_sum(scheme: CQScheme, g: np.ndarray, n: int, corrected: bool):

@@ -2,18 +2,20 @@
 
 The damping term couples the CQ sum of order gamma with central
 differences of the solution.  The j = n history entry contains the
-unknown u_{n+1}, so each step solves a mass system with a scalar shift;
-one factorization of M is reused throughout.  For the corrected scheme
-the first step's w1 contribution also references the unknown and is
-folded into the same scalar shift.  The known part of the sum comes
-from the blocked-FFT history `cq.CQHistory`, so the time loop costs
-O(N log^2 N * ndof).
+unknown u_{n+1}, so it enters each step as a scalar shift of the
+leapfrog coefficient; for the corrected scheme the first step's w1
+contribution also references the unknown and is folded into the same
+shift.  A step costs one stiffness mat-vec and one mass solve (one
+factorization of M is reused throughout).  The known part of the sum
+comes from the blocked history `cq.CQHistory`, so the time loop costs
+O(N log^2 N * ndof).  The energy log and the divergence check run once
+per block of CHECK_STEPS steps, on the trajectory rows of that block.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -31,6 +33,8 @@ from fracwave.fraccalc import FracParams
 
 # Energy growth beyond this multiple of E_1 aborts the run as divergent.
 ENERGY_ABORT_FACTOR = 1e6
+# The energy log and the divergence check cover blocks of this many steps.
+CHECK_STEPS = 32
 
 
 class SolverDivergence(RuntimeError):
@@ -136,10 +140,15 @@ def initial_data(config: SimConfig, f0: np.ndarray | None = None):
     return u0_h, u1_h, dtu0_h
 
 
-def discrete_energy(system: FemSystem, u_cur, u_prev, k_u_prev, kappa: float) -> float:
-    """Discrete energy of the step pair (u_prev, u_cur); k_u_prev = K @ u_prev."""
+def discrete_energy(system: FemSystem, u_cur, u_prev, k_u_prev, kappa: float):
+    """Discrete energy of the step pair (u_prev, u_cur); k_u_prev = K @ u_prev.
+
+    Vectors give a float.  2-D arrays hold one pair per row, with
+    k_u_prev = (K @ u_prev.T).T, and give an array of one energy per row.
+    """
     d = (u_cur - u_prev) / kappa
-    return 0.5 * float(d @ (system.M @ d)) + 0.5 * float(u_cur @ k_u_prev)
+    energy = 0.5 * np.sum(d * (system.M @ d.T).T + u_cur * k_u_prev, axis=-1)
+    return float(energy) if energy.ndim == 0 else energy
 
 
 @dataclass
@@ -149,7 +158,6 @@ class SimState:
     u_cur: np.ndarray
     history: np.ndarray       # (N, ndof) central differences filled through n-1;
                               # later rows hold pending far-field CQ sums
-    energy: list
     cq: CQHistory | None      # the damping term's history sum over `history`
     source: np.ndarray | None  # G(t_n) for every step, with f = G(t) * load
     load: np.ndarray | None    # the assembled spatial load
@@ -158,8 +166,10 @@ class SimState:
 def step(config: SimConfig, state: SimState) -> SimState:
     """Advance u_n -> u_{n+1}; appends the step-n central difference.
 
-    Returns a new state; the one passed in keeps its n and vectors, and
-    shares its history rows and energy log with the new one.
+    Solves coef u_{n+1} = v - M^-1 (K u_n - G(t_n) load), where v and
+    coef hold the leapfrog and CQ terms.  Returns a new state; the one
+    passed in keeps its n and vectors, and shares its history rows with
+    the new one.
     """
     system = config.fem
     kappa = config.kappa
@@ -167,7 +177,6 @@ def step(config: SimConfig, state: SimState) -> SimState:
     if n < 1:
         raise ValueError("stepping starts at n = 1")
 
-    # M is applied once, to everything it multiplies
     v = (2.0 * state.u_cur - state.u_prev) / kappa**2
     coef = 1.0 / kappa**2
     if state.cq is not None:
@@ -176,15 +185,39 @@ def step(config: SimConfig, state: SimState) -> SimState:
         shift = a * state.cq.self_weight(n) / (2.0 * kappa)
         v = v - a * state.cq.known_sum(n) + shift * state.u_prev
         coef += shift
-    k_u_cur = system.K @ state.u_cur
-    rhs = system.M @ v - k_u_cur
+    rhs = system.K @ state.u_cur
     if state.load is not None:
-        rhs = rhs + state.source[n] * state.load
+        rhs = rhs - state.source[n] * state.load
 
-    u_next = system.solve_mass(rhs) / coef
+    u_next = (v - system.solve_mass(rhs)) / coef
     state.history[n] = (u_next - state.u_prev) / (2.0 * kappa)
-    state.energy.append(discrete_energy(system, u_next, state.u_cur, k_u_cur, kappa))
-    return replace(state, n=n + 1, u_prev=state.u_cur, u_cur=u_next)
+    return SimState(n=n + 1, u_prev=state.u_cur, u_cur=u_next, history=state.history,
+                    cq=state.cq, source=state.source, load=state.load)
+
+
+def _check_block(config: SimConfig, us: np.ndarray, energy: np.ndarray,
+                 lo: int, hi: int) -> None:
+    """Fill energy[lo:hi] (E_{lo+1}..E_hi, from the rows us[lo:hi+1]) and
+    raise SolverDivergence at the first step of the block that is not
+    finite or whose energy exceeds ENERGY_ABORT_FACTOR times E_1."""
+    system = config.fem
+    u_prev, u_cur = us[lo:hi], us[lo + 1:hi + 1]
+    with np.errstate(all="ignore"):   # overflow is reported below
+        energy[lo:hi] = discrete_energy(system, u_cur, u_prev,
+                                        (system.K @ u_prev.T).T, config.kappa)
+    finite = np.isfinite(energy[lo:hi]) & np.isfinite(u_cur).all(axis=1)
+    e_ref = abs(energy[0])
+    grown = energy[lo:hi] > ENERGY_ABORT_FACTOR * e_ref if e_ref > 0.0 else False
+    bad = np.flatnonzero(~finite | grown)
+    if bad.size == 0:
+        return
+    i = lo + int(bad[0])
+    if not finite[i - lo]:
+        raise SolverDivergence(
+            f"non-finite solution at step {i + 1}; check the CFL condition")
+    raise SolverDivergence(
+        f"energy grew to {energy[i]:.3e} (> {ENERGY_ABORT_FACTOR:.0e} x E_1)"
+        f" at step {i + 1}; check the CFL condition")
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -192,6 +225,9 @@ def run(config: SimConfig) -> Trajectory:
 
     Aborts with SolverDivergence on NaN or energy growth beyond
     ENERGY_ABORT_FACTOR times E_1, which flags CFL violations cleanly.
+    Both are checked once per block of CHECK_STEPS steps and at the end,
+    so a divergent run may take up to CHECK_STEPS - 1 steps past the
+    first offending one, which the error names, before it raises.
     """
     system = config.fem
     N = config.n_steps
@@ -209,33 +245,23 @@ def run(config: SimConfig) -> Trajectory:
     us[1] = u1_h
     history = np.zeros((max(N, 1), system.ndof))
     history[0] = dtu0_h
-    e1 = discrete_energy(system, u1_h, u0_h, system.K @ u0_h, kappa)
+    energy = np.empty(N)
     cq = None
     if config.a_gamma != 0.0:
         cq = CQHistory(CQScheme.build(config.frac.gamma, kappa, N), history,
                        config.corrected)
-    state = SimState(n=1, u_prev=u0_h, u_cur=u1_h, history=history, energy=[e1],
+    state = SimState(n=1, u_prev=u0_h, u_cur=u1_h, history=history,
                      cq=cq, source=source, load=load)
-    e_ref = abs(e1)
-    for n in range(1, N):
+    checked = 0
+    for n in range(2, N + 1):
         state = step(config, state)
-        us[state.n] = state.u_cur
-        e_n = state.energy[-1]
-        if not np.isfinite(e_n) or not np.all(np.isfinite(state.u_cur)):
-            raise SolverDivergence(
-                f"non-finite solution at step {state.n}; check the CFL condition"
-            )
-        if e_ref > 0.0 and e_n > ENERGY_ABORT_FACTOR * e_ref:
-            raise SolverDivergence(
-                f"energy grew to {e_n:.3e} (> {ENERGY_ABORT_FACTOR:.0e} x E_1)"
-                f" at step {state.n}; check the CFL condition"
-            )
-    return Trajectory(
-        times=times,
-        us=us,
-        energy=np.array(state.energy),
-        history=state.history,
-    )
+        us[n] = state.u_cur
+        if n % CHECK_STEPS == 0:
+            _check_block(config, us, energy, checked, n)
+            checked = n
+    if checked < N:
+        _check_block(config, us, energy, checked, N)
+    return Trajectory(times=times, us=us, energy=energy, history=history)
 
 
 def scalar_run(gamma: float | None, a_gamma: float, lam: float, kappa: float,

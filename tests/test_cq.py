@@ -106,12 +106,13 @@ class TestSchemeTables:
 
 class TestCQHistory:
     @pytest.mark.parametrize("ndof", [1, 7])
-    @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 64, 1000, 3000])
+    @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 64, 257, 300, 1000, 3000])
     @pytest.mark.parametrize("corrected", [False, True])
     @pytest.mark.parametrize("gamma", [-0.5, 0.5])
     def test_matches_direct_sum_at_every_step(self, gamma, corrected, N, ndof):
-        # the blocked-FFT sum against CQScheme.known_sum, the direct sum;
-        # ndof = 1 runs on a 1-D (scalar) sequence
+        # the blocked sum against CQScheme.known_sum, the direct sum;
+        # ndof = 1 runs on a 1-D (scalar) sequence; N = 257 and 300 end
+        # in a Toeplitz block whose omega[:2 size] runs past omega_N
         scheme = CQScheme.build(gamma, 1.0 / 64, N)
         rng = np.random.default_rng(N + ndof)
         shape = (N + 1,) if ndof == 1 else (N + 1, ndof)

@@ -2,22 +2,28 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
-from fracwave.cq import CQScheme, mixed_operator
+from fracwave.cq import CQHistory, CQScheme, mixed_operator
 from fracwave.fem import ScalarField, assemble, build_mesh, l2_norm, load_vector
 from fracwave.fraccalc import FracParams
 from fracwave.solver import (
+    CHECK_STEPS,
+    ENERGY_ABORT_FACTOR,
     SeparableSource,
     SimConfig,
+    SimState,
     SolverDivergence,
     discrete_energy,
     initial_data,
     run,
     scalar_run,
+    step,
 )
 
 
@@ -174,6 +180,99 @@ class TestRun:
                            u0=sin_field())
         with pytest.raises(SolverDivergence):
             run(config)
+
+    def test_divergence_names_the_first_offending_step(self, monkeypatch):
+        import fracwave.solver as solver
+
+        monkeypatch.setattr(solver, "inverse_constant", lambda system: 1e-3)
+        system = interval_system(32)
+        kappa = 1.5 * math.sqrt(2.0) * system.mesh.h / math.sqrt(12.0)
+        config = SimConfig(fem=system, T=200.0 * kappa, kappa=kappa,
+                           u0=sin_field())
+        # reference: the energy of every step, checked as it is made
+        u0, u1, v0 = initial_data(config)
+        state = SimState(n=1, u_prev=u0, u_cur=u1, history=np.zeros((200, system.ndof)),
+                         cq=None, source=None, load=None)
+        e1 = discrete_energy(system, u1, u0, system.K @ u0, kappa)
+        first = None
+        while first is None and state.n < config.n_steps:
+            new = step(config, state)
+            e = discrete_energy(system, new.u_cur, state.u_cur, system.K @ state.u_cur, kappa)
+            if e > ENERGY_ABORT_FACTOR * e1:
+                first = new.n
+            state = new
+        assert first is not None and first % CHECK_STEPS != 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(SolverDivergence, match=f"at step {first};"):
+                run(config)
+        assert caught == []
+
+
+class CountingCSR(sp.csr_matrix):
+    """A CSR matrix that counts the products taken with it by @."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+class TestTimeLoop:
+    CASES = {
+        "undamped": dict(),
+        "-0.5U": dict(frac=FracParams(gamma=-0.5), corrected=False),
+        "0.5C": dict(frac=FracParams(gamma=0.5), corrected=True),
+        "source": dict(frac=FracParams(gamma=-0.5), corrected=True, v0=sin_field(),
+                       f=SeparableSource(spatial=sin_field(),
+                                         temporal=lambda t: np.cos(3.0 * t))),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 65])
+    def test_energy_log_is_the_energy_of_every_step_pair(self, N, case):
+        system = interval_system(16)
+        kappa = 1.0 / 128
+        config = SimConfig(fem=system, T=N * kappa, kappa=kappa, u0=sin_field(),
+                           **self.CASES[case])
+        traj = run(config)
+        assert len(traj.energy) == N
+        us = traj.us
+        for i in range(N):
+            want = discrete_energy(system, us[i + 1], us[i], system.K @ us[i], kappa)
+            assert traj.energy[i] == pytest.approx(want, rel=1e-13)
+
+    def test_step_leaves_its_input_state_unchanged(self):
+        system = interval_system(16)
+        kappa = 1.0 / 128
+        config = SimConfig(fem=system, T=0.5, kappa=kappa, frac=FracParams(gamma=0.5),
+                           corrected=True, u0=sin_field(), v0=sin_field())
+        u0, u1, v0 = initial_data(config)
+        history = np.zeros((config.n_steps, system.ndof))
+        history[0] = v0
+        state = SimState(n=1, u_prev=u0, u_cur=u1, history=history,
+                         cq=CQHistory(CQScheme.build(0.5, kappa, config.n_steps),
+                                      history, True),
+                         source=None, load=None)
+        new = step(config, state)
+        assert state.n == 1 and new.n == 2
+        np.testing.assert_array_equal(state.u_prev, u0)
+        np.testing.assert_array_equal(state.u_cur, u1)
+        assert new.u_prev is state.u_cur
+
+    def test_a_step_takes_one_stiffness_product_and_no_mass_product(self):
+        system = interval_system(16)
+        N = 100
+        config = SimConfig(fem=system, T=N / 128, kappa=1.0 / 128,
+                           frac=FracParams(gamma=0.5), u0=sin_field(),
+                           f=SeparableSource(spatial=sin_field(),
+                                             temporal=lambda t: np.sin(t)))
+        system.M, system.K = CountingCSR(system.M), CountingCSR(system.K)
+        run(config)
+        blocks = math.ceil(N / CHECK_STEPS)
+        assert system.K.products <= N + blocks + 1
+        assert system.M.products <= blocks + 1
 
 
 class TestModeStructure:
