@@ -18,8 +18,8 @@ import numpy as np
 from fracwave.cq import CQScheme, apply_cq, apply_cq_corrected, mixed_operator
 from fracwave.fem import assemble, build_mesh
 from fracwave.fraccalc import FracParams, caputo_monomial, constants_table
-from fracwave.harness import (build_case, fit_rate, level_cells, run_convergence,
-                              time_errors)
+from fracwave.harness import (build_case, fit_rate, level_cells, mesh_system,
+                              run_convergence, time_errors)
 from fracwave.oracle import VolterraProblem, asymptotic_check, solve_volterra
 from fracwave.solver import SimConfig, run, scalar_run
 
@@ -300,9 +300,8 @@ def criterion_10() -> CriterionResult:
     frac = FracParams(gamma=gamma)
     N = 256
     kappa = T / N
-    n_cells = round(1.0 / (6.0 * kappa))
-    mesh = build_mesh(1, (0.0, 1.0), n_cells)
-    system = assemble(mesh)
+    system = mesh_system(1, (0.0, 1.0), round(1.0 / (6.0 * kappa)))
+    mesh = system.mesh
     x = mesh.nodes[mesh.interior][:, 0]
     mode = np.sin(k_mode * np.pi * x)
     # discrete eigenvalue of the interpolated mode under (K, M)

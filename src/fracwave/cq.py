@@ -157,7 +157,10 @@ class CQHistory:
     beyond the written ones must start at zero; known_sum is called for
     n = 1, 2, ... in order, after rows 0..n-1 are written and before row
     n is.  corrected chooses the startup terms of CQScheme.known_sum
-    once for the whole loop.
+    once for the whole loop.  Those terms, multiples of values[0] and
+    values[1], join the pending rows of each aligned block of
+    2**NEAR_BITS steps when the block opens (the first block at n = 2,
+    once values[1] is written), so a step adds none of them itself.
     """
 
     def __init__(self, scheme: CQScheme, values: np.ndarray, corrected: bool) -> None:
@@ -182,9 +185,26 @@ class CQHistory:
         start = n >> NEAR_BITS << NEAR_BITS
         if start == n:
             self._far_field(n)
+        if start == n or n == 2:
+            self._add_startup(n, start + (1 << NEAR_BITS))
         near = self.scheme.omega[n - start:0:-1] @ self.values[start:n]
-        return self.scheme.add_startup(self.values[n] + near, self.values, n,
-                                       self.corrected)
+        if n == 1:
+            return self.scheme.add_startup(self.values[1] + near, self.values, 1,
+                                           self.corrected)
+        return self.values[n] + near
+
+    def _add_startup(self, lo: int, hi: int) -> None:
+        """Add the startup terms of CQScheme.known_sum at the steps
+        [lo, hi) to their pending rows, one block product per term."""
+        s = self.scheme
+        rows = slice(lo, min(hi, len(self.values)))
+        cols = self._columns
+        if self.corrected:
+            cols[rows] += s.w0[rows, None] * cols[0]
+            if s.chi:
+                cols[rows] += s.w1[rows, None] * cols[1]
+        elif s.chi:
+            cols[rows] -= s.omega_cumsum[rows, None] * cols[0]
 
     def _far_field(self, m: int) -> None:
         """Add the block ending at step m to the pending rows after it."""

@@ -67,8 +67,9 @@ class _ProductWeights:
 
     With v piecewise linear, the weight at lag l = n-i on v_i depends
     only on l for 1 <= i <= n-1, so the interior table is shared by all
-    steps: interior[l] = mu0(l) - mu1(l)/delta + mu1(l+1)/delta.  The
-    endpoint weights are w_n = mu1(1)/delta and w_0 = mu0(n) - mu1(n)/delta.
+    steps: interior[l-1] = mu0(l) - mu1(l)/delta + mu1(l+1)/delta.  The
+    endpoint weights are w_n = mu1(1)/delta = w_last and w_0 = mu0(n) -
+    mu1(n)/delta = first[n-1].
     """
 
     def __init__(self, p: float, delta: float, M: int) -> None:
@@ -77,20 +78,9 @@ class _ProductWeights:
         B = (m - 1.0) * delta
         i0 = (A ** (p + 1.0) - B ** (p + 1.0)) / (p + 1.0)
         i1 = A * i0 - (A ** (p + 2.0) - B ** (p + 2.0)) / (p + 2.0)
-        self.delta = delta
-        self.i0 = i0          # i0[m-1] = mu0(m)
-        self.i1 = i1
+        self.first = i0[:-1] - i1[:-1] / delta
         self.interior = i0[:-1] - i1[:-1] / delta + i1[1:] / delta
         self.w_last = i1[0] / delta
-
-    def weights(self, n: int) -> np.ndarray:
-        w = np.empty(n + 1)
-        w[n] = self.w_last
-        w[0] = self.i0[n - 1] - self.i1[n - 1] / self.delta
-        if n >= 2:
-            # interior[l-1] is the lag-l weight; node i = n - l
-            w[1:n] = self.interior[: n - 1][::-1]
-        return w
 
 
 @dataclass
@@ -116,17 +106,24 @@ def solve_volterra(problem: VolterraProblem, T: float, M: int) -> VolterraSoluti
     sing_coef = problem.a_gamma / gamma_fn(1.0 - gam)
     lin = _ProductWeights(1.0, delta, M)
     sing = _ProductWeights(-gam, delta, M)
+    lam = problem.lam
+    # weights of v_0, of v_n and, in lag tables reversed once per solve,
+    # of v_1..v_{n-1}: at step n these are the last n - 1 entries
+    first = lam * lin.first + sing_coef * sing.first
+    last = lam * lin.w_last + sing_coef * sing.w_last
+    kernel = (lam * lin.interior + sing_coef * sing.interior)[::-1]
+    linear = lin.interior[::-1]
     times = delta * np.arange(M + 1)
     v = np.empty(M + 1)
     v[0] = problem.v_at_zero()
     u = np.empty(M + 1)
     u[0] = problem.u0
     for n in range(1, M + 1):
-        lin_n = lin.weights(n)
-        w = problem.lam * lin_n + sing_coef * sing.weights(n)
-        known = float(np.dot(w[:n], v[:n]))
-        v[n] = (problem.forcing(times[n]) - known) / (1.0 + w[n])
-        u[n] = problem.u0 + times[n] * problem.v0 + float(np.dot(lin_n, v[: n + 1]))
+        lags = slice(M - n + 1, M)
+        known = first[n - 1] * v[0] + float(np.dot(kernel[lags], v[1:n]))
+        v[n] = (problem.forcing(times[n]) - known) / (1.0 + last)
+        u[n] = (problem.u0 + times[n] * problem.v0 + lin.first[n - 1] * v[0]
+                + float(np.dot(linear[lags], v[1:n])) + lin.w_last * v[n])
     return VolterraSolution(times=times, v=v, u=u)
 
 

@@ -49,6 +49,21 @@ def test_criterion_5_smooth_1d_convergence():
     _check(5)
 
 
+def test_criterion_5_builds_one_system_per_mesh(monkeypatch, fresh_systems):
+    # 7 sub-cases x 4 levels share the 4 meshes: one assembly and one
+    # eigsh of the CFL guard each
+    from fracwave import fem, harness
+
+    assembled, solved = [], []
+    assemble, eigsh = harness.assemble, fem.spla.eigsh
+    monkeypatch.setattr(harness, "assemble",
+                        lambda mesh: assembled.append(mesh.num_interior) or assemble(mesh))
+    monkeypatch.setattr(fem.spla, "eigsh",
+                        lambda A, *a, **k: solved.append(A.shape[0]) or eigsh(A, *a, **k))
+    acceptance.criterion_5()
+    assert assembled == solved == [10, 20, 42, 84]
+
+
 def test_criterion_6_nonsmooth_1d_convergence():
     _check(6)
 

@@ -253,6 +253,26 @@ class TestNorms:
         assert l2_norm(system, x) == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-3)
 
 
+class TestSolvers:
+    @pytest.mark.parametrize("dimension,domain,cells", [
+        (1, (0.0, 1.0), 2), (1, (0.0, 1.0), 7), (1, (0.0, 1.0), 1000),
+        (2, ((-1.0, 1.0), (-1.0, 1.0)), 16), (2, ((0.0, 1.0), (0.0, 1.0)), 64),
+        (2, ((0.0, 2.0), (0.0, 1.0)), 9), (2, ((0.0, 2.0), (0.0, 1.0)), 40),
+    ])
+    def test_mass_and_stiffness_residuals(self, dimension, domain, cells):
+        # normwise backward error |A x - b| / (|A| |x|), max norms, of one
+        # and of several right-hand sides
+        system = assemble(build_mesh(dimension, domain, cells))
+        rng = np.random.default_rng(cells)
+        for A, solve in ((system.M, system.solve_mass), (system.K, system.solve_stiffness)):
+            norm = abs(A).sum(axis=1).max()
+            for b in (rng.standard_normal(system.ndof),
+                      rng.standard_normal((system.ndof, 3))):
+                x = solve(b)
+                assert x.shape == b.shape
+                assert np.max(np.abs(A @ x - b)) <= 1e-14 * norm * np.max(np.abs(x))
+
+
 class TestInverseConstant:
     def test_interval_limit_sqrt_twelve(self):
         system = assemble(build_mesh(1, (0.0, 1.0), 64))

@@ -297,6 +297,27 @@ class TestConvergence:
         assert not pre
 
 
+class TestMeshSystem:
+    def test_equal_keys_share_one_system(self, fresh_systems):
+        first = harness.mesh_system(1, (0.0, 1.0), 16)
+        assert harness.mesh_system(1, (0.0, 1.0), 16) is first
+        assert harness.mesh_system(1, (0.0, 1.0), 17) is not first
+        assert harness.mesh_system(1, (0.0, 2.0), 16) is not first
+        assert harness.mesh_system(2, ((0.0, 1.0), (0.0, 1.0)), 16) is not first
+
+    def test_time_errors_and_run_level_share_the_mesh(self, monkeypatch, fresh_systems):
+        assembled = []
+        assemble = harness.assemble
+        monkeypatch.setattr(harness, "assemble",
+                            lambda mesh: assembled.append(mesh.h) or assemble(mesh))
+        case = build_case("smooth1d", FracParams(gamma=-0.75))
+        cells = harness.level_cells(case, 1.0 / 64)
+        time_errors(case, cells, corrected=True, kappa0=1.0 / 64, levels=1)
+        h, _, _ = run_level(case, 1.0 / 64, corrected=False)
+        run_level(case, 1.0 / 64, corrected=True)
+        assert assembled == [h] == [1.0 / cells]
+
+
 class TestTimeErrors:
     def test_corrected_time_rate_is_two(self):
         case = build_case("smooth1d", FracParams(gamma=-0.75))

@@ -13,7 +13,45 @@ from fracwave.oracle import (
 )
 
 
+def per_step_volterra(problem, T, M):
+    """solve_volterra as a loop that builds the product weights of
+    v_0..v_n afresh at every step n."""
+    delta = T / M
+
+    def weights(p, n):
+        m = np.arange(1, n + 1, dtype=float)
+        A, B = m * delta, (m - 1.0) * delta
+        i0 = (A ** (p + 1.0) - B ** (p + 1.0)) / (p + 1.0)
+        i1 = A * i0 - (A ** (p + 2.0) - B ** (p + 2.0)) / (p + 2.0)
+        w = np.empty(n + 1)
+        w[n] = i1[0] / delta
+        w[0] = i0[n - 1] - i1[n - 1] / delta
+        w[1:n] = (i0[:n - 1] - i1[:n - 1] / delta + i1[1:n] / delta)[::-1]
+        return w
+
+    sing_coef = problem.a_gamma / math.gamma(1.0 - problem.gamma)
+    times = delta * np.arange(M + 1)
+    v, u = np.empty(M + 1), np.empty(M + 1)
+    v[0], u[0] = problem.v_at_zero(), problem.u0
+    for n in range(1, M + 1):
+        lin = weights(1.0, n)
+        w = problem.lam * lin + sing_coef * weights(-problem.gamma, n)
+        v[n] = (problem.forcing(times[n]) - w[:n] @ v[:n]) / (1.0 + w[n])
+        u[n] = problem.u0 + times[n] * problem.v0 + lin @ v[:n + 1]
+    return v, u
+
+
 class TestSolveVolterra:
+    @pytest.mark.parametrize("gamma", [-0.75, -0.5, 0.5, 0.75])
+    def test_matches_the_per_step_weight_loop(self, gamma):
+        problem = VolterraProblem(gamma=gamma, a_gamma=FracParams(gamma=gamma).a_gamma,
+                                  lam=4.0, u0=1.0, v0=0.5,
+                                  f=lambda t: math.cos(3.0 * t))
+        sol = solve_volterra(problem, 1.0, 256)
+        v, u = per_step_volterra(problem, 1.0, 256)
+        assert np.max(np.abs(sol.v - v)) <= 1e-13 * np.max(np.abs(v))
+        assert np.max(np.abs(sol.u - u)) <= 1e-13 * np.max(np.abs(u))
+
     def test_pure_forcing_is_exact(self):
         # lam = 0, a = 0, f = 1: v = 1 and u = t^2/2 (piecewise-linear
         # product integration is exact on linear v)

@@ -187,8 +187,11 @@ class TestRun:
         monkeypatch.setattr(solver, "inverse_constant", lambda system: 1e-3)
         system = interval_system(32)
         kappa = 1.5 * math.sqrt(2.0) * system.mesh.h / math.sqrt(12.0)
-        config = SimConfig(fem=system, T=200.0 * kappa, kappa=kappa,
-                           u0=sin_field())
+        # the top mode is seeded, not grown from the round-off of the mass
+        # solve, so the first offending step falls inside a check block
+        x = system.mesh.nodes[system.mesh.interior][:, 0]
+        u0 = np.sin(np.pi * x) + 1e-3 * np.sin(31.0 * np.pi * x)
+        config = SimConfig(fem=system, T=200.0 * kappa, kappa=kappa, u0=u0)
         # reference: the energy of every step, checked as it is made
         u0, u1, v0 = initial_data(config)
         state = SimState(n=1, u_prev=u0, u_cur=u1, history=np.zeros((200, system.ndof)),
