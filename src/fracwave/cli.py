@@ -9,17 +9,21 @@ All numeric output uses 17 significant digits, and every table, printed
 or written, goes through one comma-separated table writer.  A flat
 `key = value` config file can preset any flag of the chosen subcommand;
 command-line flags override it.  Every run that writes files also writes
-a config echo next to them.
+a config echo next to them: the subcommand and its flags as
+`key = value` lines, headed by the Python, numpy and scipy versions as
+comment lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from fracwave.cq import CQScheme, bdf2_weights
 from fracwave.fem import assemble, build_mesh
@@ -47,10 +51,20 @@ def _echo_lines(args: argparse.Namespace) -> list[str]:
     ]
 
 
+def _environment_lines() -> list[str]:
+    """The interpreter and library versions, as comment lines: they are
+    not flags."""
+    return [
+        f"# python = {platform.python_version()}",
+        f"# numpy = {np.__version__}",
+        f"# scipy = {scipy.__version__}",
+    ]
+
+
 def _write_echo(outdir: Path, args: argparse.Namespace) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "config_echo.txt"
-    path.write_text("\n".join(_echo_lines(args)) + "\n")
+    path.write_text("\n".join(_environment_lines() + _echo_lines(args)) + "\n")
 
 
 def _print_echo(args: argparse.Namespace) -> None:

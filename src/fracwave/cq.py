@@ -11,10 +11,10 @@ d_t^(gamma+1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from fracwave.fraccalc import check_order
 
@@ -84,12 +84,12 @@ class CQScheme:
             chi = 0
             w0 = np.empty(N + 1)
             w0[0] = -s0[0]
-            w0[1:] = t[1:] ** (-gamma) / gamma_fn(1.0 - gamma) - s0[1:]
+            w0[1:] = t[1:] ** (-gamma) / math.gamma(1.0 - gamma) - s0[1:]
         else:
             chi = 1
             s1 = _kahan_cumsum(t * omega)
             w1[1:] = (
-                t[1:] ** (1.0 - gamma) / gamma_fn(2.0 - gamma)
+                t[1:] ** (1.0 - gamma) / math.gamma(2.0 - gamma)
                 - (t[1:] * s0[1:] - s1[1:])
             ) / kappa
             w0 = -s0 - w1

@@ -16,10 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaln
 
 # Nodes of the Gauss-Jacobi rule for Riemann-Liouville integrals of
 # smooth functions; the rule is exact on polynomials of degree 95.
@@ -39,8 +36,8 @@ def a_gamma(gamma: float, alpha0: float) -> float:
               * cos((gamma+1) pi / 2),
     strictly positive on (-1,1) excluding 0 and divergent at the endpoints.
     The Gamma factor at the negative non-integer argument -gamma-1 is
-    evaluated by scipy's reflection-based implementation, which avoids the
-    cancellation of a naive pole-adjacent evaluation.
+    evaluated by math.gamma, which reflects negative arguments, avoiding
+    the cancellation of a naive pole-adjacent evaluation.
     """
     check_order(gamma)
     if alpha0 <= 0.0:
@@ -48,8 +45,8 @@ def a_gamma(gamma: float, alpha0: float) -> float:
     value = (
         -alpha0
         * (4.0 / math.pi)
-        * gamma_fn(-gamma - 1.0)
-        * gamma_fn(gamma + 2.0)
+        * math.gamma(-gamma - 1.0)
+        * math.gamma(gamma + 2.0)
         * math.cos((gamma + 1.0) * math.pi / 2.0)
     )
     return value
@@ -68,10 +65,16 @@ class FracParams:
 
 
 def _gamma_ratio(a: float, b: float) -> float:
-    """Gamma(a)/Gamma(b), stable for large positive arguments."""
+    """Gamma(a)/Gamma(b), stable for large positive arguments.
+
+    0 at b = 0, where 1/Gamma vanishes: caputo_monomial(gamma, gamma - 1, t)
+    reaches that pole.
+    """
     if a > 0.0 and b > 0.0:
-        return math.exp(gammaln(a) - gammaln(b))
-    return gamma_fn(a) / gamma_fn(b)
+        return math.exp(math.lgamma(a) - math.lgamma(b))
+    if b == 0.0:
+        return 0.0
+    return math.gamma(a) / math.gamma(b)
 
 
 def rl_integral_monomial(beta: float, mu: float, t: float) -> float:
@@ -135,12 +138,15 @@ def rl_integral_quadrature(f, beta: float, t: float) -> float:
     The endpoint singularity of (t-tau)^(beta-1) is removed by the
     substitution t - tau = t s^(1/beta), after which adaptive
     Gauss-Kronrod converges at standard rates.  Serves as the independent
-    oracle for the closed-form monomial results.
+    oracle for the closed-form monomial results.  scipy.integrate.quad is
+    loaded on the first call, so importing fracwave does not load
+    scipy.integrate (nor the scipy.optimize it imports).
     """
     if beta <= 0.0:
         raise ValueError(f"integral order must be positive, got {beta}")
     if t == 0.0:
         return 0.0
+    from scipy.integrate import quad
 
     def integrand(s: float) -> float:
         return f(t - t * s ** (1.0 / beta))
@@ -148,7 +154,7 @@ def rl_integral_quadrature(f, beta: float, t: float) -> float:
     # full_output suppresses the benign roundoff warning near machine tolerance
     out = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13, limit=200,
                full_output=1)
-    return t**beta / (beta * gamma_fn(beta)) * out[0]
+    return t**beta / (beta * math.gamma(beta)) * out[0]
 
 
 @functools.lru_cache(maxsize=16)
@@ -189,7 +195,7 @@ def rl_integral_gauss_jacobi(g, beta: float, t):
         raise ValueError(f"integral order must be positive, got {beta}")
     u, w = _gauss_jacobi_rule(beta)
     t = np.asarray(t, dtype=float)
-    return t**beta / gamma_fn(beta) * (g(t[..., None] * u) @ w)
+    return t**beta / math.gamma(beta) * (g(t[..., None] * u) @ w)
 
 
 def caputo_quadrature(gamma: float, t: float, f=None, df=None, d2f=None) -> float:
@@ -231,7 +237,7 @@ def positivity_constants(gamma: float, T: float) -> tuple[float, float]:
         * math.sin(math.pi * gamma / 2.0)
         * T ** (gamma - 1.0)
     )
-    c2 = (T / 2.0) ** (gamma - 1.0) / gamma_fn(gamma)
+    c2 = (T / 2.0) ** (gamma - 1.0) / math.gamma(gamma)
     return c1, c2
 
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from fracwave.fem import FemSystem, ScalarField, assemble, build_mesh, interpolate
 from fracwave.fraccalc import (
@@ -88,7 +87,7 @@ def _poly_temporal(frac_params: FracParams) -> TemporalFactor:
     gamma = frac_params.gamma
     ceil_g = math.ceil(gamma)
     mu = 2.0 + ceil_g - gamma
-    c = -frac_params.a_gamma / gamma_fn(3.0 - gamma + ceil_g)
+    c = -frac_params.a_gamma / math.gamma(3.0 - gamma + ceil_g)
     # mu - 2 = ceil(gamma) - gamma > 0, so every power vanishes at t = 0
     value = lambda t: 1.0 + t + t * t + c * t**mu
     d1 = lambda t: 1.0 + 2.0 * t + c * mu * t ** (mu - 1.0)

@@ -10,11 +10,11 @@ handles the non-integrable-by-Gauss singularity at tau = t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from fracwave.fraccalc import check_order
 
@@ -52,7 +52,7 @@ class VolterraProblem:
                 self.a_gamma
                 * self.v0
                 * t ** (-self.gamma)
-                / gamma_fn(1.0 - self.gamma)
+                / math.gamma(1.0 - self.gamma)
             )
         return g
 
@@ -103,7 +103,7 @@ def solve_volterra(problem: VolterraProblem, T: float, M: int) -> VolterraSoluti
         raise ValueError(f"T must be positive, got {T}")
     delta = T / M
     gam = problem.gamma
-    sing_coef = problem.a_gamma / gamma_fn(1.0 - gam)
+    sing_coef = problem.a_gamma / math.gamma(1.0 - gam)
     lin = _ProductWeights(1.0, delta, M)
     sing = _ProductWeights(-gam, delta, M)
     lam = problem.lam

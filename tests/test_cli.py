@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, config files, exit codes."""
 
+import platform
+
 import numpy as np
 import pytest
+import scipy
 
 from fracwave.cli import main
 from fracwave.cq import CQScheme, bdf2_weights
@@ -123,6 +126,9 @@ class TestConvergence:
         echo = (outdir / "config_echo.txt").read_text()
         assert "gamma = -0.75" in echo
         assert "corrected = True" in echo
+        assert echo.startswith(f"# python = {platform.python_version()}\n"
+                               f"# numpy = {np.__version__}\n"
+                               f"# scipy = {scipy.__version__}\n")
         rows = csv_rows(outdir / "convergence_smooth1d.csv")
         assert rows[0] == "level,h,kappa,error_energy,error_l2max"
         assert len(rows) == 4

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gamma as sp_gamma
 
+from fracwave.cq import CQScheme, _kahan_cumsum
 from fracwave.fraccalc import (
     FracParams,
+    _gamma_ratio,
     a_gamma,
     caputo_monomial,
     caputo_quadrature,
@@ -143,6 +146,13 @@ class TestCaputoMonomial:
             rhs = mu * rl_integral_monomial(1.0 - gamma, mu - 1.0, 1.7)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("gamma", [1.5, 1.25])
+    @pytest.mark.parametrize("t", [0.3, 2.0])
+    def test_pole_of_gamma_gives_zero(self, gamma, t):
+        # mu = gamma - 1 puts Gamma(mu + 1 - gamma) at its pole 0, where
+        # 1/Gamma vanishes
+        assert caputo_monomial(gamma, gamma - 1.0, t) == 0.0
+
     def test_order_between_one_and_two(self):
         # D^1.5 t^2 = 2 t^0.5 / Gamma(1.5)
         assert caputo_monomial(1.5, 2.0, 1.0) == pytest.approx(
@@ -230,3 +240,59 @@ class TestPositivityConstants:
             positivity_constants(-0.5, 1.0)
         with pytest.raises(ValueError):
             positivity_constants(0.5, 0.0)
+
+
+# Orders on a grid of (-1, 1) excluding 0.
+_ORDERS = [g / 20.0 for g in range(-19, 20) if g != 0]
+
+
+class TestAgainstScipyGamma:
+    """The closed forms built on math.gamma, against the same formulas
+    with scipy's Gamma: equal to round-off."""
+
+    def test_gamma_on_random_arguments(self):
+        x = np.random.default_rng(0).uniform(-2.0, 5.0, 2000)
+        ours = np.array([math.gamma(v) for v in x])
+        np.testing.assert_allclose(ours, sp_gamma(x), rtol=1.1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("gamma", _ORDERS)
+    def test_scalar_constants(self, gamma):
+        beta = abs(gamma)
+        pairs = [
+            (a_gamma(gamma, 0.7), -0.7 * (4.0 / math.pi) * sp_gamma(-gamma - 1.0)
+             * sp_gamma(gamma + 2.0) * math.cos((gamma + 1.0) * math.pi / 2.0)),
+            (rl_integral_monomial(beta, 1.5, 1.7),
+             sp_gamma(2.5) / sp_gamma(2.5 + beta) * 1.7 ** (beta + 1.5)),
+            (rl_integral_monomial(beta, 0.0, 0.3),
+             sp_gamma(1.0) / sp_gamma(1.0 + beta) * 0.3**beta),
+            (_gamma_ratio(1.5, 1.5 - gamma), sp_gamma(1.5) / sp_gamma(1.5 - gamma)),
+        ]
+        if gamma != 0.5:  # 0.5 - gamma = 0 is the pole, pinned above
+            pairs.append((_gamma_ratio(1.5, 0.5 - gamma),
+                          sp_gamma(1.5) / sp_gamma(0.5 - gamma)))
+        if gamma > 0.0:
+            pairs.append((positivity_constants(gamma, 1.3)[1],
+                          0.65 ** (gamma - 1.0) / sp_gamma(gamma)))
+        for ours, ref in pairs:
+            assert ours == pytest.approx(ref, rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", _ORDERS)
+    def test_startup_weights(self, gamma):
+        # the startup weights are small differences of the Gamma term g0
+        # and sums of CQ weights, so they are compared relative to g0
+        kappa, N = 1.0 / 64.0, 128
+        scheme = CQScheme.build(gamma, kappa, N)
+        t = kappa * np.arange(N + 1)
+        s0 = scheme.omega_cumsum
+        w1 = np.zeros(N + 1)
+        if gamma < 0.0:
+            g0 = t ** (-gamma) / sp_gamma(1.0 - gamma)
+            w0 = g0 - s0
+            w0[0] = -s0[0]
+        else:
+            g0 = t ** (1.0 - gamma) / (kappa * sp_gamma(2.0 - gamma))
+            s1 = _kahan_cumsum(t * scheme.omega)
+            w1[1:] = g0[1:] - (t[1:] * s0[1:] - s1[1:]) / kappa
+            w0 = -s0 - w1
+        for ours, ref in ((scheme.w0, w0), (scheme.w1, w1)):
+            assert np.all(np.abs(ours - ref) <= 4e-15 * g0)
