@@ -300,7 +300,7 @@ def criterion_10() -> CriterionResult:
     frac = FracParams(gamma=gamma)
     N = 256
     kappa = T / N
-    system = mesh_system(1, (0.0, 1.0), round(1.0 / (6.0 * kappa)))
+    system = mesh_system(1, (0.0, 1.0), level_cells(build_case("smooth1d", frac), kappa))
     mesh = system.mesh
     x = mesh.nodes[mesh.interior][:, 0]
     mode = np.sin(k_mode * np.pi * x)

@@ -26,13 +26,13 @@ import numpy as np
 import scipy
 
 from fracwave.cq import CQScheme, bdf2_weights
-from fracwave.fem import assemble, build_mesh
 from fracwave.fraccalc import FracParams, constants_table
 from fracwave.harness import (
     build_case,
     error_norm_energy,
     error_norm_l2max,
     level_cells,
+    mesh_system,
     run_convergence,
     run_damping_demo,
     solve_case,
@@ -173,8 +173,8 @@ def cmd_constants(args) -> int:
 
 def cmd_solve(args) -> int:
     case = build_case(args.case, FracParams(gamma=args.gamma, alpha0=args.alpha0))
-    mesh = build_mesh(case.dimension, case.domain, level_cells(case, args.kappa))
-    system = assemble(mesh)
+    system = mesh_system(case.dimension, case.domain, level_cells(case, args.kappa))
+    mesh = system.mesh
     traj = solve_case(case, system, args.kappa, args.corrected, args.T)
     steps = len(traj.times) - 1
     _print_echo(args)
@@ -292,7 +292,9 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
 
     Keys use the flag spelling without dashes (e.g. `kappa0 = 0.01`).
     Flags given explicitly on the command line take precedence because
-    argparse applies later occurrences last.
+    argparse applies later occurrences last.  A config echo replays as
+    it is: its `command` line must name the subcommand being run, and a
+    value of None leaves that flag at its default.
     """
     if "--config" not in argv:
         return argv
@@ -313,12 +315,19 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected `key = value`")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key == "command":
+            if value != command:
+                raise ValueError(f"{path}:{lineno}: config is for subcommand"
+                                 f" {value!r}, not {command!r}")
+            continue
         flag = "--" + key.replace("_", "-")
         if flag not in known:
             raise ValueError(
                 f"{path}:{lineno}: unknown key {key!r}; valid keys: "
                 + ", ".join(sorted(k.lstrip('-') for k in known))
             )
+        if value == "None":
+            continue
         if value.lower() in ("true", "false"):
             if value.lower() == "true":
                 inserted.append(flag)

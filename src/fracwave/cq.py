@@ -72,6 +72,14 @@ class CQScheme:
     w1: np.ndarray
     chi: int
     omega_cumsum: np.ndarray = field(repr=False)
+    _startup: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        shift, zeros = -self.chi * self.omega_cumsum, np.zeros(self.N + 1)
+        for arr in (self.omega, self.w0, self.w1, self.omega_cumsum, shift, zeros):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_startup", {True: (self.w0, self.w1),
+                                              False: (shift, zeros)})
 
     @classmethod
     def build(cls, gamma: float, kappa: float, N: int) -> "CQScheme":
@@ -93,39 +101,36 @@ class CQScheme:
                 - (t[1:] * s0[1:] - s1[1:])
             ) / kappa
             w0 = -s0 - w1
-        for arr in (omega, w0, w1, s0):
-            arr.setflags(write=False)
         return cls(gamma=gamma, kappa=kappa, N=N, omega=omega, w0=w0, w1=w1,
                    chi=chi, omega_cumsum=s0)
 
+    def startup(self, corrected: bool) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only startup weights (c0, c1): the CQ sum at step n is
+        sum omega_{n-j} g_j + c0[n] g_0 + c1[n] g_1.  Corrected: (w0, w1);
+        uncorrected: the Caputo shift (-chi omega_cumsum, 0)."""
+        return self._startup[corrected]
+
     def self_weight(self, n: int, corrected: bool) -> float:
-        """Weight of values[n] in the CQ sum at step n."""
+        """Weight of values[n] in the CQ sum at step n: omega_0, plus c1[1]
+        at n = 1, where values[1] is g_1."""
         weight = self.omega[0]
-        if corrected and n == 1:
-            weight += self.w1[1]
+        if n == 1:
+            weight += self.startup(corrected)[1][1]
         return weight
 
     def known_sum(self, values: np.ndarray, n: int, corrected: bool):
         """CQ sum at step n over values[0..n-1], without the values[n] term.
 
-        Uncorrected: sum omega_{n-j} (g_j - chi g_0); corrected: sum
-        omega_{n-j} g_j + w0[n] g_0 + w1[n] g_1, where the constant shift
-        for positive orders is contained in w0.  Together with
-        self_weight(n) * values[n] this is the whole sum; the solver
-        keeps the two apart because values[n] holds its unknown.
+        That is sum omega_{n-j} g_j + c0[n] g_0 + c1[n] g_1 over j < n,
+        with (c0, c1) = startup(corrected); at n = 1 the c1 term is part
+        of self_weight.  Together with self_weight(n) * values[n] this is
+        the whole sum; the solver keeps the two apart because values[n]
+        holds its unknown.
         """
-        out = self.omega[n:0:-1] @ values[:n]
-        return self.add_startup(out, values, n, corrected)
-
-    def add_startup(self, out, values: np.ndarray, n: int, corrected: bool):
-        """out plus the terms of known_sum beyond sum omega_{n-j} values[j]:
-        w0[n] g_0 + w1[n] g_1 (corrected) or -chi sum(omega[:n+1]) g_0."""
-        if corrected:
-            out = out + self.w0[n] * values[0]
-            if n >= 2 and self.w1[n] != 0.0:
-                out = out + self.w1[n] * values[1]
-        elif self.chi:
-            out = out - self.omega_cumsum[n] * values[0]
+        c0, c1 = self.startup(corrected)
+        out = self.omega[n:0:-1] @ values[:n] + c0[n] * values[0]
+        if n >= 2:
+            out = out + c1[n] * values[1]
         return out
 
 
@@ -156,11 +161,12 @@ class CQHistory:
     values has one row per step (1-D for scalar sequences) and rows
     beyond the written ones must start at zero; known_sum is called for
     n = 1, 2, ... in order, after rows 0..n-1 are written and before row
-    n is.  corrected chooses the startup terms of CQScheme.known_sum
-    once for the whole loop.  Those terms, multiples of values[0] and
-    values[1], join the pending rows of each aligned block of
-    2**NEAR_BITS steps when the block opens (the first block at n = 2,
-    once values[1] is written), so a step adds none of them itself.
+    n is.  corrected picks the startup table CQScheme.startup once for
+    the whole loop.  Its terms c0[n] values[0] + c1[n] values[1] join
+    the pending rows of each aligned block of 2**NEAR_BITS steps when
+    the block opens (the first block at n = 2, once values[1] is
+    written), so a step adds none of them itself, except step 1, which
+    adds c0[1] values[0] (its c1 term is CQScheme.self_weight's).
     """
 
     def __init__(self, scheme: CQScheme, values: np.ndarray, corrected: bool) -> None:
@@ -169,6 +175,7 @@ class CQHistory:
         self.scheme = scheme
         self.values = values
         self.corrected = corrected
+        self._c0, self._c1 = scheme.startup(corrected)
         self._columns = values if values.ndim == 2 else values[:, None]
         self._n = 0
         self._kernels: dict[int, np.ndarray] = {}   # per block size
@@ -189,22 +196,16 @@ class CQHistory:
             self._add_startup(n, start + (1 << NEAR_BITS))
         near = self.scheme.omega[n - start:0:-1] @ self.values[start:n]
         if n == 1:
-            return self.scheme.add_startup(self.values[1] + near, self.values, 1,
-                                           self.corrected)
+            return self.values[1] + near + self._c0[1] * self.values[0]
         return self.values[n] + near
 
     def _add_startup(self, lo: int, hi: int) -> None:
-        """Add the startup terms of CQScheme.known_sum at the steps
-        [lo, hi) to their pending rows, one block product per term."""
-        s = self.scheme
+        """Add the startup terms c0[n] values[0] + c1[n] values[1] at the
+        steps [lo, hi) to their pending rows, one block product per term."""
         rows = slice(lo, min(hi, len(self.values)))
         cols = self._columns
-        if self.corrected:
-            cols[rows] += s.w0[rows, None] * cols[0]
-            if s.chi:
-                cols[rows] += s.w1[rows, None] * cols[1]
-        elif s.chi:
-            cols[rows] -= s.omega_cumsum[rows, None] * cols[0]
+        cols[rows] += self._c0[rows, None] * cols[0]
+        cols[rows] += self._c1[rows, None] * cols[1]
 
     def _far_field(self, m: int) -> None:
         """Add the block ending at step m to the pending rows after it."""

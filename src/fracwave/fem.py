@@ -141,9 +141,9 @@ class FemSystem:
     mesh: Mesh
     M: sp.csr_matrix
     K: sp.csr_matrix
-    _M_solve: Callable | None = field(default=None, repr=False)
-    _K_solve: Callable | None = field(default=None, repr=False)
-    _lambda_max: float | None = field(default=None, repr=False)
+    _M_solve: Callable | None = field(default=None, init=False, repr=False)
+    _K_solve: Callable | None = field(default=None, init=False, repr=False)
+    _lambda_max: float | None = field(default=None, init=False, repr=False)
 
     @property
     def ndof(self) -> int:
@@ -228,7 +228,9 @@ def _field_at(fn, phys: np.ndarray) -> np.ndarray:
 
 
 def load_vector(system: FemSystem, f, quad_order: int = 3) -> np.ndarray:
-    """Interior load entries int f phi_i dx by per-element Gauss quadrature."""
+    """Interior load entries int f phi_i dx by per-element quadrature: quad_order
+    Gauss points per interval; triangles ignore it and take the degree-2
+    edge-midpoint rule."""
     mesh = system.mesh
     phys, wts, basis = _element_quadrature(mesh, quad_order)
     contrib = np.einsum("eq,eq,qa->ea", wts, _field_at(f, phys), basis)
@@ -246,7 +248,7 @@ def _gradient_load(system: FemSystem, field: ScalarField, quad_order: int = 3):
 
 
 def ritz_projection(system: FemSystem, u, quad_order: int = 3) -> np.ndarray:
-    """H1-elliptic projection of a continuous field."""
+    """H1-elliptic projection of a continuous field; triangles ignore quad_order."""
     g = _gradient_load(system, u, quad_order)
     return system.solve_stiffness(g)
 
@@ -264,7 +266,8 @@ def interpolate(system: FemSystem, field: ScalarField) -> np.ndarray:
 
 def l2_error_against(system: FemSystem, x: np.ndarray, field: ScalarField,
                      quad_order: int = 5) -> float:
-    """L2 distance between a coefficient vector and a continuous function."""
+    """L2 distance of a coefficient vector from a function; triangles ignore
+    quad_order."""
     mesh = system.mesh
     phys, wts, basis = _element_quadrature(mesh, quad_order)
     uh = np.einsum("qa,ea->eq", basis, _gather(mesh, x))
@@ -273,7 +276,8 @@ def l2_error_against(system: FemSystem, x: np.ndarray, field: ScalarField,
 
 def h1_seminorm_error_against(system: FemSystem, x: np.ndarray, field: ScalarField,
                               quad_order: int = 5) -> float:
-    """H1 seminorm distance between a coefficient vector and a function."""
+    """H1 seminorm distance of a coefficient vector from a function; triangles
+    ignore quad_order."""
     mesh = system.mesh
     if field.gradient is None:
         raise ValueError("H1 error needs the gradient of the reference function")

@@ -281,10 +281,10 @@ class ConvergenceReport:
     corrected: bool
     coupling: float
     levels: list            # (h, kappa, error_energy, error_l2max)
-    rate_energy: float = field(default=None)
-    rate_l2: float = field(default=None)
-    pre_asymptotic_energy: bool = False
-    pre_asymptotic_l2: bool = False
+    rate_energy: float = field(default=None, init=False)     # set by fit()
+    rate_l2: float = field(default=None, init=False)
+    pre_asymptotic_energy: bool = field(default=False, init=False)
+    pre_asymptotic_l2: bool = field(default=False, init=False)
 
     def fit(self) -> None:
         self.rate_energy, self.pre_asymptotic_energy = fit_rate(
@@ -303,17 +303,10 @@ class ConvergenceReport:
         )
 
 
-def _side_length(case: ManufacturedCase) -> float:
-    if case.dimension == 1:
-        a, b = case.domain
-        return b - a
-    (a, b), _ = case.domain
-    return b - a
-
-
 def level_cells(case: ManufacturedCase, kappa: float) -> int:
     """Cells per side of the mesh with h = coupling * kappa."""
-    return round(_side_length(case) / (case.coupling * kappa))
+    a, b = case.domain if case.dimension == 1 else case.domain[0]
+    return round((b - a) / (case.coupling * kappa))
 
 
 @functools.lru_cache(maxsize=_SYSTEMS_KEPT)
@@ -402,18 +395,13 @@ def run_damping_demo(gammas=(0.25, 0.75, -0.25, -0.75), n_per_side: int = 32,
     The undamped baseline is labeled "none".  n_per_side must be even so
     the origin is a mesh node.
     """
-    if n_per_side % 2 != 0:
+    n = n_per_side
+    if n % 2 != 0:
         raise ValueError("n_per_side must be even so (0,0) is a node")
-    mesh = build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), n_per_side)
-    system = assemble(mesh)
-    kappa = mesh.h / _DAMPING_COUPLING
-    center = np.flatnonzero(
-        (np.abs(mesh.nodes[mesh.interior][:, 0]) < 1e-12)
-        & (np.abs(mesh.nodes[mesh.interior][:, 1]) < 1e-12)
-    )
-    if len(center) != 1:
-        raise RuntimeError("origin is not an interior mesh node")
-    dof = int(center[0])
+    system = mesh_system(2, ((-1.0, 1.0), (-1.0, 1.0)), n)
+    kappa = system.mesh.h / _DAMPING_COUPLING
+    # node (i, j) is i (n + 1) + j; the origin is (n/2, n/2)
+    dof = int(system.mesh.interior_index[(n // 2) * (n + 2)])
     bump = _gaussian_bump()
     traces, energies = {}, {}
     for g in (None,) + tuple(gammas):

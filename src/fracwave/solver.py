@@ -107,10 +107,6 @@ def _project_initial(system: FemSystem, data, name: str) -> np.ndarray:
     return ritz_projection(system, data)
 
 
-def _spatial_load(config: SimConfig) -> np.ndarray:
-    return load_vector(config.fem, config.f.spatial.value)
-
-
 def _temporal_values(config: SimConfig, times: np.ndarray) -> np.ndarray:
     values = np.asarray(config.f.temporal(times), dtype=float)
     if values.shape != times.shape:
@@ -131,7 +127,8 @@ def initial_data(config: SimConfig, f0: np.ndarray | None = None):
     u0_h = _project_initial(system, config.u0, "u0")
     dtu0_h = _project_initial(system, config.v0, "v0")
     if f0 is None and config.f is not None:
-        f0 = _temporal_values(config, np.zeros(1))[0] * _spatial_load(config)
+        f0 = (_temporal_values(config, np.zeros(1))[0]
+              * load_vector(system, config.f.spatial.value))
     rhs0 = -(system.K @ u0_h)
     if f0 is not None:
         rhs0 = rhs0 + f0
@@ -235,7 +232,7 @@ def run(config: SimConfig) -> Trajectory:
     times = kappa * np.arange(N + 1)
     load = source = f0 = None
     if config.f is not None:
-        load = _spatial_load(config)
+        load = load_vector(system, config.f.spatial.value)
         source = _temporal_values(config, times)
         f0 = source[0] * load
 
@@ -243,7 +240,7 @@ def run(config: SimConfig) -> Trajectory:
     us = np.empty((N + 1, system.ndof))
     us[0] = u0_h
     us[1] = u1_h
-    history = np.zeros((max(N, 1), system.ndof))
+    history = np.zeros((N, system.ndof))
     history[0] = dtu0_h
     energy = np.empty(N)
     cq = None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
+from fracwave import harness
 from fracwave.cli import main
 from fracwave.cq import CQScheme, bdf2_weights
 from fracwave.fem import assemble, build_mesh
@@ -183,6 +184,18 @@ class TestSolve:
         np.testing.assert_array_equal(state[:, 0], mesh.nodes[mesh.interior][:, 0])
         np.testing.assert_array_equal(state[:, 1], traj.us[-1])
 
+    def test_one_assembly_per_mesh(self, capsys, monkeypatch, fresh_systems):
+        # the command takes its system from harness.mesh_system
+        assembled = []
+        assemble = harness.assemble
+        monkeypatch.setattr(harness, "assemble",
+                            lambda mesh: assembled.append(mesh.h) or assemble(mesh))
+        for corrected in ((), ("--corrected",)):
+            code, _, _ = run_cli(capsys, "solve", "--case", "smooth1d", "--gamma",
+                                 "0.5", "--kappa", "0.015625", *corrected)
+            assert code == 0
+        assert assembled == [1.0 / 11]
+
     def test_step_that_does_not_divide_T_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "solve", "--case", "smooth1d", "--gamma",
                                "0.5", "--kappa", "0.007", "--T", "4")
@@ -208,6 +221,28 @@ class TestConfigFile:
                 if line and not line.startswith(("#", "gamma"))]
         assert code == 0
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("argv, unset", [
+        (["convergence", "--case", "smooth1d", "--gamma", "0.5", "--levels", "3"],
+         "coupling = None"),
+        (["ode", "--gamma", "0.5", "--m", "16"], "cos_forcing = None"),
+    ])
+    def test_config_echo_replays(self, capsys, tmp_path, argv, unset):
+        code, out, _ = run_cli(capsys, *argv, "--outdir", str(tmp_path))
+        echo = tmp_path / "config_echo.txt"
+        assert code == 0
+        assert f"command = {argv[0]}" in echo.read_text()
+        assert unset in echo.read_text()
+        code, replayed, err = run_cli(capsys, "--config", str(echo), argv[0])
+        assert (code, err) == (0, "")
+        assert replayed == out
+
+    def test_echo_of_another_subcommand_is_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = ode\ngamma = 0.5\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), "weights")
+        assert code == 1
+        assert "'ode'" in err and "'weights'" in err
 
     def test_unknown_key_lists_valid_ones(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

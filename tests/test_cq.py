@@ -104,6 +104,45 @@ class TestSchemeTables:
             scheme.omega[0] = 0.0
 
 
+def reference_startup(scheme, values, n, corrected):
+    """known_sum and self_weight at step n with the startup rule written
+    out per choice, independent of CQScheme.startup: w0[n] g_0 + w1[n] g_1
+    (the n = 1 term in the self weight) when corrected, the Caputo shift
+    -chi sum(omega[:n+1]) g_0 when not."""
+    out = scheme.omega[n:0:-1] @ values[:n]
+    weight = scheme.omega[0]
+    if corrected:
+        out = out + scheme.w0[n] * values[0]
+        if n >= 2 and scheme.w1[n] != 0.0:
+            out = out + scheme.w1[n] * values[1]
+        if n == 1:
+            weight += scheme.w1[1]
+    elif scheme.chi:
+        out = out - scheme.omega_cumsum[n] * values[0]
+    return out, weight
+
+
+class TestStartupTable:
+    @pytest.mark.parametrize("ndof", [1, 3])
+    @pytest.mark.parametrize("N", [1, 2, 33])
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("gamma", [-0.75, -0.25, 0.25, 0.75])
+    def test_direct_sum_equals_the_written_out_rule(self, gamma, corrected, N, ndof):
+        scheme = CQScheme.build(gamma, 1.0 / 64, N)
+        rng = np.random.default_rng(N + ndof)
+        values = rng.standard_normal((N + 1,) if ndof == 1 else (N + 1, ndof))
+        for n in range(N + 1):
+            want, weight = reference_startup(scheme, values, n, corrected)
+            assert np.all(scheme.known_sum(values, n, corrected) == want)
+            assert scheme.self_weight(n, corrected) == weight
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_table_is_read_only(self, corrected):
+        for weights in CQScheme.build(0.5, 0.1, 8).startup(corrected):
+            with pytest.raises(ValueError):
+                weights[1] = 0.0
+
+
 class TestCQHistory:
     @pytest.mark.parametrize("ndof", [1, 7])
     @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 64, 257, 300, 1000, 3000])

@@ -353,6 +353,32 @@ class TestDemos:
         e = energies["-0.25"]
         assert np.max(e) <= e[0] * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize("n", [2, 4, 16, 32])
+    def test_damping_demo_traces_the_origin(self, monkeypatch, n):
+        configs, trajectories = [], []
+        run = harness.run
+
+        def recording_run(config):
+            configs.append(config)
+            trajectories.append(run(config))
+            return trajectories[-1]
+
+        monkeypatch.setattr(harness, "run", recording_run)
+        _, traces, _ = run_damping_demo(gammas=(), n_per_side=n, T=2.0 / n)
+        mesh = configs[0].fem.mesh
+        origin = np.flatnonzero(np.all(np.abs(mesh.nodes[mesh.interior]) < 1e-12, axis=1))
+        assert len(origin) == 1
+        np.testing.assert_array_equal(traces["none"], trajectories[0].us[:, origin[0]])
+
+    def test_damping_demo_assembles_once_per_mesh(self, monkeypatch, fresh_systems):
+        assembled = []
+        assemble = harness.assemble
+        monkeypatch.setattr(harness, "assemble",
+                            lambda mesh: assembled.append(mesh.h) or assemble(mesh))
+        for _ in range(2):
+            run_damping_demo(gammas=(0.5,), n_per_side=8, T=0.25)
+        assert assembled == [0.25]
+
     def test_demo_requires_center_node(self):
         with pytest.raises(ValueError):
             run_damping_demo(n_per_side=15)
