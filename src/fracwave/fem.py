@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 # Lanczos vectors of the CFL guard's eigsh (ARPACK's ncv; scipy's default
 # is 20): the top of the spectrum clusters, and a larger subspace needs
@@ -167,11 +168,24 @@ class FemSystem:
 
 
 def _spd_solver(A: sp.csr_matrix) -> Callable:
-    """Solver of A x = b for symmetric positive definite A: SuperLU with
-    the minimum-degree ordering of A^T + A and no pivoting, which fills
-    the factor less than the default COLAMD ordering."""
-    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options=dict(SymmetricMode=True)).solve
+    """Solver of A x = b, for 1-D and 2-D b, for symmetric positive definite A.
+
+    A banded Cholesky factor (LAPACK dpbtrf) is computed once and each
+    solve runs dpbtrs.  The band is max |i - j| over the nonzeros of A:
+    build_mesh numbers the dofs lexicographically, so it is 1 on the
+    interval and at most n on a rectangle of n cells per side.
+    """
+    coo = A.tocoo()
+    lower = (coo.row >= coo.col) & (coo.data != 0.0)
+    rows, cols = coo.row[lower], coo.col[lower]
+    band = int((rows - cols).max(initial=0))
+    ab = np.zeros((band + 1, A.shape[0]))
+    ab[rows - cols, cols] = coo.data[lower]
+    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise ValueError(f"matrix is not positive definite: leading minor {info}"
+                         f" of {A.shape[0]} is not positive")
+    return lambda b: dpbtrs(factor, b, lower=1)[0]
 
 
 def assemble(mesh: Mesh) -> FemSystem:

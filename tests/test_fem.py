@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from fracwave.fem import (
     ScalarField,
+    _spd_solver,
     assemble,
     build_mesh,
     h1_seminorm_error_against,
@@ -258,6 +259,7 @@ class TestSolvers:
         (1, (0.0, 1.0), 2), (1, (0.0, 1.0), 7), (1, (0.0, 1.0), 1000),
         (2, ((-1.0, 1.0), (-1.0, 1.0)), 16), (2, ((0.0, 1.0), (0.0, 1.0)), 64),
         (2, ((0.0, 2.0), (0.0, 1.0)), 9), (2, ((0.0, 2.0), (0.0, 1.0)), 40),
+        (2, ((0.0, 1.0), (0.0, 1.0)), 2),
     ])
     def test_mass_and_stiffness_residuals(self, dimension, domain, cells):
         # normwise backward error |A x - b| / (|A| |x|), max norms, of one
@@ -271,6 +273,17 @@ class TestSolvers:
                 x = solve(b)
                 assert x.shape == b.shape
                 assert np.max(np.abs(A @ x - b)) <= 1e-14 * norm * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("dimension,domain,cells", [
+        (1, (0.0, 1.0), 16), (2, ((0.0, 1.0), (0.0, 1.0)), 8),
+    ])
+    def test_indefinite_matrix_is_refused(self, dimension, domain, cells):
+        # K - shift M is symmetric, banded and indefinite for a shift inside
+        # the spectrum of (K, M)
+        system = assemble(build_mesh(dimension, domain, cells))
+        shifted = system.K - 0.5 * system.lambda_max() * system.M
+        with pytest.raises(ValueError, match="not positive definite"):
+            _spd_solver(shifted)
 
 
 class TestInverseConstant:

@@ -169,6 +169,25 @@ class TestRun:
         SimConfig(fem=interval_system(64), T=1.0, kappa=1.0 / 512)
         assert calls == [1]
 
+    @staticmethod
+    def first_offending_step(config):
+        """Reference: the energy and its kinetic part 1/2 |d|_M^2 of every
+        step, checked as it is made; None if no step exceeds the limit."""
+        system, kappa = config.fem, config.kappa
+        u0, u1, v0 = initial_data(config)
+        state = SimState(n=1, u_prev=u0, u_cur=u1,
+                         history=np.zeros((config.n_steps, system.ndof)),
+                         cq=None, source=None, load=None)
+        e1 = discrete_energy(system, u1, u0, system.K @ u0, kappa)
+        while state.n < config.n_steps:
+            new = step(config, state)
+            e = discrete_energy(system, new.u_cur, state.u_cur, system.K @ state.u_cur, kappa)
+            d = (new.u_cur - state.u_cur) / kappa
+            if max(e, 0.5 * d @ (system.M @ d)) > ENERGY_ABORT_FACTOR * e1:
+                return new.n
+            state = new
+        return None
+
     def test_cfl_violation_diverges(self, monkeypatch):
         import fracwave.solver as solver
 
@@ -192,24 +211,28 @@ class TestRun:
         x = system.mesh.nodes[system.mesh.interior][:, 0]
         u0 = np.sin(np.pi * x) + 1e-3 * np.sin(31.0 * np.pi * x)
         config = SimConfig(fem=system, T=200.0 * kappa, kappa=kappa, u0=u0)
-        # reference: the energy of every step, checked as it is made
-        u0, u1, v0 = initial_data(config)
-        state = SimState(n=1, u_prev=u0, u_cur=u1, history=np.zeros((200, system.ndof)),
-                         cq=None, source=None, load=None)
-        e1 = discrete_energy(system, u1, u0, system.K @ u0, kappa)
-        first = None
-        while first is None and state.n < config.n_steps:
-            new = step(config, state)
-            e = discrete_energy(system, new.u_cur, state.u_cur, system.K @ state.u_cur, kappa)
-            if e > ENERGY_ABORT_FACTOR * e1:
-                first = new.n
-            state = new
+        first = self.first_offending_step(config)
         assert first is not None and first % CHECK_STEPS != 0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with pytest.raises(SolverDivergence, match=f"at step {first};"):
                 run(config)
         assert caught == []
+
+    def test_divergence_is_caught_while_the_energy_stays_put(self, monkeypatch):
+        import fracwave.solver as solver
+
+        # the seeded top mode grows by 2 per step; leapfrog conserves the
+        # energy, so only its kinetic part shows the growth
+        monkeypatch.setattr(solver, "inverse_constant", lambda system: 1e-3)
+        system = interval_system(32)
+        kappa = 1.5 * math.sqrt(2.0) * system.mesh.h / math.sqrt(12.0)
+        x = system.mesh.nodes[system.mesh.interior][:, 0]
+        u0 = np.sin(np.pi * x) + 1e-3 * np.sin(31.0 * np.pi * x)
+        config = SimConfig(fem=system, T=40.0 * kappa, kappa=kappa, u0=u0)
+        assert self.first_offending_step(config) == 18
+        with pytest.raises(SolverDivergence, match="at step 18;"):
+            run(config)
 
 
 class CountingCSR(sp.csr_matrix):
@@ -321,6 +344,11 @@ class TestModeStructure:
                        corrected=corrected)
         assert np.max(np.abs(traj.us[:, probe] / mode[probe] - d)) <= 1e-12
 
+
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_scalar_run_needs_a_step(self, N):
+        with pytest.raises(ValueError, match=f"N={N}"):
+            scalar_run(0.5, 1.0, 4.0, 0.1, N, d0=1.0, d1=1.0, dtd0=0.0)
 
     @pytest.mark.parametrize("gamma,corrected", [(-0.5, False), (0.5, True)])
     def test_long_run_modes_and_history(self, gamma, corrected):
