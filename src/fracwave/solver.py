@@ -7,9 +7,10 @@ leapfrog coefficient; for the corrected scheme the first step's w1
 contribution also references the unknown and is folded into the same
 shift.  A step costs one stiffness mat-vec and one mass solve (one
 factorization of M is reused throughout).  The known part of the sum
-comes from the blocked history `cq.CQHistory`, so the time loop costs
-O(N log^2 N * ndof).  The energy log and the divergence check run once
-per block of CHECK_STEPS steps, on the trajectory rows of that block.
+comes from the blocked history `cq.CQHistory`, exact up to lag 127 and
+a sum of Q ~ 100 exponentials beyond, so the time loop costs
+O(N * Q * ndof).  The energy log and the divergence check run once per
+block of CHECK_STEPS steps, on the trajectory rows of that block.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fracwave.cq import (
+    FAR_STEPS,
     CQHistory,
     CQScheme,
     apply_cq,
@@ -13,6 +14,7 @@ from fracwave.cq import (
     bdf2_weights,
     central_diff_sequence,
     mixed_operator,
+    tail_weights,
 )
 from fracwave.fraccalc import caputo_monomial
 
@@ -143,28 +145,60 @@ class TestStartupTable:
                 weights[1] = 0.0
 
 
+class TestTailWeights:
+    @pytest.mark.parametrize("N", [256, 1000, 3000, 8192, 16384])
+    @pytest.mark.parametrize("gamma", [-0.95, -0.75, -0.5, -0.05, 0.05, 0.5, 0.7, 0.75, 0.95])
+    def test_exponential_sum_matches_weights_past_far_steps(self, gamma, N):
+        kappa = 4.0 / N
+        weights, log_rates = tail_weights(gamma, kappa, N)
+        lags = np.arange(FAR_STEPS + 1, N + 1)
+        want = bdf2_weights(gamma, kappa, N)[FAR_STEPS + 1:]
+        got = np.exp(np.outer(lags, log_rates)) @ weights
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-11
+
+    def test_node_count(self):
+        # 16 Gauss-Jacobi nodes and seven 12-point panels up to z = 0.45
+        assert len(tail_weights(0.5, 1.0 / 2048, 8192)[0]) == 100
+
+
+def check_against_direct_sum(gamma, corrected, N, ndof):
+    """The blocked sum against CQScheme.known_sum, the direct sum, at
+    every step; ndof = 1 runs on a 1-D (scalar) sequence."""
+    scheme = CQScheme.build(gamma, 1.0 / 64, N)
+    rng = np.random.default_rng(N + ndof)
+    shape = (N + 1,) if ndof == 1 else (N + 1, ndof)
+    values = rng.standard_normal(shape)
+    rows = np.zeros(shape)
+    rows[0] = values[0]
+    history = CQHistory(scheme, rows, corrected)
+    for n in range(1, N + 1):
+        got = history.known_sum(n)
+        want = scheme.known_sum(values, n, corrected)
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        rows[n] = values[n]
+
+
 class TestCQHistory:
     @pytest.mark.parametrize("ndof", [1, 7])
-    @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 64, 257, 300, 1000, 3000])
+    @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 64, 128, 129, 192, 257, 300, 1000, 3000])
     @pytest.mark.parametrize("corrected", [False, True])
     @pytest.mark.parametrize("gamma", [-0.5, 0.5])
     def test_matches_direct_sum_at_every_step(self, gamma, corrected, N, ndof):
-        # the blocked sum against CQScheme.known_sum, the direct sum;
-        # ndof = 1 runs on a 1-D (scalar) sequence; N = 257 and 300 end
-        # in a Toeplitz block whose omega[:2 size] runs past omega_N
-        scheme = CQScheme.build(gamma, 1.0 / 64, N)
-        rng = np.random.default_rng(N + ndof)
-        shape = (N + 1,) if ndof == 1 else (N + 1, ndof)
-        values = rng.standard_normal(shape)
-        rows = np.zeros(shape)
-        rows[0] = values[0]
-        history = CQHistory(scheme, rows, corrected)
-        for n in range(1, N + 1):
-            got = history.known_sum(n)
-            want = scheme.known_sum(values, n, corrected)
-            assert np.shape(got) == np.shape(want)
-            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-            rows[n] = values[n]
+        # N = 129 reaches the tail at its last row only; N = 33 ends in a
+        # Toeplitz block whose omega[:2 size] runs past omega_N
+        check_against_direct_sum(gamma, corrected, N, ndof)
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("gamma", [-0.5, 0.5])
+    def test_matches_direct_sum_at_decay_length(self, gamma, corrected):
+        check_against_direct_sum(gamma, corrected, 8192, 7)
+
+    @pytest.mark.parametrize("rows", [1, 64, 128, 129, 300])
+    def test_tail_only_past_two_far_blocks(self, rows):
+        # a run of N <= 128 steps has at most 128 history rows
+        history = CQHistory(CQScheme.build(0.5, 1.0 / 64, 300), np.zeros(rows), corrected=True)
+        assert (history.tail is not None) == (rows > 2 * FAR_STEPS)
 
     def test_sums_go_in_step_order(self):
         scheme = CQScheme.build(0.5, 0.1, 8)

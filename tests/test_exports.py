@@ -1,4 +1,4 @@
-"""The package's export list, and what importing it loads."""
+"""The package's export list, and what importing it and a damped run load."""
 
 import json
 import os
@@ -13,13 +13,28 @@ import fracwave
 # scipy.optimize) on its first call.
 _NOT_ON_IMPORT = ("scipy.special", "scipy.integrate", "scipy.optimize")
 
+# A damped run of more than 128 steps builds the exponential tail of its
+# CQ history with numpy.linalg.eigh: it leaves those modules unloaded and
+# imports no numpy.polynomial (which scipy.sparse, in scipy 1.17, has
+# already imported, so only the run's own imports can be checked).
 _FRESH_PROCESS = f"""
 import json, sys
 import fracwave, fracwave.cli, fracwave.acceptance
 loaded = [m for m in {_NOT_ON_IMPORT!r} if m in sys.modules]
+from fracwave.fraccalc import FracParams
+from fracwave.harness import mesh_system
+from fracwave.solver import SimConfig, run
+before = set(sys.modules)
+system = mesh_system(1, (0.0, 1.0), 16)
+config = SimConfig(fem=system, T=0.25, kappa=1.0 / 1024, frac=FracParams(0.5),
+                   u0=system.mesh.nodes[system.mesh.interior][:, 0] ** 2)
+steps = len(run(config).times) - 1
+polynomial_by_run = "numpy.polynomial" in set(sys.modules) - before
+loaded_after_run = [m for m in {_NOT_ON_IMPORT!r} if m in sys.modules]
 from fracwave.fraccalc import rl_integral_monomial, rl_integral_quadrature
 quadrature = rl_integral_quadrature(lambda s: s * s, 0.5, 1.7)
-print(json.dumps(dict(loaded=loaded, quadrature=quadrature,
+print(json.dumps(dict(loaded=loaded, steps=steps, polynomial_by_run=polynomial_by_run,
+                      loaded_after_run=loaded_after_run, quadrature=quadrature,
                       closed_form=rl_integral_monomial(0.5, 2.0, 1.7))))
 """
 
@@ -44,4 +59,7 @@ def test_import_leaves_special_and_integrate_unloaded():
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["loaded"] == []
+    assert out["steps"] > 128          # the damped run built its exponential tail
+    assert not out["polynomial_by_run"]
+    assert out["loaded_after_run"] == []
     assert abs(out["quadrature"] - out["closed_form"]) <= 1e-13 * out["closed_form"]
