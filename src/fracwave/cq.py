@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fracwave.fraccalc import check_order
+from fracwave.fraccalc import check_order, gauss_jacobi
 
 
 def bdf2_weights(gamma: float, kappa: float, N: int) -> np.ndarray:
@@ -139,14 +139,6 @@ NEAR_BITS = 5   # near field: aligned blocks of 2**5 = 32 steps
 FAR_STEPS = 2 << NEAR_BITS   # 64: exact lags below 2 * FAR_STEPS, older ones by the tail
 
 
-def _gauss_rule(diag: np.ndarray, off: np.ndarray, mass: float):
-    """Golub-Welsch: nodes and weights of the Gauss rule whose Jacobi
-    matrix has the diagonal diag and the off-diagonal off, for a weight
-    of total mass `mass`."""
-    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return nodes, mass * vectors[0] ** 2
-
-
 def tail_weights(gamma: float, kappa: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Weights W and log-rates log(lam) of the exponential sum
     omega_l ~ sum_q W_q lam_q**l for FAR_STEPS < l <= N.
@@ -159,23 +151,19 @@ def tail_weights(gamma: float, kappa: float, N: int) -> tuple[np.ndarray, np.nda
     z = 0.45 are below round-off of omega_l, so each node z_q gives one
     mode lam_q = r+(z_q).  The rule is 16-point Gauss-Jacobi (weight
     z**gamma) on [0, 4/N], then 12-point Gauss-Legendre on panels that
-    grow by 3x up to z = 0.45: Q = 100 nodes at N = 8192, and omega_l to
-    about 4e-13 relative for |gamma| <= 0.95 and N from 256 to 16384.
+    grow by 3x up to z = 0.45, both from fraccalc.gauss_jacobi: Q = 100
+    nodes at N = 8192, and omega_l to about 4e-13 relative for
+    |gamma| <= 0.95 and N from 256 to 16384.  N <= FAR_STEPS leaves no
+    lag for the tail and raises ValueError.
     """
-    # Jacobi polynomials P^(0, gamma), weight (1 + x)**gamma on [-1, 1];
-    # mapped by z = a (1 + x) / 2, whose weight z**gamma has mass
-    # a**(gamma + 1) / (gamma + 1) on [0, a]
-    k = np.arange(1.0, 16.0)
-    diag = np.empty(16)
-    diag[0] = gamma / (gamma + 2.0)
-    diag[1:] = gamma**2 / ((2 * k + gamma) * (2 * k + gamma + 2.0))
-    off = 2 * k * (k + gamma) / ((2 * k + gamma) * np.sqrt((2 * k + gamma) ** 2 - 1.0))
-    x, w = _gauss_rule(diag, off, 1.0 / (gamma + 1.0))
+    if N <= FAR_STEPS:
+        raise ValueError(f"no lag above FAR_STEPS = {FAR_STEPS} for N = {N}")
+    # z = a (1 + x) / 2 on [0, a] takes the weight (1 + x)**gamma to z**gamma
+    x, w = gauss_jacobi(16, 0.0, gamma)
     a = 4.0 / N
-    nodes, weights = [a * (1.0 + x) / 2.0], [a ** (gamma + 1.0) * w]
-    # Legendre polynomials on [-1, 1], one panel [a, b] at a time
-    k = np.arange(1.0, 12.0)
-    x, w = _gauss_rule(np.zeros(12), k / np.sqrt(4 * k * k - 1.0), 2.0)
+    nodes, weights = [a * (1.0 + x) / 2.0], [(a / 2.0) ** (gamma + 1.0) * w]
+    # Gauss-Legendre on one panel [a, b] at a time
+    x, w = gauss_jacobi(12, 0.0, 0.0)
     while a < 0.45:
         b = min(3.0 * a, 0.45)
         z = a + (b - a) * (1.0 + x) / 2.0
@@ -255,7 +243,7 @@ class CQHistory:
         self.scheme = scheme
         self.values = values
         self.corrected = corrected
-        self._c0, self._c1 = scheme.startup(corrected)
+        self._startup = np.column_stack(scheme.startup(corrected))
         self._columns = values if values.ndim == 2 else values[:, None]
         self._n = 0
         self._kernels = {size: self._kernel(size) for size in (1 << NEAR_BITS, FAR_STEPS)}
@@ -278,16 +266,15 @@ class CQHistory:
             self._add_startup(n, start + (1 << NEAR_BITS))
         near = self.scheme.omega[n - start:0:-1] @ self.values[start:n]
         if n == 1:
-            return self.values[1] + near + self._c0[1] * self.values[0]
+            return self.values[1] + near + self._startup[1, 0] * self.values[0]
         return self.values[n] + near
 
     def _add_startup(self, lo: int, hi: int) -> None:
         """Add the startup terms c0[n] values[0] + c1[n] values[1] at the
-        steps [lo, hi) to their pending rows, one block product per term."""
+        steps [lo, hi) to their pending rows, by one (rows x 2) x (2 x ndof)
+        product."""
         rows = slice(lo, min(hi, len(self.values)))
-        cols = self._columns
-        cols[rows] += self._c0[rows, None] * cols[0]
-        cols[rows] += self._c1[rows, None] * cols[1]
+        self._columns[rows] += self._startup[rows] @ self._columns[:2]
 
     def _far_field(self, m: int) -> None:
         """Add the blocks that end at step m to the pending rows after it."""

@@ -17,6 +17,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from fracwave.fraccalc import gauss_jacobi
+
 # Lanczos vectors of the CFL guard's eigsh (ARPACK's ncv; scipy's default
 # is 20): the top of the spectrum clusters, and a larger subspace needs
 # far fewer restarts, so far fewer mass solves.
@@ -125,9 +127,11 @@ def _basis_gradients(mesh: Mesh) -> np.ndarray:
 
 
 def _reference_rule(dimension: int, quad_order: int):
-    """Barycentric points (nq, dim+1) and weights (nq,) summing to one."""
+    """Barycentric points (nq, dim+1) and weights (nq,) summing to one: on
+    the interval the quad_order-point Gauss-Legendre rule of
+    fraccalc.gauss_jacobi."""
     if dimension == 1:
-        q, w = np.polynomial.legendre.leggauss(quad_order)
+        q, w = gauss_jacobi(quad_order, 0.0, 0.0)
         q = 0.5 * (q + 1.0)
         return np.column_stack([1.0 - q, q]), 0.5 * w
     # degree-2 exact edge-midpoint rule

@@ -157,27 +157,28 @@ def rl_integral_quadrature(f, beta: float, t: float) -> float:
     return t**beta / (beta * math.gamma(beta)) * out[0]
 
 
-@functools.lru_cache(maxsize=16)
-def _gauss_jacobi_rule(beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes u and weights of the Gauss rule for int_0^1 (1-u)^(beta-1) g(u) du.
+@functools.lru_cache(maxsize=32)
+def gauss_jacobi(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x on [-1, 1] and weights of the n-point Gauss rule for the
+    weight (1-x)^a (1+x)^b, a, b > -1; exact on polynomials of degree 2n-1.
 
-    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
-    the Jacobi polynomials P^(beta-1, 0), mapped from [-1, 1] to [0, 1],
-    and each weight is the squared first component of its unit
-    eigenvector times the weight's integral 1/beta.  (scipy's roots_jacobi
-    recomputes the weights from polynomial values instead, which costs up
-    to 1e-12 relative on the moments at beta = 1/4.)  Cached per beta, as
-    read-only arrays.
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues
+    of the Jacobi matrix of the Jacobi polynomials P^(a,b), and each
+    weight is the squared first component of its unit eigenvector times
+    the weight's mass 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2).
+    (scipy's roots_jacobi recomputes the weights from polynomial values
+    instead, which costs up to 1e-12 relative on the moments at a = -3/4.)
+    Cached per (n, a, b), as read-only arrays.
     """
-    a = beta - 1.0
-    k = np.arange(1, GAUSS_JACOBI_NODES, dtype=float)
-    s = 2.0 * k + a
-    diag = np.concatenate([[-a / (a + 2.0)], -a * a / (s * (s + 2.0))])
-    off = 2.0 * k * (k + a) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
-    u, vectors = eigh_tridiagonal(0.5 * (1.0 + diag), 0.5 * off)
-    w = vectors[0] ** 2 / beta
-    u.flags.writeable = w.flags.writeable = False
-    return u, w
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + a + b
+    diag = np.concatenate([[(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))])
+    off = 2.0 / s * np.sqrt(k * (k + a) * (k + b) * (k + a + b) / ((s + 1.0) * (s - 1.0)))
+    x, vectors = eigh_tridiagonal(diag, off)
+    mass = 2.0 ** (a + b + 1.0) * math.gamma(a + 1.0) * math.gamma(b + 1.0)
+    w = mass / math.gamma(a + b + 2.0) * vectors[0] ** 2
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def rl_integral_gauss_jacobi(g, beta: float, t):
@@ -193,7 +194,9 @@ def rl_integral_gauss_jacobi(g, beta: float, t):
     """
     if beta <= 0.0:
         raise ValueError(f"integral order must be positive, got {beta}")
-    u, w = _gauss_jacobi_rule(beta)
+    x, w = gauss_jacobi(GAUSS_JACOBI_NODES, beta - 1.0, 0.0)
+    # u = (1 + x) / 2, and (1-x)^(beta-1) dx = 2^beta (1-u)^(beta-1) du
+    u, w = 0.5 * (1.0 + x), w * 2.0**-beta
     t = np.asarray(t, dtype=float)
     return t**beta / math.gamma(beta) * (g(t[..., None] * u) @ w)
 

@@ -146,7 +146,7 @@ class TestStartupTable:
 
 
 class TestTailWeights:
-    @pytest.mark.parametrize("N", [256, 1000, 3000, 8192, 16384])
+    @pytest.mark.parametrize("N", [129, 256, 1000, 3000, 8192, 16384])
     @pytest.mark.parametrize("gamma", [-0.95, -0.75, -0.5, -0.05, 0.05, 0.5, 0.7, 0.75, 0.95])
     def test_exponential_sum_matches_weights_past_far_steps(self, gamma, N):
         kappa = 4.0 / N
@@ -159,6 +159,11 @@ class TestTailWeights:
     def test_node_count(self):
         # 16 Gauss-Jacobi nodes and seven 12-point panels up to z = 0.45
         assert len(tail_weights(0.5, 1.0 / 2048, 8192)[0]) == 100
+
+    @pytest.mark.parametrize("N", [4, FAR_STEPS])
+    def test_rejects_lengths_without_a_tail(self, N):
+        with pytest.raises(ValueError, match=f"N = {N}"):
+            tail_weights(0.5, 1.0 / N, N)
 
 
 def check_against_direct_sum(gamma, corrected, N, ndof):

@@ -14,9 +14,10 @@ import fracwave
 _NOT_ON_IMPORT = ("scipy.special", "scipy.integrate", "scipy.optimize")
 
 # A damped run of more than 128 steps builds the exponential tail of its
-# CQ history with numpy.linalg.eigh: it leaves those modules unloaded and
-# imports no numpy.polynomial (which scipy.sparse, in scipy 1.17, has
-# already imported, so only the run's own imports can be checked).
+# CQ history from fraccalc.gauss_jacobi (scipy.linalg's eigh_tridiagonal):
+# it leaves those modules unloaded and imports no numpy.polynomial (which
+# scipy.sparse, in scipy 1.17, has already imported, so only the run's own
+# imports can be checked).
 _FRESH_PROCESS = f"""
 import json, sys
 import fracwave, fracwave.cli, fracwave.acceptance

@@ -15,6 +15,7 @@ from fracwave.fraccalc import (
     caputo_quadrature,
     caputo_series,
     constants_table,
+    gauss_jacobi,
     positivity_constants,
     rl_integral_gauss_jacobi,
     rl_integral_monomial,
@@ -179,6 +180,29 @@ class TestCaputoSeries:
 
 
 class TestGaussJacobi:
+    @pytest.mark.parametrize("n", [3, 12, 16, 48])
+    @pytest.mark.parametrize("a, b", [(0.0, 0.0), (-0.75, 0.0), (0.5, 0.0),
+                                      (0.0, 0.7), (0.0, -0.7), (0.3, -0.6)])
+    def test_moments(self, a, b, n):
+        # int (1-x)^a (1+x)^(b+k) dx over [-1, 1], a Beta integral
+        x, w = gauss_jacobi(n, a, b)
+        k = np.arange(2 * n)
+        want = (2.0 ** (a + b + k + 1.0) * sp_gamma(a + 1.0) * sp_gamma(b + k + 1.0)
+                / sp_gamma(a + b + k + 2.0))
+        got = (1.0 + x) ** k[:, None] @ w
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_legendre_matches_leggauss(self):
+        x, w = gauss_jacobi(12, 0.0, 0.0)
+        want_x, want_w = np.polynomial.legendre.leggauss(12)
+        np.testing.assert_allclose(x, want_x, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(w, want_w, rtol=0.0, atol=1e-14)
+
+    def test_rule_is_read_only(self):
+        for arr in gauss_jacobi(5, 0.5, -0.25):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
     @pytest.mark.parametrize("gamma", [-0.75, -0.25, 0.25, 0.7, 0.75])
     @pytest.mark.parametrize("mu", [2, 3, 5, 8])
     def test_caputo_of_monomials(self, gamma, mu):
