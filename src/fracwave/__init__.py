@@ -6,6 +6,8 @@ convolution quadrature applied to central differences, with optional
 startup correction weights.
 """
 
+__version__ = "0.1.0"
+
 from fracwave.fraccalc import (
     FracParams,
     a_gamma,

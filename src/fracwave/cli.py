@@ -10,8 +10,8 @@ or written, goes through one comma-separated table writer.  A flat
 `key = value` config file can preset any flag of the chosen subcommand;
 command-line flags override it.  Every run that writes files also writes
 a config echo next to them: the subcommand and its flags as
-`key = value` lines, headed by the Python, numpy and scipy versions as
-comment lines.
+`key = value` lines, headed by the Python, numpy, scipy and fracwave
+versions as comment lines.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from fracwave import __version__
 from fracwave.cq import CQScheme, bdf2_weights
 from fracwave.fraccalc import FracParams, constants_table
 from fracwave.harness import (
@@ -58,6 +59,7 @@ def _environment_lines() -> list[str]:
         f"# python = {platform.python_version()}",
         f"# numpy = {np.__version__}",
         f"# scipy = {scipy.__version__}",
+        f"# fracwave = {__version__}",
     ]
 
 

@@ -52,14 +52,24 @@ class Mesh:
     elements: np.ndarray        # (num_elems, dim+1) vertex indices
     interior: np.ndarray        # interior node indices, in dof order
     interior_index: np.ndarray  # node -> dof index, -1 on the boundary
+    # read-only, as every run on the mesh shares them
+    measures: np.ndarray = field(init=False, repr=False, compare=False)   # |det J| / d!
+    gradients: np.ndarray = field(init=False, repr=False, compare=False)  # (ne, d+1, d)
+
+    def __post_init__(self) -> None:
+        # J has the edges p_k - p_0 as columns; the rows of J^{-1} are the
+        # gradients of lambda_1..lambda_d, and lambda_0 = 1 - sum_k lambda_k
+        pts = self.nodes[self.elements]
+        jac = np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
+        self.measures = np.abs(np.linalg.det(jac)) / math.factorial(self.dimension)
+        inv = np.linalg.inv(jac)
+        self.gradients = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
+        self.measures.flags.writeable = False
+        self.gradients.flags.writeable = False
 
     @property
     def num_interior(self) -> int:
         return len(self.interior)
-
-    def element_measures(self) -> np.ndarray:
-        """Per-element measure |det J| / d!."""
-        return np.abs(np.linalg.det(_jacobians(self))) / math.factorial(self.dimension)
 
 
 def build_mesh(dimension: int, domain, n_per_side: int) -> Mesh:
@@ -110,31 +120,14 @@ def build_mesh(dimension: int, domain, n_per_side: int) -> Mesh:
     )
 
 
-def _jacobians(mesh: Mesh) -> np.ndarray:
-    """Per-element J (ne, d, d) with the edges p_k - p_0 as columns."""
-    pts = mesh.nodes[mesh.elements]
-    return np.swapaxes(pts[:, 1:] - pts[:, :1], 1, 2)
-
-
-def _basis_gradients(mesh: Mesh) -> np.ndarray:
-    """P1 basis gradients (ne, d+1, d).
-
-    The rows of J^{-1} are the gradients of the barycentric coordinates
-    lambda_1..lambda_d, and lambda_0 = 1 - sum_k lambda_k.
-    """
-    inv = np.linalg.inv(_jacobians(mesh))
-    return np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
-
-
-def _reference_rule(dimension: int, quad_order: int):
+def _reference_rule(dimension: int):
     """Barycentric points (nq, dim+1) and weights (nq,) summing to one: on
-    the interval the quad_order-point Gauss-Legendre rule of
-    fraccalc.gauss_jacobi."""
+    the interval the 3-point Gauss-Legendre rule of fraccalc.gauss_jacobi,
+    on triangles the degree-2 exact edge-midpoint rule."""
     if dimension == 1:
-        q, w = gauss_jacobi(quad_order, 0.0, 0.0)
+        q, w = gauss_jacobi(3, 0.0, 0.0)
         q = 0.5 * (q + 1.0)
         return np.column_stack([1.0 - q, q]), 0.5 * w
-    # degree-2 exact edge-midpoint rule
     return (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
             np.full(3, 1.0 / 3.0))
 
@@ -194,7 +187,7 @@ def _spd_solver(A: sp.csr_matrix) -> Callable:
 
 def assemble(mesh: Mesh) -> FemSystem:
     """Standard P1 mass and stiffness assembly with Dirichlet elimination."""
-    measures, grads = mesh.element_measures(), _basis_gradients(mesh)
+    measures, grads = mesh.measures, mesh.gradients
     d = mesh.dimension
     k_loc = measures[:, None, None] * grads @ np.swapaxes(grads, 1, 2)
     m_loc = (measures / ((d + 1) * (d + 2)))[:, None, None] * (
@@ -212,15 +205,15 @@ def assemble(mesh: Mesh) -> FemSystem:
     return FemSystem(mesh=mesh, M=csr(m_loc), K=csr(k_loc))
 
 
-def _element_quadrature(mesh: Mesh, quad_order: int):
+def _element_quadrature(mesh: Mesh):
     """Physical quadrature points, weights, and P1 values per element.
 
     Returns (points (ne, nq, dim), jac-weighted weights (ne, nq),
     basis values (nq, dim+1)).
     """
-    lam, w = _reference_rule(mesh.dimension, quad_order)
+    lam, w = _reference_rule(mesh.dimension)
     phys = np.einsum("qa,ead->eqd", lam, mesh.nodes[mesh.elements])
-    return phys, mesh.element_measures()[:, None] * w, lam
+    return phys, mesh.measures[:, None] * w, lam
 
 
 def _scatter(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
@@ -245,29 +238,27 @@ def _field_at(fn, phys: np.ndarray) -> np.ndarray:
     return vals.reshape(ne, nq, *vals.shape[1:])
 
 
-def load_vector(system: FemSystem, f, quad_order: int = 3) -> np.ndarray:
-    """Interior load entries int f phi_i dx by per-element quadrature: quad_order
-    Gauss points per interval; triangles ignore it and take the degree-2
-    edge-midpoint rule."""
+def load_vector(system: FemSystem, f) -> np.ndarray:
+    """Interior load entries int f phi_i dx by per-element quadrature."""
     mesh = system.mesh
-    phys, wts, basis = _element_quadrature(mesh, quad_order)
+    phys, wts, basis = _element_quadrature(mesh)
     contrib = np.einsum("eq,eq,qa->ea", wts, _field_at(f, phys), basis)
     return _scatter(mesh, contrib)
 
 
-def _gradient_load(system: FemSystem, field: ScalarField, quad_order: int = 3):
+def _gradient_load(system: FemSystem, field: ScalarField):
     """Entries int grad(u) . grad(phi_i) dx for the Ritz right side."""
     mesh = system.mesh
     if field.gradient is None:
         raise ValueError("Ritz projection of a function needs its gradient")
-    phys, wts, _ = _element_quadrature(mesh, quad_order)
+    phys, wts, _ = _element_quadrature(mesh)
     integral = np.einsum("eq,eqd->ed", wts, _field_at(field.gradient, phys))
-    return _scatter(mesh, np.einsum("ead,ed->ea", _basis_gradients(mesh), integral))
+    return _scatter(mesh, np.einsum("ead,ed->ea", mesh.gradients, integral))
 
 
-def ritz_projection(system: FemSystem, u, quad_order: int = 3) -> np.ndarray:
-    """H1-elliptic projection of a continuous field; triangles ignore quad_order."""
-    g = _gradient_load(system, u, quad_order)
+def ritz_projection(system: FemSystem, u) -> np.ndarray:
+    """H1-elliptic projection of a continuous field."""
+    g = _gradient_load(system, u)
     return system.solve_stiffness(g)
 
 
@@ -282,25 +273,22 @@ def interpolate(system: FemSystem, field: ScalarField) -> np.ndarray:
     )
 
 
-def l2_error_against(system: FemSystem, x: np.ndarray, field: ScalarField,
-                     quad_order: int = 5) -> float:
-    """L2 distance of a coefficient vector from a function; triangles ignore
-    quad_order."""
+def l2_error_against(system: FemSystem, x: np.ndarray, field: ScalarField) -> float:
+    """L2 distance of a coefficient vector from a function."""
     mesh = system.mesh
-    phys, wts, basis = _element_quadrature(mesh, quad_order)
+    phys, wts, basis = _element_quadrature(mesh)
     uh = np.einsum("qa,ea->eq", basis, _gather(mesh, x))
     return float(np.sqrt(np.sum(wts * (uh - _field_at(field.value, phys)) ** 2)))
 
 
-def h1_seminorm_error_against(system: FemSystem, x: np.ndarray, field: ScalarField,
-                              quad_order: int = 5) -> float:
-    """H1 seminorm distance of a coefficient vector from a function; triangles
-    ignore quad_order."""
+def h1_seminorm_error_against(system: FemSystem, x: np.ndarray,
+                              field: ScalarField) -> float:
+    """H1 seminorm distance of a coefficient vector from a function."""
     mesh = system.mesh
     if field.gradient is None:
         raise ValueError("H1 error needs the gradient of the reference function")
-    phys, wts, _ = _element_quadrature(mesh, quad_order)
-    grad_uh = np.einsum("ea,ead->ed", _gather(mesh, x), _basis_gradients(mesh))
+    phys, wts, _ = _element_quadrature(mesh)
+    grad_uh = np.einsum("ea,ead->ed", _gather(mesh, x), mesh.gradients)
     diff = grad_uh[:, None, :] - _field_at(field.gradient, phys)
     return float(np.sqrt(np.sum(wts * np.sum(diff**2, axis=2))))
 

@@ -201,17 +201,12 @@ def rl_integral_gauss_jacobi(g, beta: float, t):
     return t**beta / math.gamma(beta) * (g(t[..., None] * u) @ w)
 
 
-def caputo_quadrature(gamma: float, t: float, f=None, df=None, d2f=None) -> float:
+def caputo_quadrature(gamma: float, t: float, df=None, d2f=None) -> float:
     """Caputo derivative by quadrature of the defining integral.
 
     The classical derivative of the appropriate order must be supplied:
-    df for orders in (0,1), d2f for orders in (1,2), f itself for
-    negative orders (where the Caputo derivative is an integral).
+    df for orders in (0,1), d2f for orders in (1,2).
     """
-    if gamma < 0.0:
-        if f is None:
-            raise ValueError("f required for negative order")
-        return rl_integral_quadrature(f, -gamma, t)
     if 0.0 < gamma < 1.0:
         if df is None:
             raise ValueError("df required for order in (0,1)")
@@ -244,11 +239,11 @@ def positivity_constants(gamma: float, T: float) -> tuple[float, float]:
     return c1, c2
 
 
-def constants_table(grid_points: int, T: float = 1.0) -> np.ndarray:
-    """Tabulate (gamma, C1, C2) on an equispaced interior grid of (0,1)."""
+def constants_table(grid_points: int) -> np.ndarray:
+    """Tabulate (gamma, C1, C2) at T = 1 on an equispaced interior grid of (0,1)."""
     gammas = np.arange(1, grid_points + 1) / (grid_points + 1)
     rows = np.empty((grid_points, 3))
     for i, g in enumerate(gammas):
-        c1, c2 = positivity_constants(float(g), T)
+        c1, c2 = positivity_constants(float(g), 1.0)
         rows[i] = (g, c1, c2)
     return rows

@@ -362,19 +362,19 @@ def run_convergence(case: ManufacturedCase, corrected: bool, levels: int = 4,
 
 
 def time_errors(case: ManufacturedCase, n_per_side: int, corrected: bool,
-                kappa0: float, levels: int, T: float = 1.0) -> list[float]:
+                kappa0: float, levels: int) -> list[float]:
     """Time error alone, on one fixed mesh.
 
     For kappa = kappa0 / 2**lev, lev = 0..levels-1, returns
-    max_n ||u_kappa(t_n) - u_{kappa/2}(t_n)||_M over t_n = n kappa.  Both
-    runs share the mesh, so their spatial errors cancel and the
+    max_n ||u_kappa(t_n) - u_{kappa/2}(t_n)||_M over t_n = n kappa in [0, 1].
+    Both runs share the mesh, so their spatial errors cancel and the
     differences fall at the rate of the time discretization alone.
     """
     system = mesh_system(case.dimension, case.domain, n_per_side)
-    coarse = solve_case(case, system, kappa0, corrected, T).us
+    coarse = solve_case(case, system, kappa0, corrected).us
     errors = []
     for lev in range(1, levels + 1):
-        fine = solve_case(case, system, kappa0 / 2**lev, corrected, T).us
+        fine = solve_case(case, system, kappa0 / 2**lev, corrected).us
         diff = lambda lo, hi: fine[2 * lo:2 * hi:2] - coarse[lo:hi]
         errors.append(float(np.max(_m_norms(system, coarse.shape[0], diff))))
         coarse = fine

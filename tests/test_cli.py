@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 
-from fracwave import harness
+from fracwave import __version__, harness
 from fracwave.cli import main
 from fracwave.cq import CQScheme, bdf2_weights
 from fracwave.fem import assemble, build_mesh
@@ -129,7 +129,8 @@ class TestConvergence:
         assert "corrected = True" in echo
         assert echo.startswith(f"# python = {platform.python_version()}\n"
                                f"# numpy = {np.__version__}\n"
-                               f"# scipy = {scipy.__version__}\n")
+                               f"# scipy = {scipy.__version__}\n"
+                               f"# fracwave = {__version__}\n")
         rows = csv_rows(outdir / "convergence_smooth1d.csv")
         assert rows[0] == "level,h,kappa,error_energy,error_l2max"
         assert len(rows) == 4

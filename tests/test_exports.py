@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fracwave
 
 # Modules a fresh `import fracwave` leaves unloaded: scalar Gamma comes
@@ -43,6 +45,14 @@ print(json.dumps(dict(loaded=loaded, steps=steps, polynomial_by_run=polynomial_b
 def test_every_exported_name_resolves():
     missing = [name for name in fracwave.__all__ if not hasattr(fracwave, name)]
     assert not missing
+
+
+def test_version_is_the_one_in_pyproject():
+    # pyproject.toml states the version statically, because the benchmark's
+    # run record reads it from there; fracwave.__version__ must agree
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert fracwave.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
 
 
 def test_star_import():

@@ -67,10 +67,34 @@ class TestBuildMesh:
 
     def test_element_measures_sum_to_domain(self):
         mesh = build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), 6)
-        assert mesh.element_measures().sum() == pytest.approx(4.0, rel=1e-12)
-        assert np.all(mesh.element_measures() > 0.0)
+        assert mesh.measures.sum() == pytest.approx(4.0, rel=1e-12)
+        assert np.all(mesh.measures > 0.0)
         mesh1 = build_mesh(1, (0.0, 1.0), 7)
-        assert mesh1.element_measures().sum() == pytest.approx(1.0, rel=1e-12)
+        assert mesh1.measures.sum() == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("domain", [UNIT_INTERVAL, UNIT_SQUARE], ids=["1d", "2d"])
+    def test_geometry_is_read_only(self, domain):
+        mesh = build_mesh(*domain, 4)
+        for array in (mesh.measures, mesh.gradients):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    @pytest.mark.parametrize("domain, field", [
+        (UNIT_INTERVAL, sin_field), (UNIT_SQUARE, sin_sin_field)],
+        ids=["1d", "2d"])
+    def test_geometry_is_computed_once_per_mesh(self, monkeypatch, domain, field):
+        mesh = build_mesh(*domain, 8)
+        calls = []
+        for name in ("det", "inv"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, f=original, **k: calls.append(1) or f(*a, **k))
+        system = assemble(mesh)
+        x = ritz_projection(system, field())
+        load_vector(system, field().value)
+        l2_error_against(system, x, field())
+        h1_seminorm_error_against(system, x, field())
+        assert calls == []
 
     def test_boundary_nodes_have_no_dof(self):
         mesh = build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), 4)
@@ -187,10 +211,11 @@ class TestLoadVector:
         lv = load_vector(system, lambda x: np.ones(len(x)))
         assert lv == pytest.approx(np.full(7, 1.0 / 8), rel=1e-13)
 
-    def test_sine_load_vs_adaptive_quadrature(self):
+    def test_cubic_load_vs_adaptive_quadrature(self):
+        # the 3-point Gauss rule is exact for a cubic times a hat
         n = 8
         system = assemble(build_mesh(1, (0.0, 1.0), n))
-        lv = load_vector(system, lambda x: np.sin(np.pi * x[:, 0]), quad_order=6)
+        lv = load_vector(system, lambda x: x[:, 0] ** 2 * (1.0 - x[:, 0]))
         h = 1.0 / n
         for dof, i in enumerate(range(1, n)):
             xi = i * h
@@ -198,7 +223,7 @@ class TestLoadVector:
             def hat(s):
                 return max(0.0, 1.0 - abs(s - xi) / h)
 
-            ref = quad(lambda s: math.sin(math.pi * s) * hat(s),
+            ref = quad(lambda s: s**2 * (1.0 - s) * hat(s),
                        xi - h, xi + h, epsabs=1e-12)[0]
             assert lv[dof] == pytest.approx(ref, abs=1e-10)
 
@@ -211,7 +236,7 @@ class TestProjections:
         errs = []
         for n in (8, 16, 32):
             system = assemble(build_mesh(*domain, n))
-            x = ritz_projection(system, field(), quad_order=6)
+            x = ritz_projection(system, field())
             errs.append(l2_error_against(system, x, field()))
         order = float(-np.polyfit(range(3), np.log2(errs), 1)[0])
         assert order == pytest.approx(2.0, abs=0.1)
@@ -223,7 +248,7 @@ class TestProjections:
         errs = []
         for n in (8, 16, 32):
             system = assemble(build_mesh(*domain, n))
-            x = ritz_projection(system, field(), quad_order=6)
+            x = ritz_projection(system, field())
             errs.append(h1_seminorm_error_against(system, x, field()))
         order = float(-np.polyfit(range(3), np.log2(errs), 1)[0])
         assert order == pytest.approx(1.0, abs=0.1)
@@ -232,8 +257,8 @@ class TestProjections:
         system = assemble(build_mesh(1, (0.0, 1.0), 16))
         from fracwave.fem import _gradient_load
 
-        g = _gradient_load(system, sin_field(), quad_order=6)
-        x = ritz_projection(system, sin_field(), quad_order=6)
+        g = _gradient_load(system, sin_field())
+        x = ritz_projection(system, sin_field())
         residual = np.max(np.abs(system.K @ x - g))
         assert residual <= 1e-10 * np.max(np.abs(g))
 

@@ -161,6 +161,11 @@ class TestCaputoMonomial:
         ref = caputo_quadrature(1.5, 1.0, d2f=lambda s: 2.0 + 0.0 * s)
         assert caputo_monomial(1.5, 2.0, 1.0) == pytest.approx(ref, abs=1e-10)
 
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, 1.0, 2.0])
+    def test_quadrature_rejects_unsupported_orders(self, gamma):
+        with pytest.raises(ValueError, match=f"unsupported order {gamma}"):
+            caputo_quadrature(gamma, 1.0, df=lambda s: 1.0, d2f=lambda s: 0.0 * s)
+
 
 class TestCaputoSeries:
     @pytest.mark.parametrize("gamma", [-0.5, 0.5, 1.5])

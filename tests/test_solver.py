@@ -174,16 +174,19 @@ class TestRun:
         """Reference: the energy and its kinetic part 1/2 |d|_M^2 of every
         step, checked as it is made; None if no step exceeds the limit."""
         system, kappa = config.fem, config.kappa
+        load = source = None
+        if config.f is not None:
+            load = load_vector(system, config.f.spatial.value)
+            source = config.f.temporal(kappa * np.arange(config.n_steps + 1))
         u0, u1, v0 = initial_data(config)
         state = SimState(n=1, u_prev=u0, u_cur=u1,
                          history=np.zeros((config.n_steps, system.ndof)),
-                         cq=None, source=None, load=None)
-        e1 = discrete_energy(system, u1, u0, system.K @ u0, kappa)
+                         cq=None, source=source, load=load)
         while state.n < config.n_steps:
             new = step(config, state)
             e = discrete_energy(system, new.u_cur, state.u_cur, system.K @ state.u_cur, kappa)
             d = (new.u_cur - state.u_cur) / kappa
-            if max(e, 0.5 * d @ (system.M @ d)) > ENERGY_ABORT_FACTOR * e1:
+            if 0.5 * d @ (system.M @ d) > ENERGY_ABORT_FACTOR * max(e, 0.0):
                 return new.n
             state = new
         return None
@@ -232,6 +235,33 @@ class TestRun:
         config = SimConfig(fem=system, T=40.0 * kappa, kappa=kappa, u0=u0)
         assert self.first_offending_step(config) == 18
         with pytest.raises(SolverDivergence, match="at step 18;"):
+            run(config)
+
+    @pytest.mark.parametrize("kappa", [1.0 / 1024, 1.0 / 2048])
+    def test_stable_forced_run_from_rest_finishes(self, kappa):
+        # E_1 = kappa^2/8 |M^-1 F(0)|_M^2 is tiny from rest, and the forced
+        # energy soon passes any fixed multiple of it
+        system = interval_system(32)
+        config = SimConfig(fem=system, T=1.0, kappa=kappa,
+                           f=SeparableSource(spatial=sin_field(),
+                                             temporal=lambda t: np.ones_like(t)))
+        assert self.first_offending_step(config) is None
+        traj = run(config)
+        assert np.max(np.abs(traj.us[-1])) > 0.1
+
+    def test_divergence_is_caught_when_the_first_energy_vanishes(self, monkeypatch):
+        import fracwave.solver as solver
+
+        # from rest with G(0) = 0, u_1 = u_0 = 0 and E_1 = 0
+        monkeypatch.setattr(solver, "inverse_constant", lambda system: 1e-3)
+        system = interval_system(32)
+        kappa = 1.5 * math.sqrt(2.0) * system.mesh.h / math.sqrt(12.0)
+        config = SimConfig(fem=system, T=200.0 * kappa, kappa=kappa,
+                           f=SeparableSource(spatial=sin_field(),
+                                             temporal=lambda t: np.sin(3.0 * t)))
+        first = self.first_offending_step(config)
+        assert first is not None
+        with pytest.raises(SolverDivergence, match=f"at step {first};"):
             run(config)
 
 
