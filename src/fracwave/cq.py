@@ -22,22 +22,22 @@ from fracwave.fraccalc import check_order, gauss_jacobi
 def bdf2_weights(gamma: float, kappa: float, N: int) -> np.ndarray:
     """First N+1 Taylor coefficients of (delta(zeta)/kappa)^gamma.
 
-    Uses the factorization delta(zeta) = (3/2)(1 - zeta)(1 - zeta/3):
-    two binomial series with the stable recurrence
-    c_j = c_{j-1} (j-1-gamma)/j, one discrete convolution, and the scale
-    (3/(2 kappa))^gamma.  O(N^2) work; a direct convolution, so no
-    aliasing.
+    With delta(zeta) = (3/2) p(zeta), p(zeta) = 1 - 4 zeta/3 + zeta^2/3,
+    the coefficients f_n of p^gamma satisfy p f' = gamma p' f, that is
+    f_0 = 1, f_1 = -4 gamma/3 and
+    f_{n+1} = ((2n - 2 gamma) f_n - ((n-1)/2 - gamma) f_{n-1}) 2/(3(n+1)),
+    scaled by (3/(2 kappa))^gamma.  O(N) work; forward-stable, as the
+    recurrence's parasitic root is 1/3 and its dominant one 1.
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     if kappa <= 0.0:
         raise ValueError(f"kappa must be positive, got {kappa}")
-    c = np.empty(N + 1)
-    c[0] = 1.0
-    for j in range(1, N + 1):
-        c[j] = c[j - 1] * (j - 1 - gamma) / j
-    d = c * (1.0 / 3.0) ** np.arange(N + 1)
-    omega = np.convolve(c, d)[: N + 1]
+    f = [1.0, -4.0 * gamma / 3.0]
+    for n in range(1, N):
+        f.append(((2.0 * n - 2.0 * gamma) * f[n] - ((n - 1) / 2.0 - gamma) * f[n - 1])
+                 * 2.0 / (3.0 * (n + 1)))
+    omega = np.array(f[:N + 1])
     omega *= (3.0 / (2.0 * kappa)) ** gamma
     return omega
 
@@ -246,7 +246,14 @@ class CQHistory:
         self._startup = np.column_stack(scheme.startup(corrected))
         self._columns = values if values.ndim == 2 else values[:, None]
         self._n = 0
-        self._kernels = {size: self._kernel(size) for size in (1 << NEAR_BITS, FAR_STEPS)}
+        # [omega_32, ..., omega_1, 1], zero-padded past omega_N: its last
+        # r + 1 entries weigh the rows n - r..n in known_sum
+        near = 1 << NEAR_BITS
+        head = scheme.omega[1:near + 1]
+        self._near = np.zeros(near + 1)
+        self._near[near - len(head):near] = head[::-1]
+        self._near[near] = 1.0
+        self._kernels = {size: self._kernel(size) for size in (near, FAR_STEPS)}
         self.tail = (_ExponentialTail(scheme, self._columns.shape[1])
                      if len(values) > 2 * FAR_STEPS else None)
 
@@ -264,10 +271,11 @@ class CQHistory:
             self._far_field(n)
         if start == n or n == 2:
             self._add_startup(n, start + (1 << NEAR_BITS))
-        near = self.scheme.omega[n - start:0:-1] @ self.values[start:n]
+        # the near field and the pending row n in one product
+        out = np.dot(self._near[start + (1 << NEAR_BITS) - n:], self.values[start:n + 1])
         if n == 1:
-            return self.values[1] + near + self._startup[1, 0] * self.values[0]
-        return self.values[n] + near
+            return out + self._startup[1, 0] * self.values[0]
+        return out
 
     def _add_startup(self, lo: int, hi: int) -> None:
         """Add the startup terms c0[n] values[0] + c1[n] values[1] at the

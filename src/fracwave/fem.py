@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from fracwave.fraccalc import gauss_jacobi
 
@@ -167,10 +167,13 @@ class FemSystem:
 def _spd_solver(A: sp.csr_matrix) -> Callable:
     """Solver of A x = b, for 1-D and 2-D b, for symmetric positive definite A.
 
-    A banded Cholesky factor (LAPACK dpbtrf) is computed once and each
-    solve runs dpbtrs.  The band is max |i - j| over the nonzeros of A:
-    build_mesh numbers the dofs lexicographically, so it is 1 on the
-    interval and at most n on a rectangle of n cells per side.
+    The band of A is max |i - j| over its nonzeros: build_mesh numbers
+    the dofs lexicographically, so it is 1 on the interval and at most n
+    on a rectangle of n cells per side.  At band 1 A = L D L^T is
+    factored once by LAPACK dpttrf and each solve runs dpttrs; any other
+    band gets a banded Cholesky factor (dpbtrf) and dpbtrs, whose sweeps
+    at band 1 would make one BLAS call per column.  A single dof (band 0)
+    stays banded: f2py's dpttrf refuses an empty off-diagonal.
     """
     coo = A.tocoo()
     lower = (coo.row >= coo.col) & (coo.data != 0.0)
@@ -178,11 +181,16 @@ def _spd_solver(A: sp.csr_matrix) -> Callable:
     band = int((rows - cols).max(initial=0))
     ab = np.zeros((band + 1, A.shape[0]))
     ab[rows - cols, cols] = coo.data[lower]
-    factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if band == 1:
+        d, e, info = dpttrf(ab[0], ab[1, :-1])
+        solve = lambda b: dpttrs(d, e, b)[0]
+    else:
+        factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        solve = lambda b: dpbtrs(factor, b, lower=1)[0]
     if info != 0:
         raise ValueError(f"matrix is not positive definite: leading minor {info}"
                          f" of {A.shape[0]} is not positive")
-    return lambda b: dpbtrs(factor, b, lower=1)[0]
+    return solve
 
 
 def assemble(mesh: Mesh) -> FemSystem:

@@ -5,12 +5,15 @@ differences of the solution.  The j = n history entry contains the
 unknown u_{n+1}, so it enters each step as a scalar shift of the
 leapfrog coefficient; for the corrected scheme the first step's w1
 contribution also references the unknown and is folded into the same
-shift.  A step costs one stiffness mat-vec and one mass solve (one
-factorization of M is reused throughout).  The known part of the sum
-comes from the blocked history `cq.CQHistory`, exact up to lag 127 and
-a sum of Q ~ 100 exponentials beyond, so the time loop costs
-O(N * Q * ndof).  The energy log and the divergence check run once per
-block of CHECK_STEPS steps, on the trajectory rows of that block.
+shift.  A step costs one stiffness mat-vec, one mass solve (one
+factorization of M is reused throughout) and one product that combines
+u_n, u_{n-1}, the known CQ sum and the solve, with coefficients folded
+once per run; only step 1, with its w1 term, has its own.  The known
+part of the sum comes from the blocked history `cq.CQHistory`, exact
+up to lag 127 and a sum of Q ~ 100 exponentials beyond, so the time
+loop costs O(N * Q * ndof).  The energy log and the divergence check
+run once per block of CHECK_STEPS steps, on the trajectory rows of that
+block.
 """
 
 from __future__ import annotations
@@ -160,38 +163,59 @@ class SimState:
     cq: CQHistory | None      # the damping term's history sum over `history`
     source: np.ndarray | None  # G(t_n) for every step, with f = G(t) * load
     load: np.ndarray | None    # the assembled spatial load
+    combine: tuple | None = None  # step's rows c for n >= 2 and n = 1; the
+                                  # first step folds them and passes them on
+
+
+def _combine_rows(config: SimConfig, cq: CQHistory | None) -> tuple:
+    """The rows c of step's product for n >= 2 and for n = 1.
+
+    Undamped, c = [2, -1, -kappa^2].  Damped, the step-n central
+    difference holds the unknown u_{n+1}, whose weight enters as
+    shift = a w_n / (2 kappa) with w_n = cq.self_weight(n), and
+    c = s [2, kappa^2 shift - 1, -kappa^2 a, -kappa^2] with
+    s = 1 / (1 + kappa^2 shift).  Only w_1 differs, by the corrected
+    scheme's w1 term.
+    """
+    k2 = config.kappa**2
+    if cq is None:
+        row = np.array([2.0, -1.0, -k2])
+        return row, row
+    a = config.a_gamma
+
+    def row(n: int) -> np.ndarray:
+        k2_shift = k2 * a * cq.self_weight(n) / (2.0 * config.kappa)
+        return (1.0 / (1.0 + k2_shift)) * np.array([2.0, k2_shift - 1.0, -k2 * a, -k2])
+
+    return row(2), row(1)
 
 
 def step(config: SimConfig, state: SimState) -> SimState:
     """Advance u_n -> u_{n+1}; appends the step-n central difference.
 
-    Solves coef u_{n+1} = v - M^-1 (K u_n - G(t_n) load), where v and
-    coef hold the leapfrog and CQ terms.  Returns a new state; the one
-    passed in keeps its n and vectors, and shares its history rows with
-    the new one.
+    u_{n+1} = c @ [u_n, u_{n-1}, known_n, M^-1 (K u_n - G(t_n) load)],
+    one product with the row c of _combine_rows (without known_n when
+    undamped), known_n the CQ history sum without its unknown term.
+    Returns a new state; the one passed in keeps its n and vectors, and
+    shares its history rows with the new one.
     """
-    system = config.fem
-    kappa = config.kappa
     n = state.n
     if n < 1:
         raise ValueError("stepping starts at n = 1")
-
-    v = (2.0 * state.u_cur - state.u_prev) / kappa**2
-    coef = 1.0 / kappa**2
-    if state.cq is not None:
-        # the step-n central difference holds the unknown u_{n+1}
-        a = config.a_gamma
-        shift = a * state.cq.self_weight(n) / (2.0 * kappa)
-        v = v - a * state.cq.known_sum(n) + shift * state.u_prev
-        coef += shift
-    rhs = system.K @ state.u_cur
+    combine = state.combine
+    if combine is None:
+        combine = _combine_rows(config, state.cq)
+    rhs = config.fem.K @ state.u_cur
     if state.load is not None:
-        rhs = rhs - state.source[n] * state.load
-
-    u_next = (v - system.solve_mass(rhs)) / coef
-    state.history[n] = (u_next - state.u_prev) / (2.0 * kappa)
+        rhs -= state.source[n] * state.load
+    rows = [state.u_cur, state.u_prev]
+    if state.cq is not None:
+        rows.append(state.cq.known_sum(n))
+    rows.append(config.fem.solve_mass(rhs))
+    u_next = np.dot(combine[n == 1], np.array(rows))
+    state.history[n] = (u_next - state.u_prev) / (2.0 * config.kappa)
     return SimState(n=n + 1, u_prev=state.u_cur, u_cur=u_next, history=state.history,
-                    cq=state.cq, source=state.source, load=state.load)
+                    cq=state.cq, source=state.source, load=state.load, combine=combine)
 
 
 def _check_block(config: SimConfig, us: np.ndarray, energy: np.ndarray,
@@ -277,11 +301,13 @@ def run(config: SimConfig) -> Trajectory:
 def scalar_run(gamma: float | None, a_gamma: float, lam: float, kappa: float,
                N: int, d0: float, d1: float, dtd0: float,
                corrected: bool = False) -> np.ndarray:
-    """The identical recurrence on a single mode: d'' + lam d + damping = 0.
+    """The same recurrence on a single mode: d'' + lam d + damping = 0.
 
-    Mirrors step() with M = 1, K = lam; used to isolate the time
-    discretization from space.  The damping term takes the direct CQ sum
-    of CQScheme, independent of the time loop's CQHistory.
+    step() with M = 1, K = lam, written as a division by the leapfrog
+    and CQ coefficient rather than as step's one product, so the two
+    agree to round-off; used to isolate the time discretization from
+    space.  The damping term takes the direct CQ sum of CQScheme,
+    independent of the time loop's CQHistory.
     """
     if N < 1:
         raise ValueError(f"scalar_run needs N >= 1 steps, got N={N}")

@@ -24,7 +24,27 @@ def fitted_order(errors):
     return float(-np.polyfit(levels, np.log2(errors), 1)[0])
 
 
+def convolution_weights(gamma, kappa, N):
+    """The weights from delta(zeta) = (3/2)(1 - zeta)(1 - zeta/3): two
+    binomial series c_j = c_{j-1} (j-1-gamma)/j, one discrete convolution
+    and the scale (3/(2 kappa))^gamma; O(N^2) work."""
+    c = np.empty(N + 1)
+    c[0] = 1.0
+    for j in range(1, N + 1):
+        c[j] = c[j - 1] * (j - 1 - gamma) / j
+    d = c * (1.0 / 3.0) ** np.arange(N + 1)
+    return np.convolve(c, d)[: N + 1] * (3.0 / (2.0 * kappa)) ** gamma
+
+
 class TestBdf2Weights:
+    @pytest.mark.parametrize("gamma", [-0.95, -0.5, 0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("N", [0, 1, 2, 33, 16384])
+    def test_recurrence_matches_the_convolution(self, gamma, N):
+        kappa = 1.0 / 2048
+        np.testing.assert_allclose(bdf2_weights(gamma, kappa, N),
+                                   convolution_weights(gamma, kappa, N),
+                                   rtol=2e-12, atol=0.0)
+
     def test_integer_order_is_delta_polynomial(self):
         w = bdf2_weights(1.0, 1.0, 4)
         assert w == pytest.approx([1.5, -2.0, 0.5, 0.0, 0.0], abs=1e-14)

@@ -284,7 +284,7 @@ class TestSolvers:
         (1, (0.0, 1.0), 2), (1, (0.0, 1.0), 7), (1, (0.0, 1.0), 1000),
         (2, ((-1.0, 1.0), (-1.0, 1.0)), 16), (2, ((0.0, 1.0), (0.0, 1.0)), 64),
         (2, ((0.0, 2.0), (0.0, 1.0)), 9), (2, ((0.0, 2.0), (0.0, 1.0)), 40),
-        (2, ((0.0, 1.0), (0.0, 1.0)), 2),
+        (2, ((0.0, 1.0), (0.0, 1.0)), 2), (1, (0.0, 1.0), 3),
     ])
     def test_mass_and_stiffness_residuals(self, dimension, domain, cells):
         # normwise backward error |A x - b| / (|A| |x|), max norms, of one

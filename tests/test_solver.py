@@ -12,6 +12,7 @@ import scipy.sparse as sp
 from fracwave.cq import CQHistory, CQScheme, mixed_operator
 from fracwave.fem import ScalarField, assemble, build_mesh, l2_norm, load_vector
 from fracwave.fraccalc import FracParams
+from fracwave import solver
 from fracwave.solver import (
     CHECK_STEPS,
     ENERGY_ABORT_FACTOR,
@@ -275,6 +276,29 @@ class CountingCSR(sp.csr_matrix):
         return super().__matmul__(other)
 
 
+def reference_step(config, state):
+    """The step as it was before it became one product: solves
+    coef u_{n+1} = v - M^-1 (K u_n - G(t_n) load), where v and coef hold
+    the leapfrog and CQ terms."""
+    system = config.fem
+    kappa = config.kappa
+    n = state.n
+    v = (2.0 * state.u_cur - state.u_prev) / kappa**2
+    coef = 1.0 / kappa**2
+    if state.cq is not None:
+        a = config.a_gamma
+        shift = a * state.cq.self_weight(n) / (2.0 * kappa)
+        v = v - a * state.cq.known_sum(n) + shift * state.u_prev
+        coef += shift
+    rhs = system.K @ state.u_cur
+    if state.load is not None:
+        rhs = rhs - state.source[n] * state.load
+    u_next = (v - system.solve_mass(rhs)) / coef
+    state.history[n] = (u_next - state.u_prev) / (2.0 * kappa)
+    return SimState(n=n + 1, u_prev=state.u_cur, u_cur=u_next, history=state.history,
+                    cq=state.cq, source=state.source, load=state.load)
+
+
 class TestTimeLoop:
     CASES = {
         "undamped": dict(),
@@ -298,6 +322,25 @@ class TestTimeLoop:
         for i in range(N):
             want = discrete_energy(system, us[i + 1], us[i], system.K @ us[i], kappa)
             assert traj.energy[i] == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("dimension,domain,cells", [
+        (1, (0.0, 1.0), 32), (2, ((0.0, 1.0), (0.0, 1.0)), 16),
+    ])
+    def test_step_agrees_with_the_reference_step(self, dimension, domain, cells,
+                                                 case, monkeypatch):
+        system = assemble(build_mesh(dimension, domain, cells))
+        N, kappa = 300, 1.0 / 512
+        config = SimConfig(fem=system, T=N * kappa, kappa=kappa, u0=sin_field(),
+                           **self.CASES[case])
+        traj = run(config)
+        monkeypatch.setattr(solver, "step", reference_step)
+        want = run(config)
+        scale = np.max(np.abs(want.us))
+        assert np.max(np.abs(traj.us - want.us)) <= 1e-11 * scale
+        # the history rows are the central differences of the new step's rows
+        np.testing.assert_array_equal(traj.history[1:],
+                                      (traj.us[2:] - traj.us[:-2]) / (2.0 * kappa))
 
     def test_step_leaves_its_input_state_unchanged(self):
         system = interval_system(16)
