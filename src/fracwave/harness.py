@@ -27,16 +27,18 @@ from fracwave.fraccalc import (
 from fracwave.solver import SeparableSource, SimConfig, Trajectory, run
 
 # Largest phase omega * t of the trig time factor at which the
-# Gauss-Jacobi rule has converged to round-off: against adaptive
-# quadrature it agrees to 1e-13 relative up to t = 4.5, 1e-11 at t = 5
-# and 6e-6 at t = 6.
+# Gauss-Jacobi rule has converged to round-off: against the tanh-sinh
+# oracle, fraccalc.rl_integral_quadrature, it agrees to 8e-14 of the
+# largest value on (0, 4.5], 2e-11 on (0, 5] and 1e-5 on (0, 6], for nine
+# orders |gamma| <= 0.95.
 _MAX_PHASE = 2.0 * GAUSS_JACOBI_NODES
 
 # Floats per block of steps in the batched M-norms of trajectories.
 _NORM_BLOCK_FLOATS = 2**16
 
-# verify_case: quad cross-checks of the source at this many seeded random
-# times, each within this relative tolerance.
+# verify_case: tanh-sinh cross-checks (fraccalc.rl_integral_quadrature) of
+# the source at this many seeded random times, each within this relative
+# tolerance.
 _VERIFY_SAMPLES = 20
 _VERIFY_TOL = 1e-7
 _VERIFY_SEED = 7

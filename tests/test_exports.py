@@ -10,9 +10,9 @@ import pytest
 
 import fracwave
 
-# Modules a fresh `import fracwave` leaves unloaded: scalar Gamma comes
-# from math, and rl_integral_quadrature loads quad (which imports
-# scipy.optimize) on its first call.
+# Modules no fracwave code path loads: scalar Gamma comes from math, and
+# the source oracle, rl_integral_quadrature, is a tanh-sinh rule written
+# with math alone, so verify_case leaves them unloaded too.
 _NOT_ON_IMPORT = ("scipy.special", "scipy.integrate", "scipy.optimize")
 
 # A damped run of more than 128 steps builds the exponential tail of its
@@ -36,9 +36,13 @@ polynomial_by_run = "numpy.polynomial" in set(sys.modules) - before
 loaded_after_run = [m for m in {_NOT_ON_IMPORT!r} if m in sys.modules]
 from fracwave.fraccalc import rl_integral_monomial, rl_integral_quadrature
 quadrature = rl_integral_quadrature(lambda s: s * s, 0.5, 1.7)
+from fracwave.harness import build_case, verify_case
+deviation = verify_case(build_case("smooth2d", FracParams(0.7)))
+loaded_after_verify = [m for m in {_NOT_ON_IMPORT!r} if m in sys.modules]
 print(json.dumps(dict(loaded=loaded, steps=steps, polynomial_by_run=polynomial_by_run,
                       loaded_after_run=loaded_after_run, quadrature=quadrature,
-                      closed_form=rl_integral_monomial(0.5, 2.0, 1.7))))
+                      closed_form=rl_integral_monomial(0.5, 2.0, 1.7),
+                      deviation=deviation, loaded_after_verify=loaded_after_verify)))
 """
 
 
@@ -74,3 +78,5 @@ def test_import_leaves_special_and_integrate_unloaded():
     assert not out["polynomial_by_run"]
     assert out["loaded_after_run"] == []
     assert abs(out["quadrature"] - out["closed_form"]) <= 1e-13 * out["closed_form"]
+    assert out["deviation"] <= 1e-7
+    assert out["loaded_after_verify"] == []

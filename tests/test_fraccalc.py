@@ -126,6 +126,27 @@ class TestRlIntegralMonomial:
             rl_integral_monomial(1.0, 1.0, -1.0)
 
 
+class TestRlIntegralQuadrature:
+    @pytest.mark.parametrize("beta", [0.05, 0.25, 0.5, 0.95, 1.3, 1.75])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 1.25, 2.0])
+    def test_against_monomials(self, beta, mu):
+        for t in (0.3, 1.0, 1.7):
+            got = rl_integral_quadrature(lambda s: s**mu, beta, t)
+            want = rl_integral_monomial(beta, mu, t)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("f, reason", [
+        (lambda s: math.sin(1e4 * s), "did not converge in 9 halvings"),
+        (lambda s: float(s > 0.3), "did not converge in 9 halvings"),
+        (lambda s: abs(s - 0.5), "did not converge in 9 halvings"),
+        (lambda s: math.nan, "gave a non-finite sum"),
+    ], ids=["oscillation", "step", "kink", "nan"])
+    def test_fails_loudly(self, f, reason):
+        with pytest.raises(RuntimeError,
+                           match=f"beta = 0.5 at t = 1 {reason}; last two estimates"):
+            rl_integral_quadrature(f, 0.5, 1.0)
+
+
 class TestCaputoMonomial:
     def test_zero_branch(self):
         assert caputo_monomial(0.5, 0.0, 1.0) == 0.0

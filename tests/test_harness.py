@@ -100,7 +100,7 @@ class TestBuildCase:
     @pytest.mark.parametrize("gamma", [-0.75, -0.25, 0.25, 0.7, 0.75])
     def test_trig_fractional_derivative_against_quadrature(self, gamma):
         # D^(gamma+1) of sin 24t + cos 12t at every t_n of the kappa = 1/512
-        # grid, against adaptive quadrature of the defining integral
+        # grid, against tanh-sinh quadrature of the defining integral
         case = build_case("smooth1d", FracParams(gamma=gamma))
         t = np.arange(1, 513) / 512
         got = case.temporal.frac(t)
@@ -111,6 +111,25 @@ class TestBuildCase:
         ref = np.array(ref)
         assert np.max(np.abs(got - ref)) <= 1e-11 * np.max(np.abs(ref))
         assert case.temporal.frac(0.0) == 0.0
+
+    @pytest.mark.parametrize("name", ["smooth1d", "smooth2d", "nonsmooth1d"])
+    @pytest.mark.parametrize("gamma", [-0.95, -0.75, -0.25, 0.05, 0.25, 0.7, 0.75, 0.95])
+    def test_oracle_against_quadpack(self, name, gamma):
+        # the tanh-sinh oracle on every integrand verify_case gives it, at
+        # the seeded verify times and t = 1, against QUADPACK's adaptive
+        # Gauss-Kronrod after t - tau = t s^(1/beta) removes the singularity
+        from scipy.integrate import quad
+
+        case = build_case(name, FracParams(gamma=gamma))
+        f, beta = (case.temporal.d2, 1.0 - gamma) if gamma > 0.0 else (case.temporal.d1, -gamma)
+        rng = np.random.default_rng(harness._VERIFY_SEED)
+        times = [*rng.uniform(0.05, 1.0, size=harness._VERIFY_SAMPLES), 1.0]
+        for t in map(float, times):
+            got = caputo_quadrature(gamma + 1.0, t, df=case.temporal.d1, d2f=case.temporal.d2)
+            out = quad(lambda s: f(t - t * s ** (1.0 / beta)), 0.0, 1.0,
+                       epsabs=1e-13, epsrel=1e-13, limit=200, full_output=1)
+            ref = t**beta / (beta * math.gamma(beta)) * out[0]
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     @pytest.mark.parametrize("name,gamma", [
         ("smooth1d", -0.25), ("smooth1d", 0.75), ("smooth2d", 0.7),

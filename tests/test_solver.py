@@ -425,7 +425,8 @@ class TestModeStructure:
 
     @pytest.mark.parametrize("gamma,corrected", [(-0.5, False), (0.5, True)])
     def test_long_run_modes_and_history(self, gamma, corrected):
-        # N = 4096 steps: far-field FFT blocks up to 2048 steps long
+        # N = 4096 steps: far-field Toeplitz blocks of up to 64 steps, and the
+        # exponential tail beyond lag 127
         N, kappa, cells = 4096, 1.0 / 1024, 64
         system = interval_system(cells)
         x = system.mesh.nodes[system.mesh.interior][:, 0]
