@@ -31,8 +31,10 @@ def bdf2_weights(gamma: float, kappa: float, N: int) -> np.ndarray:
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not math.isfinite(gamma):
+        raise ValueError(f"gamma must be finite, got {gamma}")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     f = [1.0, -4.0 * gamma / 3.0]
     for n in range(1, N):
         f.append(((2.0 * n - 2.0 * gamma) * f[n] - ((n - 1) / 2.0 - gamma) * f[n - 1])

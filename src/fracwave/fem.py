@@ -231,13 +231,6 @@ def _scatter(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
     return full[mesh.interior]
 
 
-def _gather(mesh: Mesh, x: np.ndarray) -> np.ndarray:
-    """Vertex values (ne, dim+1) of an interior coefficient vector."""
-    full = np.zeros(len(mesh.nodes))
-    full[mesh.interior] = x
-    return full[mesh.elements]
-
-
 def _field_at(fn, phys: np.ndarray) -> np.ndarray:
     """Evaluate fn on (ne, nq, dim) points; the result keeps the (ne, nq)
     lead and any trailing axes of fn's output."""
@@ -270,35 +263,11 @@ def ritz_projection(system: FemSystem, u) -> np.ndarray:
     return system.solve_stiffness(g)
 
 
-def l2_norm(system: FemSystem, x: np.ndarray) -> float:
-    return float(np.sqrt(max(x @ (system.M @ x), 0.0)))
-
-
 def interpolate(system: FemSystem, field: ScalarField) -> np.ndarray:
     """Nodal interpolant of a spatial function on the interior nodes."""
     return np.asarray(
         field.value(system.mesh.nodes[system.mesh.interior]), dtype=float
     )
-
-
-def l2_error_against(system: FemSystem, x: np.ndarray, field: ScalarField) -> float:
-    """L2 distance of a coefficient vector from a function."""
-    mesh = system.mesh
-    phys, wts, basis = _element_quadrature(mesh)
-    uh = np.einsum("qa,ea->eq", basis, _gather(mesh, x))
-    return float(np.sqrt(np.sum(wts * (uh - _field_at(field.value, phys)) ** 2)))
-
-
-def h1_seminorm_error_against(system: FemSystem, x: np.ndarray,
-                              field: ScalarField) -> float:
-    """H1 seminorm distance of a coefficient vector from a function."""
-    mesh = system.mesh
-    if field.gradient is None:
-        raise ValueError("H1 error needs the gradient of the reference function")
-    phys, wts, _ = _element_quadrature(mesh)
-    grad_uh = np.einsum("ea,ead->ed", _gather(mesh, x), mesh.gradients)
-    diff = grad_uh[:, None, :] - _field_at(field.gradient, phys)
-    return float(np.sqrt(np.sum(wts * np.sum(diff**2, axis=2))))
 
 
 def max_generalized_eigenvalue(system: FemSystem) -> float:

@@ -272,8 +272,8 @@ def positivity_constants(gamma: float, T: float) -> tuple[float, float]:
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    if T <= 0.0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     c1 = (
         math.pi ** (1.0 - gamma)
         * (1.0 - gamma) ** (1.0 - gamma)

@@ -99,8 +99,8 @@ def solve_volterra(problem: VolterraProblem, T: float, M: int) -> VolterraSoluti
     """
     if M < 2:
         raise ValueError(f"need at least 2 steps, got {M}")
-    if T <= 0.0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"T must be positive and finite, got {T}")
     delta = T / M
     gam = problem.gamma
     sing_coef = problem.a_gamma / math.gamma(1.0 - gam)

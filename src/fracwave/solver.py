@@ -69,8 +69,9 @@ class SimConfig:
     c_inv: float = field(init=False)         # the CFL guard's inverse constant
 
     def __post_init__(self) -> None:
-        if self.kappa <= 0.0 or self.T <= 0.0:
-            raise ValueError("T and kappa must be positive")
+        if not (0.0 < self.kappa < math.inf and 0.0 < self.T < math.inf):
+            raise ValueError(f"T and kappa must be positive and finite,"
+                             f" got T={self.T}, kappa={self.kappa}")
         if self.f is not None and not isinstance(self.f, SeparableSource):
             raise TypeError(f"f must be a SeparableSource or None, got {type(self.f)}")
         steps = self.T / self.kappa

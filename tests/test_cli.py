@@ -68,6 +68,12 @@ class TestWeights:
             np.testing.assert_array_equal(table[:, 3], scheme.w0)
             np.testing.assert_array_equal(table[:, 4], scheme.w1)
 
+    def test_nan_order_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "weights", "--gamma", "nan")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: gamma must be finite")
+
 
 class TestConstants:
     def test_grid_rows_and_ordering(self, capsys):
@@ -114,6 +120,12 @@ class TestOde:
         assert len(rows) == 18
         assert (tmp_path / "config_echo.txt").exists()
 
+    def test_nan_horizon_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "ode", "--gamma", "0.5", "--T", "nan")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: T must be positive and finite")
+
 
 class TestConvergence:
     def test_summary_and_outdir(self, capsys, tmp_path):
@@ -136,6 +148,13 @@ class TestConvergence:
         assert len(rows) == 4
         # the file repeats the table printed to stdout
         assert all(row in out.splitlines() for row in rows)
+
+    def test_horizon_below_the_check_floor(self, capsys):
+        # T below 0.05: the source check draws its times from (0.05 T, T)
+        code, out, _ = run_cli(capsys, "convergence", "--case", "smooth1d", "--gamma",
+                               "0.5", "--levels", "3", "--T", "0.03125")
+        assert code == 0
+        assert "rate_energy=" in out
 
     def test_bad_case_usage_error(self, capsys):
         with pytest.raises(SystemExit):
@@ -203,6 +222,15 @@ class TestSolve:
         assert code == 1
         assert "T=4.0" in err
         assert "kappa=0.007" in err
+
+    @pytest.mark.parametrize("flag", ["--T", "--kappa"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_horizon_or_step_is_an_error(self, capsys, flag, value):
+        code, _, err = run_cli(capsys, "solve", "--case", "smooth1d", "--gamma", "0.5",
+                               flag, value)
+        assert code == 1
+        assert err.startswith("error: ")
+        assert "kappa must be positive and finite" in err
 
 
 class TestConfigFile:

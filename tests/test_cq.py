@@ -94,6 +94,12 @@ class TestBdf2Weights:
         with pytest.raises(ValueError):
             bdf2_weights(0.5, 1.0, -1)
 
+    @pytest.mark.parametrize("gamma, kappa", [
+        (math.nan, 0.1), (math.inf, 0.1), (0.5, math.nan), (0.5, math.inf)])
+    def test_non_finite_order_or_step_rejected(self, gamma, kappa):
+        with pytest.raises(ValueError, match="must be (positive and )?finite"):
+            bdf2_weights(gamma, kappa, 4)
+
 
 class TestSchemeTables:
     def test_negative_order_corrections(self):

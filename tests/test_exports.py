@@ -1,5 +1,7 @@
-"""The package's export list, and what importing it and a damped run load."""
+"""The package's export list, what importing it and a damped run load, and
+that every top-level name in the package is used by the package."""
 
+import ast
 import json
 import os
 import subprocess
@@ -63,6 +65,45 @@ def test_star_import():
     namespace = {}
     exec("from fracwave import *", namespace)
     assert set(fracwave.__all__) <= set(namespace)
+
+
+def _top_level_names(stmt) -> set:
+    """Names a module-level statement defines: a function, a class or
+    assigned names."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)}
+    return set()
+
+
+def _names_read(stmt) -> set:
+    """Names a statement reads, bare or as an attribute of anything."""
+    return ({node.id for node in ast.walk(stmt)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)})
+
+
+def test_every_top_level_name_is_used_by_the_package():
+    # code that only the tests call belongs in the tests: each function,
+    # class and assigned name defined at the top of a module must be read
+    # by some other top-level statement of the package; dunders and the
+    # export list are the package's interface and need no caller
+    defined, statements = {}, []
+    for path in sorted(Path(fracwave.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = _top_level_names(stmt)
+            for name in names:
+                defined.setdefault(name, f"{path.name}:{stmt.lineno}")
+            statements.append((names, _names_read(stmt)))
+    unused = [f"{name} ({where})" for name, where in sorted(defined.items())
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in fracwave.__all__
+              and not any(name in read and name not in names
+                          for names, read in statements)]
+    assert not unused, "defined in src/fracwave but not used there: " + ", ".join(unused)
 
 
 def test_import_leaves_special_and_integrate_unloaded():

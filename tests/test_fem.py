@@ -6,16 +6,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from fem_reference import h1_seminorm_error_against, l2_error_against, l2_norm
 from fracwave.fem import (
     ScalarField,
     _spd_solver,
     assemble,
     build_mesh,
-    h1_seminorm_error_against,
     interpolate,
     inverse_constant,
-    l2_error_against,
-    l2_norm,
     load_vector,
     max_generalized_eigenvalue,
     ritz_projection,

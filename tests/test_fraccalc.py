@@ -291,6 +291,11 @@ class TestPositivityConstants:
         with pytest.raises(ValueError):
             positivity_constants(0.5, 0.0)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, T):
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            positivity_constants(0.5, T)
+
 
 # Orders on a grid of (-1, 1) excluding 0.
 _ORDERS = [g / 20.0 for g in range(-19, 20) if g != 0]

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from fem_reference import l2_norm
 from fracwave import harness
-from fracwave.fem import assemble, build_mesh, l2_norm
+from fracwave.fem import assemble, build_mesh
 from fracwave.fraccalc import (
     FracParams,
     caputo_quadrature,
@@ -15,19 +16,41 @@ from fracwave.fraccalc import (
 )
 from fracwave.harness import (
     _NORM_BLOCK_FLOATS,
+    ManufacturedCase,
     build_case,
     error_norm_energy,
     error_norm_l2max,
     fit_rate,
+    level_cells,
     run_convergence,
     run_damping_demo,
     run_level,
-    singular_exponent_of_source,
     solve_case,
     time_errors,
     verify_case,
 )
 from fracwave.solver import Trajectory
+
+# Times near t = 0 at which the source's singular exponent is fitted.
+_SINGULAR_FIT_TIMES = np.geomspace(1e-9, 1e-7, 12)
+
+
+def singular_exponent_of_source(case: ManufacturedCase) -> float:
+    """Fitted exponent of the non-polynomial part of G near t = 0.
+
+    Only defined for the startup-singularity case, whose smooth part is
+    exactly the quadratic 2 + lap_coef*(1 + t + t^2): every other
+    contribution to G carries a non-integer power of t.  Subtracting the
+    quadratic in closed form exposes the leading singular power.
+    """
+    if case.alpha is None:
+        raise ValueError("singular exponent only defined for nonsmooth cases")
+    ts = _SINGULAR_FIT_TIMES
+    smooth = 2.0 + case.lap_coef * (1.0 + ts + ts * ts)
+    resid = np.abs(case.source_temporal(ts) - smooth)
+    if np.any(resid == 0.0):
+        raise RuntimeError("vanishing singular residual; exponent undefined")
+    return float(np.polyfit(np.log(ts), np.log(resid), 1)[0])
 
 
 class TestBuildCase:
@@ -71,6 +94,32 @@ class TestBuildCase:
         assert verify_case(case, T=1.0) <= 1e-7
         with pytest.raises(RuntimeError, match="source inconsistency"):
             verify_case(case, T=2.0)
+
+    @pytest.mark.parametrize("nan_from", [0.0, 0.5], ids=["everywhere", "past-0.5"])
+    def test_rhs_check_fails_on_nan_source(self, nan_from):
+        # a NaN deviation is not below the tolerance, so it fails the check
+        case = build_case("smooth1d", FracParams(gamma=0.5))
+        exact = case.source_temporal
+        case.source_temporal = lambda t: np.where(np.asarray(t) >= nan_from, np.nan, exact(t))
+        with pytest.raises(RuntimeError, match="source inconsistency nan"):
+            verify_case(case)
+
+    def test_rhs_check_on_a_horizon_below_the_old_floor(self):
+        # the check times are drawn from (0.05 T, T), so T < 0.05 works
+        case = build_case("smooth1d", FracParams(gamma=0.5))
+        assert verify_case(case, T=1.0 / 32) <= 1e-7
+
+    @pytest.mark.parametrize("T", [0.0, math.inf, math.nan])
+    def test_rhs_check_rejects_a_bad_horizon(self, T):
+        case = build_case("smooth1d", FracParams(gamma=0.5))
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            verify_case(case, T=T)
+
+    @pytest.mark.parametrize("kappa", [0.0, math.inf, math.nan])
+    def test_level_cells_rejects_a_bad_step(self, kappa):
+        case = build_case("smooth1d", FracParams(gamma=0.5))
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            level_cells(case, kappa)
 
     @pytest.mark.parametrize("gamma", [0.25, 0.75, -0.25, -0.75])
     def test_source_singular_exponent(self, gamma):

@@ -102,6 +102,12 @@ class TestSolveVolterra:
         with pytest.raises(ValueError):
             solve_volterra(problem, -1.0, 32)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf])
+    def test_non_finite_horizon_rejected(self, T):
+        problem = VolterraProblem(gamma=0.5, a_gamma=1.0, lam=1.0, u0=0.0, v0=0.0)
+        with pytest.raises(ValueError, match="T must be positive and finite"):
+            solve_volterra(problem, T, 32)
+
 
 class TestAsymptotics:
     def test_positive_order_startup_exponent(self):

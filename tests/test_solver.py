@@ -9,8 +9,9 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from fem_reference import l2_norm
 from fracwave.cq import CQHistory, CQScheme, mixed_operator
-from fracwave.fem import ScalarField, assemble, build_mesh, l2_norm, load_vector
+from fracwave.fem import ScalarField, assemble, build_mesh, load_vector
 from fracwave.fraccalc import FracParams
 from fracwave import solver
 from fracwave.solver import (
@@ -136,6 +137,13 @@ class TestRun:
         system = interval_system(16)
         with pytest.raises(ValueError, match="CFL"):
             SimConfig(fem=system, T=1.0, kappa=0.2, u0=sin_field())
+
+    @pytest.mark.parametrize("T, kappa", [
+        (math.inf, 1.0 / 64), (math.nan, 1.0 / 64), (1.0, math.inf), (1.0, math.nan)])
+    def test_end_time_and_step_must_be_finite(self, T, kappa):
+        system = interval_system(16)
+        with pytest.raises(ValueError, match="T and kappa must be positive and finite"):
+            SimConfig(fem=system, T=T, kappa=kappa, u0=sin_field())
 
     def test_step_must_divide_the_end_time(self):
         system = interval_system(16)
