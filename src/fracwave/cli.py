@@ -29,6 +29,8 @@ from fracwave import __version__
 from fracwave.cq import CQScheme, bdf2_weights
 from fracwave.fraccalc import FracParams, constants_table
 from fracwave.harness import (
+    _GEOMETRY,
+    CASES,
     build_case,
     error_norm_energy,
     error_norm_l2max,
@@ -117,6 +119,8 @@ def cmd_ode(args) -> int:
     forcing = None
     if args.cos_forcing is not None:
         w = args.cos_forcing
+        if not math.isfinite(w):
+            raise ValueError(f"cos-forcing must be finite, got {w}")
         forcing = lambda t: math.cos(w * t)
     problem = VolterraProblem(gamma=args.gamma, a_gamma=frac.a_gamma,
                               lam=args.lam, u0=args.u0, v0=args.v0, f=forcing)
@@ -242,16 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ode)
 
     p = sub.add_parser("convergence", help="manufactured refinement study")
-    p.add_argument("--case", required=True,
-                   choices=["smooth1d", "smooth2d", "nonsmooth1d"])
+    p.add_argument("--case", required=True, choices=list(CASES))
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--alpha0", type=float, default=1.0)
     p.add_argument("--corrected", action="store_true")
     p.add_argument("--levels", type=int, default=4)
+    one, two = _GEOMETRY[1], _GEOMETRY[2]
     p.add_argument("--coupling", type=float, default=None,
-                   help="h = coupling * kappa (default: 6 in 1D, 10 in 2D)")
+                   help=f"h = coupling * kappa (default: {one.coupling:g} in 1D,"
+                        f" {two.coupling:g} in 2D)")
     p.add_argument("--kappa0", type=float, default=None,
-                   help="coarsest step (default 1/64 in 1D, 1/40 in 2D)")
+                   help=f"coarsest step (default 1/{1 / one.kappa0:g} in 1D,"
+                        f" 1/{1 / two.kappa0:g} in 2D)")
     p.add_argument("--T", type=float, default=1.0)
     p.add_argument("--outdir")
     p.set_defaults(func=cmd_convergence)
@@ -270,8 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("solve", help="single manufactured run with snapshot")
-    p.add_argument("--case", required=True,
-                   choices=["smooth1d", "smooth2d", "nonsmooth1d"])
+    p.add_argument("--case", required=True, choices=list(CASES))
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--alpha0", type=float, default=1.0)
     p.add_argument("--corrected", action="store_true")

@@ -248,14 +248,19 @@ class CQHistory:
         self._startup = np.column_stack(scheme.startup(corrected))
         self._columns = values if values.ndim == 2 else values[:, None]
         self._n = 0
-        # [omega_32, ..., omega_1, 1], zero-padded past omega_N: its last
-        # r + 1 entries weigh the rows n - r..n in known_sum
+        # omega_0..omega_{2 FAR_STEPS - 1}, zero-padded past omega_N, which
+        # no row of values reaches
+        omega = np.zeros(2 * FAR_STEPS)
+        head = scheme.omega[:2 * FAR_STEPS]
+        omega[:len(head)] = head
+        # [omega_32, ..., omega_1, 1]: its last r + 1 entries weigh the rows
+        # n - r..n in known_sum
         near = 1 << NEAR_BITS
-        head = scheme.omega[1:near + 1]
-        self._near = np.zeros(near + 1)
-        self._near[near - len(head):near] = head[::-1]
-        self._near[near] = 1.0
-        self._kernels = {size: self._kernel(size) for size in (near, FAR_STEPS)}
+        self._near = np.append(omega[near:0:-1], 1.0)
+        # the Toeplitz matrices that _far_field applies to a block of each
+        # size: T[r, c] = omega[size + r - c] takes row m - size + c to row m + r
+        self._kernels = {size: omega[size + np.arange(size)[:, None] - np.arange(size)]
+                         for size in (near, FAR_STEPS)}
         self.tail = (_ExponentialTail(scheme, self._columns.shape[1])
                      if len(values) > 2 * FAR_STEPS else None)
 
@@ -294,16 +299,6 @@ class CQHistory:
         pending += self._kernels[size][:len(pending)] @ cols[m - size:m]
         if size == FAR_STEPS and m >= 2 * FAR_STEPS:
             self.tail.advance(cols[m - 2 * FAR_STEPS:m - FAR_STEPS], pending)
-
-    def _kernel(self, size: int) -> np.ndarray:
-        """The Toeplitz matrix of omega[:2 size] that _far_field applies to
-        a block of that size: T[r, c] = omega[size + r - c] takes row
-        m - size + c to row m + r."""
-        # zero-padded past omega_N, which no row of values reaches
-        omega = np.zeros(2 * size)
-        head = self.scheme.omega[:2 * size]
-        omega[:len(head)] = head
-        return omega[size + np.arange(size)[:, None] - np.arange(size)]
 
 
 def _cq_sum(scheme: CQScheme, g: np.ndarray, n: int, corrected: bool):

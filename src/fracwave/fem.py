@@ -78,33 +78,26 @@ def build_mesh(dimension: int, domain, n_per_side: int) -> Mesh:
     diagonal for determinism."""
     if n_per_side < 2:
         raise ValueError(f"n_per_side must be at least 2, got {n_per_side}")
+    if dimension not in (1, 2):
+        raise ValueError(f"dimension must be 1 or 2, got {dimension}")
     n = n_per_side
+    # one (a, b) side per axis; node (i, j) is i * (n + 1) + j
+    sides = (domain,) if dimension == 1 else domain
+    if any(b <= a for a, b in sides):
+        raise ValueError(f"degenerate {('interval', 'rectangle')[dimension - 1]} {domain}")
+    axes = np.meshgrid(*(np.linspace(a, b, n + 1) for a, b in sides), indexing="ij")
+    nodes = np.column_stack([x.ravel() for x in axes])
+    index = np.indices((n + 1,) * dimension).reshape(dimension, -1)
+    boundary = ((index == 0) | (index == n)).any(axis=0)
+    h = max((b - a) / n for a, b in sides)
     if dimension == 1:
-        a, b = domain
-        if b <= a:
-            raise ValueError(f"degenerate interval {domain}")
-        nodes = np.linspace(a, b, n + 1).reshape(-1, 1)
         elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-        boundary = np.zeros(n + 1, dtype=bool)
-        boundary[[0, -1]] = True
-        h = (b - a) / n
-    elif dimension == 2:
-        (a, b), (c, d) = domain
-        if b <= a or d <= c:
-            raise ValueError(f"degenerate rectangle {domain}")
-        X, Y = np.meshgrid(np.linspace(a, b, n + 1), np.linspace(c, d, n + 1),
-                           indexing="ij")
-        nodes = np.column_stack([X.ravel(), Y.ravel()])
-        # node (i, j) is i * (n + 1) + j; cell (i, j), i-major, is split
-        # along its diagonal v00-v11 into (v00, v10, v11) and (v00, v11, v01)
+    else:
+        # cell (i, j), i-major, is split along its diagonal v00-v11 into
+        # (v00, v10, v11) and (v00, v11, v01)
         v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
         v10, v01, v11 = v00 + n + 1, v00 + 1, v00 + n + 2
         elements = np.column_stack([v00, v10, v11, v00, v11, v01]).reshape(-1, 3)
-        i, j = np.divmod(np.arange(len(nodes)), n + 1)
-        boundary = (i == 0) | (i == n) | (j == 0) | (j == n)
-        h = max((b - a) / n, (d - c) / n)
-    else:
-        raise ValueError(f"dimension must be 1 or 2, got {dimension}")
 
     interior = np.flatnonzero(~boundary)
     interior_index = -np.ones(len(nodes), dtype=int)

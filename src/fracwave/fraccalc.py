@@ -48,8 +48,8 @@ def a_gamma(gamma: float, alpha0: float) -> float:
     the cancellation of a naive pole-adjacent evaluation.
     """
     check_order(gamma)
-    if alpha0 <= 0.0:
-        raise ValueError(f"alpha0 must be positive, got {alpha0}")
+    if not 0.0 < alpha0 < math.inf:
+        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
     value = (
         -alpha0
         * (4.0 / math.pi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,6 +49,21 @@ _DAMPING_COUPLING = 10.0
 # Assembled systems kept for reuse by mesh_system; the acceptance
 # criteria use eight distinct meshes.
 _SYSTEMS_KEPT = 8
+
+# The manufactured cases: name -> (dimension, smooth).  Smooth cases take
+# the trigonometric time factor, the nonsmooth one the singular polynomial.
+CASES = {"smooth1d": (1, True), "smooth2d": (2, True), "nonsmooth1d": (1, False)}
+
+
+class _Geometry(NamedTuple):
+    domain: tuple
+    coupling: float   # h = coupling * kappa on a refinement ladder
+    kappa0: float     # the ladder's default coarsest step
+
+
+# Per dimension: the unit interval and the square (-1, 1)^2.
+_GEOMETRY = {1: _Geometry((0.0, 1.0), 6.0, 1.0 / 64),
+             2: _Geometry(((-1.0, 1.0), (-1.0, 1.0)), 10.0, 1.0 / 40)}
 
 
 @dataclass
@@ -131,49 +146,36 @@ class ManufacturedCase:
         return self.temporal.d1(t)
 
 
-def _spatial_1d() -> ScalarField:
-    return ScalarField(
-        value=lambda x: np.sin(np.pi * x[:, 0]),
-        gradient=lambda x: (np.pi * np.cos(np.pi * x[:, 0]))[:, None],
-    )
+def _sine_field(dimension: int) -> ScalarField:
+    """prod_k sin(pi x_k); gradient entry k is pi times the factors in axis
+    order, with cos(pi x_k) in slot k."""
+    def product(factors):
+        return functools.reduce(np.multiply, factors)
 
-
-def _spatial_2d() -> ScalarField:
-    def grad(x):
-        return np.column_stack(
-            [
-                np.pi * np.cos(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]),
-                np.pi * np.sin(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]),
-            ]
-        )
+    def gradient(x):
+        s, c = np.sin(np.pi * x), np.cos(np.pi * x)
+        return np.column_stack([
+            product([np.pi] + [(c if j == k else s)[:, j] for j in range(dimension)])
+            for k in range(dimension)])
 
     return ScalarField(
-        value=lambda x: np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]),
-        gradient=grad,
+        value=lambda x: product([np.sin(np.pi * x[:, k]) for k in range(dimension)]),
+        gradient=gradient,
     )
 
 
 def build_case(name: str, frac: FracParams) -> ManufacturedCase:
-    if name == "smooth1d":
-        return ManufacturedCase(
-            name=name, dimension=1, domain=(0.0, 1.0), coupling=6.0,
-            spatial=_spatial_1d(), lap_coef=math.pi**2,
-            temporal=_trig_temporal(frac.gamma), frac=frac, alpha=None,
-        )
-    if name == "smooth2d":
-        return ManufacturedCase(
-            name=name, dimension=2, domain=((-1.0, 1.0), (-1.0, 1.0)),
-            coupling=10.0, spatial=_spatial_2d(), lap_coef=2.0 * math.pi**2,
-            temporal=_trig_temporal(frac.gamma), frac=frac, alpha=None,
-        )
-    if name == "nonsmooth1d":
-        return ManufacturedCase(
-            name=name, dimension=1, domain=(0.0, 1.0), coupling=6.0,
-            spatial=_spatial_1d(), lap_coef=math.pi**2,
-            temporal=_poly_temporal(frac), frac=frac,
-            alpha=math.ceil(frac.gamma) - frac.gamma,
-        )
-    raise ValueError(f"unknown case {name!r}")
+    if name not in CASES:
+        raise ValueError(f"unknown case {name!r}")
+    dimension, smooth = CASES[name]
+    geometry = _GEOMETRY[dimension]
+    return ManufacturedCase(
+        name=name, dimension=dimension, domain=geometry.domain,
+        coupling=geometry.coupling, spatial=_sine_field(dimension),
+        lap_coef=dimension * math.pi**2,
+        temporal=_trig_temporal(frac.gamma) if smooth else _poly_temporal(frac),
+        frac=frac, alpha=None if smooth else math.ceil(frac.gamma) - frac.gamma,
+    )
 
 
 def verify_case(case: ManufacturedCase, T: float = 1.0) -> float:
@@ -291,6 +293,8 @@ def level_cells(case: ManufacturedCase, kappa: float) -> int:
     """Cells per side of the mesh with h = coupling * kappa."""
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
+    if not 0.0 < case.coupling < math.inf:
+        raise ValueError(f"coupling must be positive and finite, got {case.coupling}")
     a, b = case.domain if case.dimension == 1 else case.domain[0]
     return round((b - a) / (case.coupling * kappa))
 
@@ -333,7 +337,7 @@ def run_convergence(case: ManufacturedCase, corrected: bool, levels: int = 4,
     if check_rhs:
         verify_case(case, T)
     if kappa0 is None:
-        kappa0 = 1.0 / 64 if case.dimension == 1 else 1.0 / 40
+        kappa0 = _GEOMETRY[case.dimension].kappa0
     rows = []
     for lev in range(levels):
         kappa = kappa0 / 2**lev
@@ -384,7 +388,7 @@ def run_damping_demo(gammas=(0.25, 0.75, -0.25, -0.75), n_per_side: int = 32,
     n = n_per_side
     if n % 2 != 0:
         raise ValueError("n_per_side must be even so (0,0) is a node")
-    system = mesh_system(2, ((-1.0, 1.0), (-1.0, 1.0)), n)
+    system = mesh_system(2, _GEOMETRY[2].domain, n)
     kappa = system.mesh.h / _DAMPING_COUPLING
     # node (i, j) is i (n + 1) + j; the origin is (n/2, n/2)
     dof = int(system.mesh.interior_index[(n // 2) * (n + 2)])

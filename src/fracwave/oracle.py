@@ -41,6 +41,9 @@ class VolterraProblem:
 
     def __post_init__(self) -> None:
         check_order(self.gamma)
+        for name in ("lam", "u0", "v0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     def forcing(self, t: float) -> float:
         """g(t) = f(t) - lam*(u0 + t v0) minus the singular gamma<0 term."""

@@ -126,6 +126,23 @@ class TestOde:
         assert out == ""
         assert err.startswith("error: T must be positive and finite")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ode", "--alpha0", "nan"], "alpha0 must be positive and finite"),
+        (["ode", "--alpha0", "inf"], "alpha0 must be positive and finite"),
+        (["ode", "--lam", "nan"], "lam must be finite"),
+        (["ode", "--u0", "nan"], "u0 must be finite"),
+        (["ode", "--v0", "inf"], "v0 must be finite"),
+        (["ode", "--cos-forcing", "nan"], "cos-forcing must be finite"),
+        (["solve", "--case", "smooth1d", "--alpha0", "nan"],
+         "alpha0 must be positive and finite"),
+    ], ids=["ode-alpha0-nan", "ode-alpha0-inf", "ode-lam", "ode-u0", "ode-v0",
+            "ode-cos-forcing", "solve-alpha0"])
+    def test_non_finite_parameter_is_an_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv, "--gamma", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
 
 class TestConvergence:
     def test_summary_and_outdir(self, capsys, tmp_path):
@@ -155,6 +172,14 @@ class TestConvergence:
                                "0.5", "--levels", "3", "--T", "0.03125")
         assert code == 0
         assert "rate_energy=" in out
+
+    @pytest.mark.parametrize("coupling", ["0", "-6", "nan", "inf"])
+    def test_bad_coupling_is_an_error(self, capsys, coupling):
+        code, out, err = run_cli(capsys, "convergence", "--case", "smooth1d", "--gamma",
+                                 "0.5", "--levels", "3", "--coupling", coupling)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: coupling must be positive and finite")
 
     def test_bad_case_usage_error(self, capsys):
         with pytest.raises(SystemExit):

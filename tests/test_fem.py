@@ -108,6 +108,39 @@ class TestBuildMesh:
             [3, 6, 7], [3, 7, 4], [4, 7, 8], [4, 8, 5],
         ]
 
+    @pytest.mark.parametrize("dimension, domain, cells, nodes, elements, interior, h", [
+        (1, (0.0, 1.0), 3, [[0.0], [1 / 3], [2 / 3], [1.0]],
+         [[0, 1], [1, 2], [2, 3]], [1, 2], 1 / 3),
+        (2, ((0.0, 1.0), (0.0, 1.0)), 2,
+         [[x, y] for x in (0.0, 0.5, 1.0) for y in (0.0, 0.5, 1.0)],
+         [[0, 3, 4], [0, 4, 1], [1, 4, 5], [1, 5, 2],
+          [3, 6, 7], [3, 7, 4], [4, 7, 8], [4, 8, 5]], [4], 0.5),
+        (2, ((0.0, 2.0), (0.0, 1.0)), 4,
+         [[x, y] for x in (0.0, 0.5, 1.0, 1.5, 2.0) for y in (0.0, 0.25, 0.5, 0.75, 1.0)],
+         [[0, 5, 6], [0, 6, 1], [1, 6, 7], [1, 7, 2],
+          [2, 7, 8], [2, 8, 3], [3, 8, 9], [3, 9, 4],
+          [5, 10, 11], [5, 11, 6], [6, 11, 12], [6, 12, 7],
+          [7, 12, 13], [7, 13, 8], [8, 13, 14], [8, 14, 9],
+          [10, 15, 16], [10, 16, 11], [11, 16, 17], [11, 17, 12],
+          [12, 17, 18], [12, 18, 13], [13, 18, 19], [13, 19, 14],
+          [15, 20, 21], [15, 21, 16], [16, 21, 22], [16, 22, 17],
+          [17, 22, 23], [17, 23, 18], [18, 23, 24], [18, 24, 19]],
+         [6, 7, 8, 11, 12, 13, 16, 17, 18], 0.5),
+    ], ids=["interval", "square", "rectangle"])
+    def test_explicit_meshes(self, dimension, domain, cells, nodes, elements, interior, h):
+        mesh = build_mesh(dimension, domain, cells)
+        np.testing.assert_allclose(mesh.nodes, nodes, rtol=0.0, atol=1e-15)
+        assert mesh.elements.tolist() == elements
+        assert mesh.interior.tolist() == interior
+        expected_index = -np.ones(len(nodes), dtype=int)
+        expected_index[interior] = np.arange(len(interior))
+        np.testing.assert_array_equal(mesh.interior_index, expected_index)
+        assert mesh.h == h
+
+    def test_dimension_three_rejected(self):
+        with pytest.raises(ValueError, match="dimension must be 1 or 2, got 3"):
+            build_mesh(3, ((0.0, 1.0),) * 3, 2)
+
     def test_degenerate_domains_rejected(self):
         with pytest.raises(ValueError):
             build_mesh(1, (1.0, 1.0), 4)

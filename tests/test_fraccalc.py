@@ -91,6 +91,11 @@ class TestAGamma:
         with pytest.raises(ValueError):
             a_gamma(0.5, 0.0)
 
+    @pytest.mark.parametrize("alpha0", [math.nan, math.inf])
+    def test_rejects_non_finite_alpha0(self, alpha0):
+        with pytest.raises(ValueError, match="alpha0 must be positive and finite"):
+            a_gamma(0.5, alpha0)
+
     def test_frac_params_derives_coefficient(self):
         frac = FracParams(gamma=0.5, alpha0=2.0)
         assert frac.a_gamma == pytest.approx(a_gamma(0.5, 2.0))

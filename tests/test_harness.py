@@ -72,6 +72,23 @@ class TestBuildCase:
         assert case.exact_d1(0.0) == pytest.approx(1.0)
         assert case.alpha == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("name", list(harness.CASES))
+    def test_spatial_gradient_and_laplacian(self, name):
+        # central differences of the value give the gradient, and second
+        # differences give -lap(spatial) = lap_coef * spatial
+        case = build_case(name, FracParams(gamma=0.5))
+        value = case.spatial.value
+        x = np.random.default_rng(11).uniform(-1.0, 1.0, size=(50, case.dimension))
+        steps = np.eye(case.dimension)
+        d = 1e-5
+        slopes = [(value(x + d * e) - value(x - d * e)) / (2.0 * d) for e in steps]
+        np.testing.assert_allclose(case.spatial.gradient(x), np.column_stack(slopes),
+                                   rtol=0.0, atol=1e-8)
+        d = 1e-4
+        lap = sum((value(x + d * e) - 2.0 * value(x) + value(x - d * e)) / d**2
+                  for e in steps)
+        np.testing.assert_allclose(-lap, case.lap_coef * value(x), rtol=0.0, atol=1e-6)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             build_case("mystery", FracParams(gamma=0.5))

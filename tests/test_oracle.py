@@ -102,6 +102,13 @@ class TestSolveVolterra:
         with pytest.raises(ValueError):
             solve_volterra(problem, -1.0, 32)
 
+    @pytest.mark.parametrize("name", ["lam", "u0", "v0"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_coefficients_rejected(self, name, value):
+        params = dict(gamma=0.5, a_gamma=1.0, lam=1.0, u0=0.0, v0=0.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            VolterraProblem(**{**params, name: value})
+
     @pytest.mark.parametrize("T", [math.nan, math.inf])
     def test_non_finite_horizon_rejected(self, T):
         problem = VolterraProblem(gamma=0.5, a_gamma=1.0, lam=1.0, u0=0.0, v0=0.0)
