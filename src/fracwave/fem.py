@@ -19,10 +19,12 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from fracwave.fraccalc import gauss_jacobi
 
-# Lanczos vectors of the CFL guard's eigsh (ARPACK's ncv; scipy's default
-# is 20): the top of the spectrum clusters, and a larger subspace needs
-# far fewer restarts, so far fewer mass solves.
+# Lanczos vectors (ARPACK's ncv; scipy's default is 20) of both eigsh runs
+# of the CFL guard: a larger subspace needs fewer restarts.
 LANCZOS_VECTORS = 40
+# The guard's first eigsh stops at this relative residual, and its first
+# shift lies this far above the Ritz value it returns.
+ESTIMATE_TOL = 1e-3
 
 
 @dataclass
@@ -264,20 +266,48 @@ def interpolate(system: FemSystem, field: ScalarField) -> np.ndarray:
 
 
 def max_generalized_eigenvalue(system: FemSystem) -> float:
-    """Largest eigenvalue of K x = lambda M x by Lanczos (ARPACK eigsh).
+    """Largest eigenvalue of K x = lambda M x by Lanczos (ARPACK eigsh) with
+    a certified shift.
 
-    The inverse of M is the system's own cached factorization, which the
-    time loop reuses, and the subspace holds LANCZOS_VECTORS vectors.
-    The seeded start vector makes the result reproducible from run to run.
+    1. Estimate: eigsh on M^-1 K to the loose tolerance ESTIMATE_TOL, with
+       the system's cached mass factorization (which the time loop
+       reuses) and a seeded start vector, gives a Ritz value theta <=
+       lambda_max and its vector.
+    2. Certificate: sigma = theta (1 + margin), margin = ESTIMATE_TOL at
+       first.  By Sylvester's law of inertia sigma M - K is positive
+       definite, so its Cholesky factor exists, only if sigma > lambda_max;
+       while the factorization fails the margin grows fourfold.
+    3. Refine: shift-invert eigsh about sigma, started from the Ritz
+       vector, returns the eigenvalue nearest sigma, which is lambda_max,
+       to round-off.  It needs no mass solves.
     """
     n = system.ndof
     if n == 1:
         return float(system.K[0, 0] / system.M[0, 0])
+    ncv = min(n, LANCZOS_VECTORS)
     m_inv = spla.LinearOperator((n, n), matvec=system.solve_mass, dtype=float)
     v0 = np.random.default_rng(1234).standard_normal(n)
-    lam = spla.eigsh(system.K, k=1, M=system.M, Minv=m_inv, which="LA",
-                     v0=v0, ncv=min(n, LANCZOS_VECTORS), return_eigenvectors=False)
-    return float(lam[0])
+    theta, x = spla.eigsh(system.K, k=1, M=system.M, Minv=m_inv, which="LA",
+                          v0=v0, ncv=ncv, tol=ESTIMATE_TOL)
+    theta = float(theta[0])
+    margin = ESTIMATE_TOL
+    while True:
+        sigma = theta * (1.0 + margin)
+        try:
+            solve = _spd_solver(sigma * system.M - system.K)
+            break
+        except ValueError:
+            margin *= 4.0
+    # OPinv is (K - sigma M)^-1 = -(sigma M - K)^-1
+    op_inv = spla.LinearOperator((n, n), matvec=lambda b: -solve(b), dtype=float)
+    lam = float(spla.eigsh(system.K, k=1, M=system.M, sigma=sigma, OPinv=op_inv,
+                           which="LM", v0=x[:, 0], ncv=ncv,
+                           return_eigenvectors=False)[0])
+    # theta, a Rayleigh quotient, is at most lambda_max up to round-off
+    if lam < theta * (1.0 - 1e-12):
+        raise RuntimeError(f"CFL guard: shift-invert Lanczos about {sigma!r} gave"
+                           f" {lam!r}, below the Ritz value {theta!r}")
+    return lam
 
 
 def inverse_constant(system: FemSystem) -> float:

@@ -287,6 +287,8 @@ def positivity_constants(gamma: float, T: float) -> tuple[float, float]:
 
 def constants_table(grid_points: int) -> np.ndarray:
     """Tabulate (gamma, C1, C2) at T = 1 on an equispaced interior grid of (0,1)."""
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be at least 1, got {grid_points}")
     gammas = np.arange(1, grid_points + 1) / (grid_points + 1)
     rows = np.empty((grid_points, 3))
     for i, g in enumerate(gammas):

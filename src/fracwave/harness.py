@@ -296,7 +296,12 @@ def level_cells(case: ManufacturedCase, kappa: float) -> int:
     if not 0.0 < case.coupling < math.inf:
         raise ValueError(f"coupling must be positive and finite, got {case.coupling}")
     a, b = case.domain if case.dimension == 1 else case.domain[0]
-    return round((b - a) / (case.coupling * kappa))
+    cells = round((b - a) / (case.coupling * kappa))
+    if cells < 2:
+        raise ValueError(f"kappa = {kappa} and coupling = {case.coupling} give h ="
+                         f" coupling * kappa = {case.coupling * kappa},"
+                         f" fewer than 2 cells on {case.domain}")
+    return cells
 
 
 @functools.lru_cache(maxsize=_SYSTEMS_KEPT)

@@ -51,15 +51,15 @@ def test_criterion_5_smooth_1d_convergence():
 
 def test_criterion_5_builds_one_system_per_mesh(monkeypatch, fresh_systems):
     # 7 sub-cases x 4 levels share the 4 meshes: one assembly and one
-    # eigsh of the CFL guard each
+    # lambda_max of the CFL guard each
     from fracwave import fem, harness
 
     assembled, solved = [], []
-    assemble, eigsh = harness.assemble, fem.spla.eigsh
+    assemble, eigenvalue = harness.assemble, fem.max_generalized_eigenvalue
     monkeypatch.setattr(harness, "assemble",
                         lambda mesh: assembled.append(mesh.num_interior) or assemble(mesh))
-    monkeypatch.setattr(fem.spla, "eigsh",
-                        lambda A, *a, **k: solved.append(A.shape[0]) or eigsh(A, *a, **k))
+    monkeypatch.setattr(fem, "max_generalized_eigenvalue",
+                        lambda system: solved.append(system.ndof) or eigenvalue(system))
     acceptance.criterion_5()
     assert assembled == solved == [10, 20, 42, 84]
 

@@ -99,6 +99,13 @@ class TestConstants:
         assert rows[0] == "gamma,C1,C2"
         assert len(rows) == 100
 
+    @pytest.mark.parametrize("grid", ["-3", "0"])
+    def test_empty_grid_is_an_error(self, capsys, grid):
+        code, out, err = run_cli(capsys, "constants", "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: grid_points must be at least 1, got {grid}")
+
 
 class TestOde:
     def test_fit_reports_exponent(self, capsys):
@@ -181,6 +188,18 @@ class TestConvergence:
         assert out == ""
         assert err.startswith("error: coupling must be positive and finite")
 
+    @pytest.mark.parametrize("argv", [
+        ("--case", "smooth1d", "--coupling", "1e9"),
+        ("--case", "smooth2d", "--kappa0", "1"),
+    ], ids=["coupling", "kappa0"])
+    def test_mesh_under_two_cells_is_an_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "convergence", *argv, "--gamma", "0.5",
+                                 "--levels", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: kappa = ")
+        assert "fewer than 2 cells" in err
+
     def test_bad_case_usage_error(self, capsys):
         with pytest.raises(SystemExit):
             main(["convergence", "--case", "bogus", "--gamma", "0.5"])
@@ -247,6 +266,15 @@ class TestSolve:
         assert code == 1
         assert "T=4.0" in err
         assert "kappa=0.007" in err
+
+    def test_step_too_coarse_for_two_cells_is_an_error(self, capsys):
+        # h = coupling * kappa = 6 * 0.5 on (0, 1)
+        code, out, err = run_cli(capsys, "solve", "--case", "smooth1d", "--gamma",
+                                 "0.5", "--kappa", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: kappa = 0.5 and coupling = 6.0 give h =")
+        assert "fewer than 2 cells on (0.0, 1.0)" in err
 
     @pytest.mark.parametrize("flag", ["--T", "--kappa"])
     @pytest.mark.parametrize("value", ["inf", "nan"])

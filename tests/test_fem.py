@@ -361,13 +361,86 @@ class TestInverseConstant:
         ]
         assert abs(values[1] - values[0]) / values[0] < 0.05
 
+    @staticmethod
+    def interval_closed_form(cells):
+        """lambda_max(K, M) on the unit interval: the mode of wavenumber
+        (cells - 1) pi."""
+        h = 1.0 / cells
+        c = math.cos((cells - 1) * math.pi * h)
+        return (6.0 / h**2) * (1.0 - c) / (2.0 + c)
+
     @pytest.mark.parametrize("cells", [2, 3])
     def test_smallest_meshes_closed_form(self, cells):
         system = assemble(build_mesh(1, (0.0, 1.0), cells))
-        h = system.mesh.h
-        c = math.cos((cells - 1) * math.pi * h)
-        lam = (6.0 / h**2) * (1.0 - c) / (2.0 + c)
+        lam = self.interval_closed_form(cells)
         assert max_generalized_eigenvalue(system) == pytest.approx(lam, rel=1e-12)
+
+    def test_fine_interval_closed_form(self):
+        system = assemble(build_mesh(1, (0.0, 1.0), 2731))
+        lam = self.interval_closed_form(2731)
+        assert max_generalized_eigenvalue(system) == pytest.approx(lam, rel=1e-12)
+
+    @staticmethod
+    def square_system(cells=64):
+        return assemble(build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), cells))
+
+    def test_square_against_full_tolerance_lanczos(self):
+        # the reference is the one-phase guard: eigsh on M^-1 K to machine
+        # precision
+        import scipy.sparse.linalg as spla
+
+        system = self.square_system()
+        n = system.ndof
+        m_inv = spla.LinearOperator((n, n), matvec=system.solve_mass, dtype=float)
+        v0 = np.random.default_rng(1234).standard_normal(n)
+        ref = spla.eigsh(system.K, k=1, M=system.M, Minv=m_inv, which="LA", v0=v0,
+                         ncv=40, return_eigenvectors=False)[0]
+        lam = max_generalized_eigenvalue(self.square_system())
+        assert lam == pytest.approx(ref, rel=1e-12)
+
+    def test_refused_shift_widens_the_margin(self, monkeypatch):
+        import fracwave.fem as fem
+
+        system = self.square_system(16)
+        expected = max_generalized_eigenvalue(self.square_system(16))
+        shifted = []
+
+        def refuse_first_shift(A):
+            if A is not system.M:
+                shifted.append(A)
+                if len(shifted) == 1:
+                    raise ValueError("matrix is not positive definite: refused")
+            return _spd_solver(A)
+
+        monkeypatch.setattr(fem, "_spd_solver", refuse_first_shift)
+        assert max_generalized_eigenvalue(system) == pytest.approx(expected, rel=1e-12)
+        # sigma M - K at the first and at the widened margin
+        assert len(shifted) == 2
+        assert (shifted[1] - shifted[0]).count_nonzero() > 0
+
+    def test_refined_value_below_the_estimate_is_refused(self, monkeypatch):
+        import fracwave.fem as fem
+
+        eigsh = fem.spla.eigsh
+
+        def low_refinement(*args, **kwargs):
+            if "sigma" in kwargs:
+                return 0.5 * eigsh(*args, **kwargs)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(fem.spla, "eigsh", low_refinement)
+        with pytest.raises(RuntimeError, match="below the Ritz value"):
+            max_generalized_eigenvalue(self.square_system(16))
+
+    def test_mass_solves_at_3969_dofs(self):
+        system = self.square_system()
+        assert system.ndof == 3969
+        solves = []
+        solve = system.solve_mass
+        system.solve_mass = lambda b: solves.append(1) or solve(b)
+        max_generalized_eigenvalue(system)
+        # the one-phase guard to full tolerance made 381
+        assert 0 < len(solves) <= 120
 
     @pytest.mark.parametrize("dimension,domain,cells", [
         (1, (0.0, 1.0), 7), (1, (0.0, 1.0), 170),

@@ -290,6 +290,11 @@ class TestPositivityConstants:
         assert table[0, 0] == pytest.approx(0.01)
         assert table[-1, 0] == pytest.approx(0.99)
 
+    @pytest.mark.parametrize("grid", [-3, 0])
+    def test_table_refuses_an_empty_grid(self, grid):
+        with pytest.raises(ValueError, match=f"grid_points must be at least 1, got {grid}"):
+            constants_table(grid)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             positivity_constants(-0.5, 1.0)

@@ -138,6 +138,14 @@ class TestBuildCase:
         with pytest.raises(ValueError, match="kappa must be positive and finite"):
             level_cells(case, kappa)
 
+    @pytest.mark.parametrize("name, kappa", [("smooth1d", 0.5), ("smooth2d", 1.0)])
+    def test_level_cells_rejects_a_mesh_under_two_cells(self, name, kappa):
+        # smooth1d: h = 6 * 0.5 on (0, 1); smooth2d: h = 10 * 1 on (-1, 1)^2
+        case = build_case(name, FracParams(gamma=0.5))
+        with pytest.raises(ValueError, match=rf"kappa = {kappa} and coupling ="
+                           rf" {case.coupling} give .* fewer than 2 cells on"):
+            level_cells(case, kappa)
+
     @pytest.mark.parametrize("gamma", [0.25, 0.75, -0.25, -0.75])
     def test_source_singular_exponent(self, gamma):
         case = build_case("nonsmooth1d", FracParams(gamma=gamma))

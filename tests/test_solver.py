@@ -167,9 +167,9 @@ class TestRun:
         system = interval_system(64)
         first = SimConfig(fem=system, T=1.0, kappa=1.0 / 512).c_inv
         calls = []
-        eigsh = fem.spla.eigsh
-        monkeypatch.setattr(fem.spla, "eigsh",
-                            lambda *a, **k: calls.append(1) or eigsh(*a, **k))
+        eigenvalue = fem.max_generalized_eigenvalue
+        monkeypatch.setattr(fem, "max_generalized_eigenvalue",
+                            lambda system: calls.append(1) or eigenvalue(system))
         second = SimConfig(fem=system, T=0.5, kappa=1.0 / 256,
                            frac=FracParams(gamma=0.5)).c_inv
         assert calls == []
