@@ -18,7 +18,14 @@ from fracwave.fraccalc import (
 )
 from fracwave.cq import CQScheme, bdf2_weights
 from fracwave.fem import FemSystem, Mesh, ScalarField, assemble, build_mesh
-from fracwave.harness import ConvergenceReport, ManufacturedCase, build_case, run_convergence
+from fracwave.harness import (
+    ConvergenceReport,
+    ManufacturedCase,
+    build_case,
+    error_norm_energy,
+    error_norm_l2max,
+    run_convergence,
+)
 from fracwave.oracle import VolterraProblem, VolterraSolution, solve_volterra
 from fracwave.solver import SeparableSource, SimConfig, Trajectory, run, scalar_run
 
@@ -39,6 +46,8 @@ __all__ = [
     "ConvergenceReport",
     "ManufacturedCase",
     "build_case",
+    "error_norm_energy",
+    "error_norm_l2max",
     "run_convergence",
     "VolterraProblem",
     "VolterraSolution",

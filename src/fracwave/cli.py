@@ -31,9 +31,8 @@ from fracwave.fraccalc import FracParams, constants_table
 from fracwave.harness import (
     _GEOMETRY,
     CASES,
+    ErrorNorms,
     build_case,
-    error_norm_energy,
-    error_norm_l2max,
     level_cells,
     mesh_system,
     run_convergence,
@@ -181,13 +180,14 @@ def cmd_solve(args) -> int:
     case = build_case(args.case, FracParams(gamma=args.gamma, alpha0=args.alpha0))
     system = mesh_system(case.dimension, case.domain, level_cells(case, args.kappa))
     mesh = system.mesh
-    traj = solve_case(case, system, args.kappa, args.corrected, args.T)
+    norms = ErrorNorms(case, system, args.kappa)
+    traj = solve_case(case, system, args.kappa, args.corrected, args.T, observe=norms)
     steps = len(traj.times) - 1
     _print_echo(args)
     print(f"h = {F % mesh.h}")
     print(f"steps = {steps}")
-    print(f"error_energy = {F % error_norm_energy(traj, case, system, args.kappa)}")
-    print(f"error_l2max = {F % error_norm_l2max(traj, case, system, args.kappa)}")
+    print(f"error_energy = {F % norms.energy}")
+    print(f"error_l2max = {F % norms.l2}")
     if args.outdir:
         _save(args, "energy.csv", ["n", "t_n", "E_n"],
               zip(range(1, steps + 1), traj.times[1:], traj.energy))

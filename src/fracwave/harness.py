@@ -2,9 +2,9 @@
 
 Builds the three manufactured cases (trigonometric 1D and 2D, and a 1D
 solution with the characteristic t^(2+ceil(gamma)-gamma) startup
-singularity), computes the two error norms used to report convergence,
-runs refinement ladders with h proportional to kappa, and produces the
-damping demonstration.
+singularity), computes the two error norms used to report convergence
+block by block as a run steps, runs refinement ladders with h
+proportional to kappa, and produces the damping demonstration.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fracwave.fraccalc import (
     caputo_series,
     rl_integral_gauss_jacobi,
 )
-from fracwave.solver import SeparableSource, SimConfig, Trajectory, run
+from fracwave.solver import BLOCK_FLOATS, SeparableSource, SimConfig, Trajectory, run
 
 # Largest phase omega * t of the trig time factor at which the
 # Gauss-Jacobi rule has converged to round-off: against the tanh-sinh
@@ -32,9 +32,6 @@ from fracwave.solver import SeparableSource, SimConfig, Trajectory, run
 # largest value on (0, 4.5], 2e-11 on (0, 5] and 1e-5 on (0, 6], for nine
 # orders |gamma| <= 0.95.
 _MAX_PHASE = 2.0 * GAUSS_JACOBI_NODES
-
-# Floats per block of steps in the batched M-norms of trajectories.
-_NORM_BLOCK_FLOATS = 2**16
 
 # verify_case: tanh-sinh cross-checks (fraccalc.rl_integral_quadrature) of
 # the source at this many seeded random times, each within this relative
@@ -208,8 +205,8 @@ def verify_case(case: ManufacturedCase, T: float = 1.0) -> float:
 
 def _m_norms(system: FemSystem, count: int, rows) -> np.ndarray:
     """||d_i||_M for the rows d_0..d_{count-1} that rows(lo, hi) returns as a
-    (hi - lo, ndof) block; blocks hold at most _NORM_BLOCK_FLOATS floats."""
-    size = max(1, _NORM_BLOCK_FLOATS // system.ndof)
+    (hi - lo, ndof) block; blocks hold at most BLOCK_FLOATS floats."""
+    size = max(1, BLOCK_FLOATS // system.ndof)
     out = np.empty(count)
     for lo in range(0, count, size):
         hi = min(lo + size, count)
@@ -218,36 +215,69 @@ def _m_norms(system: FemSystem, count: int, rows) -> np.ndarray:
     return np.sqrt(np.maximum(out, 0.0))
 
 
-def error_norm_energy(traj: Trajectory, case: ManufacturedCase,
-                      system: FemSystem, kappa: float) -> float:
-    """max_n ||du_n - I_h u'(t_n - k/2)||_M + ||avg_n - I_h u(t_n - k/2)||_M.
+class ErrorNorms:
+    """The two error norms of a run, accumulated over blocks of its rows:
+
+    energy = max_n ||du_n - I_h u'(t_n - k/2)||_M + ||avg_n - I_h u(t_n - k/2)||_M,
+    l2 = max_n ||u_n - I_h u(t_n)||_M.
 
     Exact values enter through nodal interpolation of the spatial factor.
+    Called as observe(lo, rows) with the rows u_lo..u_hi; blocks start at
+    lo = 0 and each next one at the last row of the one before, as
+    solver.run passes them.
     """
-    s = interpolate(system, case.spatial)
-    us = traj.us
-    t_half = (np.arange(1, us.shape[0]) - 0.5) * kappa
 
-    def slope(lo, hi):
-        return ((us[lo + 1:hi + 1] - us[lo:hi]) / kappa
-                - case.exact_d1(t_half[lo:hi])[:, None] * s)
+    def __init__(self, case: ManufacturedCase, system: FemSystem, kappa: float):
+        self.case, self.system, self.kappa = case, system, kappa
+        self.s = interpolate(system, case.spatial)
+        self.energy = self.l2 = 0.0
 
-    def mean(lo, hi):
-        return (0.5 * (us[lo + 1:hi + 1] + us[lo:hi])
-                - case.exact(t_half[lo:hi])[:, None] * s)
+    def __call__(self, lo: int, rows: np.ndarray) -> None:
+        case, s, kappa = self.case, self.s, self.kappa
+        t_half = (np.arange(lo + 1, lo + rows.shape[0]) - 0.5) * kappa
+        # u_lo is the last row of the block before, except in the first one
+        first = 0 if lo == 0 else 1
+        t = np.arange(lo + first, lo + rows.shape[0]) * kappa
+        unseen = rows[first:]
 
-    steps = len(t_half)
-    return float(np.max(_m_norms(system, steps, slope) + _m_norms(system, steps, mean)))
+        def slope(a, b):
+            return ((rows[a + 1:b + 1] - rows[a:b]) / kappa
+                    - case.exact_d1(t_half[a:b])[:, None] * s)
+
+        def mean(a, b):
+            return (0.5 * (rows[a + 1:b + 1] + rows[a:b])
+                    - case.exact(t_half[a:b])[:, None] * s)
+
+        def error(a, b):
+            return unseen[a:b] - case.exact(t[a:b])[:, None] * s
+
+        steps = len(t_half)
+        self.energy = max(self.energy, float(np.max(
+            _m_norms(self.system, steps, slope) + _m_norms(self.system, steps, mean))))
+        self.l2 = max(self.l2, float(np.max(_m_norms(self.system, len(t), error))))
+
+
+def _kept_norms(traj: Trajectory, case: ManufacturedCase, system: FemSystem,
+                kappa: float) -> ErrorNorms:
+    if traj.us.shape[0] != len(traj.times):
+        raise ValueError(
+            f"the error norms need every row of the trajectory, got {traj.us.shape[0]}"
+            f" of {len(traj.times)}; an observed run keeps u_N alone")
+    norms = ErrorNorms(case, system, kappa)
+    norms(0, traj.us)
+    return norms
+
+
+def error_norm_energy(traj: Trajectory, case: ManufacturedCase,
+                      system: FemSystem, kappa: float) -> float:
+    """ErrorNorms.energy of a kept trajectory."""
+    return _kept_norms(traj, case, system, kappa).energy
 
 
 def error_norm_l2max(traj: Trajectory, case: ManufacturedCase,
                      system: FemSystem, kappa: float) -> float:
-    """max_n ||u_n - I_h u(t_n)||_M over all steps."""
-    s = interpolate(system, case.spatial)
-    us = traj.us
-    t = np.arange(us.shape[0]) * kappa
-    return float(np.max(_m_norms(
-        system, len(t), lambda lo, hi: us[lo:hi] - case.exact(t[lo:hi])[:, None] * s)))
+    """ErrorNorms.l2 of a kept trajectory: max_n ||u_n - I_h u(t_n)||_M."""
+    return _kept_norms(traj, case, system, kappa).l2
 
 
 def fit_rate(errors) -> tuple[float, bool]:
@@ -313,25 +343,25 @@ def mesh_system(dimension: int, domain: tuple, cells: int) -> FemSystem:
 
 
 def solve_case(case: ManufacturedCase, system: FemSystem, kappa: float,
-               corrected: bool, T: float = 1.0) -> Trajectory:
-    """Run the scheme on the case's data, on a given mesh and step."""
+               corrected: bool, T: float = 1.0, observe=None) -> Trajectory:
+    """Run the scheme on the case's data, on a given mesh and step; observe
+    goes to solver.run."""
     config = SimConfig(
         fem=system, T=T, kappa=kappa, frac=case.frac, corrected=corrected,
         f=SeparableSource(spatial=case.spatial, temporal=case.source_temporal),
         u0=case.spatial.scaled(case.exact(0.0)),
         v0=case.spatial.scaled(case.exact_d1(0.0)),
     )
-    return run(config)
+    return run(config, observe=observe)
 
 
 def run_level(case: ManufacturedCase, kappa: float, corrected: bool,
               T: float = 1.0) -> tuple[float, float, float]:
     """Solve one refinement level; returns (h, error_energy, error_l2max)."""
     system = mesh_system(case.dimension, case.domain, level_cells(case, kappa))
-    traj = solve_case(case, system, kappa, corrected, T)
-    e_en = error_norm_energy(traj, case, system, kappa)
-    e_l2 = error_norm_l2max(traj, case, system, kappa)
-    return system.mesh.h, e_en, e_l2
+    norms = ErrorNorms(case, system, kappa)
+    solve_case(case, system, kappa, corrected, T, observe=norms)
+    return system.mesh.h, norms.energy, norms.l2
 
 
 def run_convergence(case: ManufacturedCase, corrected: bool, levels: int = 4,

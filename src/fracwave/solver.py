@@ -12,8 +12,10 @@ once per run; only step 1, with its w1 term, has its own.  The known
 part of the sum comes from the blocked history `cq.CQHistory`, exact
 up to lag 127 and a sum of Q ~ 100 exponentials beyond, so the time
 loop costs O(N * Q * ndof).  The energy log and the divergence check
-run once per block of CHECK_STEPS steps, on the trajectory rows of that
-block.
+run once per CHECK_STEPS steps, on the trajectory rows of those steps,
+and each block of checked rows then goes to an observer: by default the
+rows are kept as the whole trajectory, and a caller that only reduces
+them (the error norms) streams them through one block of rows instead.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ from fracwave.fraccalc import FracParams
 ENERGY_ABORT_FACTOR = 1e6
 # The energy log and the divergence check cover blocks of this many steps.
 CHECK_STEPS = 32
+# Floats per block of trajectory rows: run's observed blocks and the
+# harness's batched M-norms stay within this budget.
+BLOCK_FLOATS = 2**16
 
 
 class SolverDivergence(RuntimeError):
@@ -97,7 +102,7 @@ class SimConfig:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    us: np.ndarray        # (N+1, ndof)
+    us: np.ndarray        # (N+1, ndof); (1, ndof), u_N alone, if run was observed
     energy: np.ndarray    # E_n for n = 1..N (index 0 is E_1)
     history: np.ndarray   # central differences, entries 0..N-1
 
@@ -219,9 +224,9 @@ def step(config: SimConfig, state: SimState) -> SimState:
                     cq=state.cq, source=state.source, load=state.load, combine=combine)
 
 
-def _check_block(config: SimConfig, us: np.ndarray, energy: np.ndarray,
-                 lo: int, hi: int) -> None:
-    """Fill energy[lo:hi] (E_{lo+1}..E_hi, from the rows us[lo:hi+1]) and
+def _check_block(config: SimConfig, rows: np.ndarray, energy: np.ndarray,
+                 lo: int) -> None:
+    """Fill energy[lo:hi] (E_{lo+1}..E_hi, from the rows u_lo..u_hi) and
     raise SolverDivergence at the first step of the block that is not
     finite or whose kinetic part exceeds ENERGY_ABORT_FACTOR times its
     energy.
@@ -233,7 +238,8 @@ def _check_block(config: SimConfig, us: np.ndarray, energy: np.ndarray,
     mode.
     """
     system = config.fem
-    u_prev, u_cur = us[lo:hi], us[lo + 1:hi + 1]
+    hi = lo + rows.shape[0] - 1
+    u_prev, u_cur = rows[:-1], rows[1:]
     with np.errstate(all="ignore"):   # overflow is reported below
         k_u_prev = (system.K @ u_prev.T).T
         energy[lo:hi] = discrete_energy(system, u_cur, u_prev, k_u_prev, config.kappa)
@@ -252,7 +258,14 @@ def _check_block(config: SimConfig, us: np.ndarray, energy: np.ndarray,
         f" (> {ENERGY_ABORT_FACTOR:.0e} x E_n) at step {i + 1}; check the CFL condition")
 
 
-def run(config: SimConfig) -> Trajectory:
+def block_steps(ndof: int) -> int:
+    """Steps per observed block: a multiple of CHECK_STEPS whose rows
+    hold about BLOCK_FLOATS floats, and at least CHECK_STEPS."""
+    return CHECK_STEPS * max(1, BLOCK_FLOATS // (CHECK_STEPS * ndof))
+
+
+def run(config: SimConfig,
+        observe: Callable[[int, np.ndarray], None] | None = None) -> Trajectory:
     """Execute initial data and all time steps, recording the energy log.
 
     Aborts with SolverDivergence on NaN or when the kinetic part of the
@@ -263,6 +276,13 @@ def run(config: SimConfig) -> Trajectory:
     block of CHECK_STEPS steps and at the end,
     so a divergent run may take up to CHECK_STEPS - 1 steps past the
     first offending one, which the error names, before it raises.
+
+    The rows u_lo..u_hi of each block of block_steps(ndof) steps, and of
+    the last, partial one, go to observe(lo, rows) once they are checked;
+    consecutive blocks share their boundary row, and rows is only valid
+    during the call.  By default the blocks are views of the kept
+    trajectory us.  With an observer, run keeps one block of rows, and
+    the Trajectory's us holds u_N alone.
     """
     system = config.fem
     N = config.n_steps
@@ -275,9 +295,15 @@ def run(config: SimConfig) -> Trajectory:
         f0 = source[0] * load
 
     u0_h, u1_h, dtu0_h = initial_data(config, f0)
-    us = np.empty((N + 1, system.ndof))
-    us[0] = u0_h
-    us[1] = u1_h
+    size = block_steps(system.ndof)
+    if observe is None:
+        us = np.empty((N + 1, system.ndof))
+        block = lambda lo: us[lo:lo + size + 1]
+        observe = lambda lo, rows: None     # the rows are already in us
+    else:
+        us = None
+        buffer = np.empty((min(size, N) + 1, system.ndof))
+        block = lambda lo: buffer
     history = np.zeros((N, system.ndof))
     history[0] = dtu0_h
     energy = np.empty(N)
@@ -287,15 +313,27 @@ def run(config: SimConfig) -> Trajectory:
                        config.corrected)
     state = SimState(n=1, u_prev=u0_h, u_cur=u1_h, history=history,
                      cq=cq, source=source, load=load)
-    checked = 0
+    rows = block(0)
+    rows[0] = u0_h
+    rows[1] = u1_h
+    lo = checked = 0
     for n in range(2, N + 1):
         state = step(config, state)
-        us[n] = state.u_cur
+        rows[n - lo] = state.u_cur
         if n % CHECK_STEPS == 0:
-            _check_block(config, us, energy, checked, n)
+            _check_block(config, rows[checked - lo:n - lo + 1], energy, checked)
             checked = n
+            if n - lo == size:
+                observe(lo, rows)
+                lo = n
+                rows = block(lo)
+                rows[0] = state.u_cur      # the boundary row opens the next block
     if checked < N:
-        _check_block(config, us, energy, checked, N)
+        _check_block(config, rows[checked - lo:N - lo + 1], energy, checked)
+    if N > lo:
+        observe(lo, rows[:N - lo + 1])
+    if us is None:
+        us = rows[N - lo:N - lo + 1].copy()
     return Trajectory(times=times, us=us, energy=energy, history=history)
 
 

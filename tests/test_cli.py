@@ -248,6 +248,22 @@ class TestSolve:
         np.testing.assert_array_equal(state[:, 0], mesh.nodes[mesh.interior][:, 0])
         np.testing.assert_array_equal(state[:, 1], traj.us[-1])
 
+    def test_keeps_only_the_final_state(self, capsys, monkeypatch):
+        # the error norms are accumulated as the run steps
+        kept = []
+        run = harness.run
+
+        def recording_run(config, observe=None):
+            traj = run(config, observe)
+            kept.append((observe is not None, traj.us.shape, config.fem.ndof))
+            return traj
+
+        monkeypatch.setattr(harness, "run", recording_run)
+        code, _, _ = run_cli(capsys, "solve", "--case", "smooth2d", "--gamma", "0.5",
+                             "--kappa", "0.0125")
+        assert code == 0
+        assert kept == [(True, (1, 225), 225)]
+
     def test_one_assembly_per_mesh(self, capsys, monkeypatch, fresh_systems):
         # the command takes its system from harness.mesh_system
         assembled = []

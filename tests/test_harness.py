@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fem_reference import l2_norm
-from fracwave import harness
+from fracwave import harness, solver
 from fracwave.fem import assemble, build_mesh
 from fracwave.fraccalc import (
     FracParams,
@@ -15,7 +15,6 @@ from fracwave.fraccalc import (
     constants_table,
 )
 from fracwave.harness import (
-    _NORM_BLOCK_FLOATS,
     ManufacturedCase,
     build_case,
     error_norm_energy,
@@ -29,7 +28,7 @@ from fracwave.harness import (
     time_errors,
     verify_case,
 )
-from fracwave.solver import Trajectory
+from fracwave.solver import BLOCK_FLOATS, Trajectory
 
 # Times near t = 0 at which the source's singular exponent is fitted.
 _SINGULAR_FIT_TIMES = np.geomspace(1e-9, 1e-7, 12)
@@ -245,6 +244,25 @@ class TestErrorNorms:
         assert error_norm_energy(traj, case, system, kappa) == 0.0
         assert error_norm_l2max(traj, case, system, kappa) == 0.0
 
+    def test_blocks_count_every_row_once(self):
+        # the largest error sits in u_0, the first block's own row, or in
+        # a boundary row, which the next block shares
+        case = build_case("smooth1d", FracParams(gamma=0.5))
+        case.temporal.value = lambda t: 0.0 * t
+        case.temporal.d1 = lambda t: 0.0 * t
+        kappa = 1.0 / 16
+        system = assemble(build_mesh(1, (0.0, 1.0), 8))
+        ones = np.ones(system.ndof)
+        for row in (0, 5, 16):
+            us = np.zeros((17, system.ndof))
+            us[row] = ones
+            norms = harness.ErrorNorms(case, system, kappa)
+            for lo, hi in ((0, 5), (5, 11), (11, 16)):
+                norms(lo, us[lo:hi + 1])
+            assert norms.l2 == pytest.approx(l2_norm(system, ones), rel=1e-15)
+            assert norms.energy == pytest.approx(
+                l2_norm(system, ones / kappa) + l2_norm(system, 0.5 * ones), rel=1e-15)
+
     def test_interpolant_trajectory_residual_is_small(self):
         case = build_case("smooth1d", FracParams(gamma=0.5))
         kappa = 1.0 / 512
@@ -283,7 +301,7 @@ class TestBlockedNorms:
         name = "smooth1d" if dimension == 1 else "smooth2d"
         case = build_case(name, FracParams(gamma=0.5))
         system = assemble(build_mesh(dimension, domain, cells))
-        block = _NORM_BLOCK_FLOATS // system.ndof
+        block = BLOCK_FLOATS // system.ndof
         if cells > 8:
             assert steps > 2 * block and steps % block != 0
         kappa = 1.0 / (steps - 1)
@@ -313,6 +331,50 @@ class TestBlockedNorms:
                     for n in range(coarse.shape[0]))
                 for coarse, fine in zip(runs, runs[1:])]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+class TestStreamedNorms:
+    """run_level's norms, accumulated block by block as the run steps,
+    against the norms of the kept trajectory."""
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("name,kappa,floats", [
+        ("smooth1d", 1.0 / 128, 1),                   # 20 dofs, 4 blocks of 32 steps
+        ("nonsmooth1d", 1.0 / 96, 1),                 # 15 dofs, 3 blocks of 32 steps
+        ("smooth2d", 1.0 / 160, solver.BLOCK_FLOATS),  # 961 dofs, 64 + 64 + 32 steps
+    ])
+    def test_run_level_equals_the_kept_trajectory(self, name, kappa, floats, corrected,
+                                                  monkeypatch):
+        monkeypatch.setattr(solver, "BLOCK_FLOATS", floats)
+        case = build_case(name, FracParams(gamma=0.5))
+        system = harness.mesh_system(case.dimension, case.domain, level_cells(case, kappa))
+        assert round(1.0 / kappa) > 2 * solver.block_steps(system.ndof)
+        kept_rows = []
+        run = harness.run
+
+        def counting_run(config, observe=None):
+            traj = run(config, observe)
+            kept_rows.append(traj.us.shape[0])
+            return traj
+
+        monkeypatch.setattr(harness, "run", counting_run)
+        h, e_en, e_l2 = run_level(case, kappa, corrected)
+        traj = solve_case(case, system, kappa, corrected)
+        assert kept_rows == [1, round(1.0 / kappa) + 1]
+        assert h == system.mesh.h
+        assert e_en == pytest.approx(error_norm_energy(traj, case, system, kappa),
+                                     rel=1e-15, abs=0.0)
+        assert e_l2 == pytest.approx(error_norm_l2max(traj, case, system, kappa),
+                                     rel=1e-15, abs=0.0)
+
+    def test_norms_refuse_an_observed_trajectory(self):
+        case = build_case("smooth1d", FracParams(gamma=0.5))
+        kappa = 1.0 / 64
+        system = harness.mesh_system(1, case.domain, level_cells(case, kappa))
+        traj = solve_case(case, system, kappa, False, observe=lambda lo, rows: None)
+        for norm in (error_norm_energy, error_norm_l2max):
+            with pytest.raises(ValueError, match="every row of the trajectory, got 1 of 65"):
+                norm(traj, case, system, kappa)
 
 
 class TestConvergence:

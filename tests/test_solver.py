@@ -382,6 +382,114 @@ class TestTimeLoop:
         assert system.M.products <= blocks + 1
 
 
+class TestObservedRun:
+    """run(config, observe) passes each block of checked rows to observe
+    instead of keeping the trajectory."""
+
+    @staticmethod
+    def observed(config):
+        blocks = []
+        traj = run(config, observe=lambda lo, rows: blocks.append((lo, rows.copy())))
+        return traj, blocks
+
+    @staticmethod
+    def assert_blocks_cover(blocks, us, size):
+        """Blocks of size steps start at 0, 1 size, 2 size, ...; each starts
+        at the last row of the one before, and joined they are us."""
+        N = us.shape[0] - 1
+        starts = [lo for lo, _ in blocks]
+        assert starts == list(range(0, N, size))
+        for (lo, rows), hi in zip(blocks, starts[1:] + [N]):
+            assert rows.shape == (hi - lo + 1, us.shape[1])
+        for (_, rows), (_, after) in zip(blocks, blocks[1:]):
+            np.testing.assert_array_equal(rows[-1], after[0])
+        joined = np.concatenate([blocks[0][1]] + [rows[1:] for _, rows in blocks[1:]])
+        np.testing.assert_array_equal(joined, us)
+
+    @staticmethod
+    def assert_same_run(traj, want):
+        assert traj.us.shape == (1, want.us.shape[1])
+        np.testing.assert_array_equal(traj.us[0], want.us[-1])
+        np.testing.assert_array_equal(traj.times, want.times)
+        np.testing.assert_array_equal(traj.energy, want.energy)
+        np.testing.assert_array_equal(traj.history, want.history)
+
+    @pytest.mark.parametrize("case", list(TestTimeLoop.CASES))
+    @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 65])
+    def test_blocks_of_check_steps(self, N, case, monkeypatch):
+        # a budget of one float gives the smallest blocks, CHECK_STEPS steps
+        monkeypatch.setattr(solver, "BLOCK_FLOATS", 1)
+        system = interval_system(16)
+        assert solver.block_steps(system.ndof) == CHECK_STEPS
+        kappa = 1.0 / 128
+        config = SimConfig(fem=system, T=N * kappa, kappa=kappa, u0=sin_field(),
+                           **TestTimeLoop.CASES[case])
+        want = run(config)
+        traj, blocks = self.observed(config)
+        self.assert_blocks_cover(blocks, want.us, CHECK_STEPS)
+        self.assert_same_run(traj, want)
+
+    def test_blocks_within_the_float_budget_in_2d(self):
+        system = assemble(build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), 32))
+        size = solver.block_steps(system.ndof)
+        assert (system.ndof, size) == (961, 64)
+        assert size * system.ndof <= solver.BLOCK_FLOATS
+        x = system.mesh.nodes[system.mesh.interior]
+        N, kappa = 300, 1.0 / 160
+        config = SimConfig(fem=system, T=N * kappa, kappa=kappa,
+                           frac=FracParams(gamma=0.5), corrected=True,
+                           u0=np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
+        want = run(config)
+        traj, blocks = self.observed(config)
+        assert len(blocks) == 5
+        self.assert_blocks_cover(blocks, want.us, size)
+        self.assert_same_run(traj, want)
+
+    def test_observed_run_keeps_no_trajectory(self, monkeypatch):
+        import tracemalloc
+
+        # blocks of CHECK_STEPS steps; the default budget's block would
+        # hold the whole of so short a run
+        monkeypatch.setattr(solver, "BLOCK_FLOATS", 1)
+        system = interval_system(16)
+        kappa = 1.0 / 128
+        config = SimConfig(fem=system, T=4096 * kappa, kappa=kappa, u0=sin_field())
+        peaks = []
+        for observe in (None, lambda lo, rows: None):
+            tracemalloc.start()
+            traj = run(config, observe=observe)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        us_bytes = 8 * (config.n_steps + 1) * system.ndof
+        assert peaks[0] - peaks[1] >= 0.9 * us_bytes
+        assert traj.us.nbytes == 8 * system.ndof
+
+    @pytest.mark.parametrize("floats", [1, solver.BLOCK_FLOATS])
+    def test_divergence_reaches_no_observer(self, floats, monkeypatch):
+        monkeypatch.setattr(solver, "inverse_constant", lambda system: 1e-3)
+        monkeypatch.setattr(solver, "BLOCK_FLOATS", floats)
+        system = interval_system(32)
+        kappa = 1.5 * math.sqrt(2.0) * system.mesh.h / math.sqrt(12.0)
+        x = system.mesh.nodes[system.mesh.interior][:, 0]
+        u0 = np.sin(np.pi * x) + 1e-12 * np.sin(31.0 * np.pi * x)
+        config = SimConfig(fem=system, T=200.0 * kappa, kappa=kappa, u0=u0)
+        first = TestRun.first_offending_step(config)
+        assert first is not None and first > CHECK_STEPS
+        with pytest.raises(SolverDivergence) as kept:
+            run(config)
+        blocks = []
+        with pytest.raises(SolverDivergence, match=f"at step {first};") as observed:
+            run(config, observe=lambda lo, rows: blocks.append((lo, rows.shape[0])))
+        assert str(observed.value) == str(kept.value)
+        failed_block = (first - 1) // CHECK_STEPS * CHECK_STEPS
+        assert all(lo + count - 1 <= failed_block for lo, count in blocks)
+        if floats == 1:
+            assert blocks == [(lo, CHECK_STEPS + 1)
+                              for lo in range(0, failed_block, CHECK_STEPS)]
+        else:
+            assert blocks == []
+
+
 class TestModeStructure:
     def test_mode_consistency(self):
         # solution stays in the span of the discrete eigenvector nearest
