@@ -124,11 +124,13 @@ def cmd_ode(args) -> int:
     problem = VolterraProblem(gamma=args.gamma, a_gamma=frac.a_gamma,
                               lam=args.lam, u0=args.u0, v0=args.v0, f=forcing)
     solution = solve_volterra(problem, args.T, args.m)
+    # fitted before anything is printed, so a grid too short to fit on
+    # fails with no partial output
+    exponent = asymptotic_check(problem, args.T, args.m) if args.fit else None
     _print_echo(args)
     print(f"v0 = {F % solution.v[0]}")
     print(f"u(T) = {F % solution.u[-1]}")
-    if args.fit:
-        exponent = asymptotic_check(problem, args.T, args.m)
+    if exponent is not None:
         print(f"startup_exponent = {F % exponent}")
     if args.outdir:
         _save(args, "ode.csv", ["t", "u", "v"],

@@ -24,7 +24,7 @@ from fracwave.fraccalc import (
     caputo_series,
     rl_integral_gauss_jacobi,
 )
-from fracwave.solver import BLOCK_FLOATS, SeparableSource, SimConfig, Trajectory, run
+from fracwave.solver import SeparableSource, SimConfig, Trajectory, block_steps, run
 
 # Largest phase omega * t of the trig time factor at which the
 # Gauss-Jacobi rule has converged to round-off: against the tanh-sinh
@@ -203,16 +203,9 @@ def verify_case(case: ManufacturedCase, T: float = 1.0) -> float:
     return worst
 
 
-def _m_norms(system: FemSystem, count: int, rows) -> np.ndarray:
-    """||d_i||_M for the rows d_0..d_{count-1} that rows(lo, hi) returns as a
-    (hi - lo, ndof) block; blocks hold at most BLOCK_FLOATS floats."""
-    size = max(1, BLOCK_FLOATS // system.ndof)
-    out = np.empty(count)
-    for lo in range(0, count, size):
-        hi = min(lo + size, count)
-        d = rows(lo, hi)
-        out[lo:hi] = np.einsum("ij,ji->i", d, system.M @ d.T)
-    return np.sqrt(np.maximum(out, 0.0))
+def _m_norms(system: FemSystem, d: np.ndarray) -> np.ndarray:
+    """||d_i||_M for each row d_i of d."""
+    return np.sqrt(np.maximum(np.einsum("ij,ji->i", d, system.M @ d.T), 0.0))
 
 
 class ErrorNorms:
@@ -222,9 +215,10 @@ class ErrorNorms:
     l2 = max_n ||u_n - I_h u(t_n)||_M.
 
     Exact values enter through nodal interpolation of the spatial factor.
-    Called as observe(lo, rows) with the rows u_lo..u_hi; blocks start at
-    lo = 0 and each next one at the last row of the one before, as
-    solver.run passes them.
+    Called as observe(lo, rows) with the rows u_lo..u_hi of a block, as
+    solver.run passes them, and reduces each block as a whole; the
+    boundary row that two blocks share enters both maxima twice, which
+    leaves them unchanged.
     """
 
     def __init__(self, case: ManufacturedCase, system: FemSystem, kappa: float):
@@ -233,38 +227,31 @@ class ErrorNorms:
         self.energy = self.l2 = 0.0
 
     def __call__(self, lo: int, rows: np.ndarray) -> None:
-        case, s, kappa = self.case, self.s, self.kappa
+        case, system, s, kappa = self.case, self.system, self.s, self.kappa
+        t = np.arange(lo, lo + rows.shape[0]) * kappa
         t_half = (np.arange(lo + 1, lo + rows.shape[0]) - 0.5) * kappa
-        # u_lo is the last row of the block before, except in the first one
-        first = 0 if lo == 0 else 1
-        t = np.arange(lo + first, lo + rows.shape[0]) * kappa
-        unseen = rows[first:]
-
-        def slope(a, b):
-            return ((rows[a + 1:b + 1] - rows[a:b]) / kappa
-                    - case.exact_d1(t_half[a:b])[:, None] * s)
-
-        def mean(a, b):
-            return (0.5 * (rows[a + 1:b + 1] + rows[a:b])
-                    - case.exact(t_half[a:b])[:, None] * s)
-
-        def error(a, b):
-            return unseen[a:b] - case.exact(t[a:b])[:, None] * s
-
-        steps = len(t_half)
-        self.energy = max(self.energy, float(np.max(
-            _m_norms(self.system, steps, slope) + _m_norms(self.system, steps, mean))))
-        self.l2 = max(self.l2, float(np.max(_m_norms(self.system, len(t), error))))
+        # one block-sized temporary at a time: the mean's norms add into
+        # the slope's
+        energy = _m_norms(system, (rows[1:] - rows[:-1]) / kappa
+                          - case.exact_d1(t_half)[:, None] * s)
+        energy += _m_norms(system, 0.5 * (rows[1:] + rows[:-1])
+                           - case.exact(t_half)[:, None] * s)
+        self.energy = max(self.energy, float(np.max(energy)))
+        self.l2 = max(self.l2, float(np.max(
+            _m_norms(system, rows - case.exact(t)[:, None] * s))))
 
 
 def _kept_norms(traj: Trajectory, case: ManufacturedCase, system: FemSystem,
                 kappa: float) -> ErrorNorms:
+    """ErrorNorms of a kept trajectory, fed the blocks solver.run passes."""
     if traj.us.shape[0] != len(traj.times):
         raise ValueError(
             f"the error norms need every row of the trajectory, got {traj.us.shape[0]}"
             f" of {len(traj.times)}; an observed run keeps u_N alone")
     norms = ErrorNorms(case, system, kappa)
-    norms(0, traj.us)
+    size = block_steps(system.ndof)
+    for lo in range(0, len(traj.times) - 1, size):
+        norms(lo, traj.us[lo:lo + size + 1])
     return norms
 
 
@@ -400,8 +387,7 @@ def time_errors(case: ManufacturedCase, n_per_side: int, corrected: bool,
     errors = []
     for lev in range(1, levels + 1):
         fine = solve_case(case, system, kappa0 / 2**lev, corrected).us
-        diff = lambda lo, hi: fine[2 * lo:2 * hi:2] - coarse[lo:hi]
-        errors.append(float(np.max(_m_norms(system, coarse.shape[0], diff))))
+        errors.append(float(np.max(_m_norms(system, fine[::2] - coarse))))
         coarse = fine
     return errors
 

@@ -42,8 +42,9 @@ from fracwave.fraccalc import FracParams
 ENERGY_ABORT_FACTOR = 1e6
 # The energy log and the divergence check cover blocks of this many steps.
 CHECK_STEPS = 32
-# Floats per block of trajectory rows: run's observed blocks and the
-# harness's batched M-norms stay within this budget.
+# Floats per observed block of trajectory rows, about: a block is never
+# fewer than CHECK_STEPS + 1 rows, so at 3969 dofs it is 2**17 floats
+# (block_steps).
 BLOCK_FLOATS = 2**16
 
 

@@ -1,7 +1,7 @@
 """Reference norms of P1 coefficient vectors, for the tests.
 
-The package grades its runs with the batched M-norms of
-harness._m_norms; these are the one-vector forms the tests check those
+The package grades its runs with harness._m_norms, the M-norms of every
+row of a block; these are the one-vector forms the tests check those
 and the Ritz projection against.  Not a test module: pytest does not
 collect it, the test modules import it.
 """

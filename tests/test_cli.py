@@ -127,6 +127,15 @@ class TestOde:
         assert len(rows) == 18
         assert (tmp_path / "config_echo.txt").exists()
 
+    def test_fit_on_a_short_grid_prints_nothing(self, capsys, tmp_path):
+        outdir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "ode", "--gamma", "0.5", "--m", "32", "--fit",
+                                 "--outdir", str(outdir))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: fit window (4, 64) exceeds grid length 32")
+        assert not outdir.exists()
+
     def test_nan_horizon_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "ode", "--gamma", "0.5", "--T", "nan")
         assert code == 1

@@ -28,7 +28,7 @@ from fracwave.harness import (
     time_errors,
     verify_case,
 )
-from fracwave.solver import BLOCK_FLOATS, Trajectory
+from fracwave.solver import CHECK_STEPS, Trajectory
 
 # Times near t = 0 at which the source's singular exponent is fitted.
 _SINGULAR_FIT_TIMES = np.geomspace(1e-9, 1e-7, 12)
@@ -289,7 +289,8 @@ def _random_trajectory(system, kappa, steps, seed):
 
 
 class TestBlockedNorms:
-    """The batched M-norms against a loop of one l2_norm per step."""
+    """The blocked M-norms against a loop of one l2_norm per step, and
+    against the same trajectory fed in other blocks."""
 
     @pytest.mark.parametrize("dimension,cells,steps", [
         (1, 8, 17),          # one block
@@ -301,10 +302,10 @@ class TestBlockedNorms:
         name = "smooth1d" if dimension == 1 else "smooth2d"
         case = build_case(name, FracParams(gamma=0.5))
         system = assemble(build_mesh(dimension, domain, cells))
-        block = BLOCK_FLOATS // system.ndof
+        block, N = solver.block_steps(system.ndof), steps - 1
         if cells > 8:
-            assert steps > 2 * block and steps % block != 0
-        kappa = 1.0 / (steps - 1)
+            assert N > 2 * block and N % block != 0
+        kappa = 1.0 / N
         traj = _random_trajectory(system, kappa, steps, seed=cells)
         us = traj.us
         s = case.spatial.value(system.mesh.nodes[system.mesh.interior])
@@ -316,10 +317,15 @@ class TestBlockedNorms:
             for n in range(1, steps))
         l2_ref = max(l2_norm(system, us[n] - case.exact(n * kappa) * s)
                      for n in range(steps))
-        assert error_norm_energy(traj, case, system, kappa) == pytest.approx(
-            energy_ref, rel=1e-14)
-        assert error_norm_l2max(traj, case, system, kappa) == pytest.approx(
-            l2_ref, rel=1e-14)
+        kept = (error_norm_energy(traj, case, system, kappa),
+                error_norm_l2max(traj, case, system, kappa))
+        assert kept == pytest.approx((energy_ref, l2_ref), rel=1e-14)
+        # whole, in run's blocks, in blocks of the energy check, step by step
+        for size in (N, block, CHECK_STEPS, 1):
+            norms = harness.ErrorNorms(case, system, kappa)
+            for lo in range(0, N, size):
+                norms(lo, us[lo:lo + size + 1])
+            assert (norms.energy, norms.l2) == pytest.approx(kept, rel=1e-15, abs=0.0)
 
     def test_time_errors_equal_per_step_loop(self):
         case = build_case("smooth1d", FracParams(gamma=-0.25))
@@ -362,10 +368,9 @@ class TestStreamedNorms:
         traj = solve_case(case, system, kappa, corrected)
         assert kept_rows == [1, round(1.0 / kappa) + 1]
         assert h == system.mesh.h
-        assert e_en == pytest.approx(error_norm_energy(traj, case, system, kappa),
-                                     rel=1e-15, abs=0.0)
-        assert e_l2 == pytest.approx(error_norm_l2max(traj, case, system, kappa),
-                                     rel=1e-15, abs=0.0)
+        # the kept trajectory is fed in run's blocks: the same arithmetic
+        assert e_en == error_norm_energy(traj, case, system, kappa)
+        assert e_l2 == error_norm_l2max(traj, case, system, kappa)
 
     def test_norms_refuse_an_observed_trajectory(self):
         case = build_case("smooth1d", FracParams(gamma=0.5))
