@@ -4,9 +4,9 @@ Weight generation from the generating function (delta(zeta)/kappa)^gamma
 with delta(zeta) = 3/2 - 2 zeta + zeta^2/2, the Caputo shift for positive
 orders, startup correction weights exact on constants (and linears for
 positive orders), the CQ history sum (direct, and blocked for the time
-loop: lags up to 127 exact by dense Toeplitz products, longer ones by a
-sum of exponentials), the central difference operator, and the mixed
-operator approximating d_t^(gamma+1).
+loop: lags up to 127 exact by one 64 x 64 Toeplitz product per block of
+64 steps, longer ones by a sum of exponentials), the central difference
+operator, and the mixed operator approximating d_t^(gamma+1).
 """
 
 from __future__ import annotations
@@ -137,8 +137,7 @@ class CQScheme:
         return out
 
 
-NEAR_BITS = 5   # near field: aligned blocks of 2**5 = 32 steps
-FAR_STEPS = 2 << NEAR_BITS   # 64: exact lags below 2 * FAR_STEPS, older ones by the tail
+FAR_STEPS = 64   # the block: exact lags below 2 * FAR_STEPS, older ones by the tail
 
 
 def tail_weights(gamma: float, kappa: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,11 +210,8 @@ class CQHistory:
     replaced by a sum of exponentials, as in fast and oblivious CQ
     (Schaedle, Lopez-Fernandez & Lubich, SIAM J. Sci. Comput. 28, 2006).
     For a pair j < n with the step n in the block [m, m + FAR_STEPS):
-    - j and n in the same aligned block of 2**NEAR_BITS steps: the term
-      omega_{n-j} values[j] is summed directly at step n;
-    - j in [m, m + 32) and n in [m + 32, m + 64): when step m + 32 is
-      reached, that block of values is taken to the rows after it by one
-      32 x 32 Toeplitz product;
+    - j in the same block: the term omega_{n-j} values[j] is summed
+      directly at step n;
     - j in [m - FAR_STEPS, m): at step m, one FAR_STEPS x FAR_STEPS
       Toeplitz product (lags 1 to 2 FAR_STEPS - 1, exact);
     - j < m - FAR_STEPS: at step m, the exponential tail of tail_weights
@@ -224,7 +220,7 @@ class CQHistory:
       [m - 2 FAR_STEPS, m - FAR_STEPS) fold in, each by one product.
     The rows after step n are not written yet: row n holds its pending
     far-field sum until the caller overwrites it with values[n], so the
-    history needs no memory beyond values, two Toeplitz matrices and the
+    history needs no memory beyond values, one Toeplitz matrix and the
     Q x ndof tail state.  With at most 2 FAR_STEPS rows, no tail is built
     and the sum is exact up to round-off.
 
@@ -233,10 +229,10 @@ class CQHistory:
     n = 1, 2, ... in order, after rows 0..n-1 are written and before row
     n is.  corrected picks the startup table CQScheme.startup once for
     the whole loop.  Its terms c0[n] values[0] + c1[n] values[1] join
-    the pending rows of each aligned block of 2**NEAR_BITS steps when
-    the block opens (the first block at n = 2, once values[1] is
-    written), so a step adds none of them itself, except step 1, which
-    adds c0[1] values[0] (its c1 term is CQScheme.self_weight's).
+    the pending rows of each block when it opens (the first block at
+    n = 2, once values[1] is written), so a step adds none of them
+    itself, except step 1, which adds c0[1] values[0] (its c1 term is
+    CQScheme.self_weight's).
     """
 
     def __init__(self, scheme: CQScheme, values: np.ndarray, corrected: bool) -> None:
@@ -253,14 +249,12 @@ class CQHistory:
         omega = np.zeros(2 * FAR_STEPS)
         head = scheme.omega[:2 * FAR_STEPS]
         omega[:len(head)] = head
-        # [omega_32, ..., omega_1, 1]: its last r + 1 entries weigh the rows
-        # n - r..n in known_sum
-        near = 1 << NEAR_BITS
-        self._near = np.append(omega[near:0:-1], 1.0)
-        # the Toeplitz matrices that _far_field applies to a block of each
-        # size: T[r, c] = omega[size + r - c] takes row m - size + c to row m + r
-        self._kernels = {size: omega[size + np.arange(size)[:, None] - np.arange(size)]
-                         for size in (near, FAR_STEPS)}
+        # [omega_FAR_STEPS, ..., omega_1, 1]: its last r + 1 entries weigh
+        # the rows n - r..n in known_sum
+        self._near = np.append(omega[FAR_STEPS:0:-1], 1.0)
+        # T[r, c] = omega[FAR_STEPS + r - c] takes row m - FAR_STEPS + c to row m + r
+        lags = np.arange(FAR_STEPS)
+        self._kernel = omega[FAR_STEPS + lags[:, None] - lags]
         self.tail = (_ExponentialTail(scheme, self._columns.shape[1])
                      if len(values) > 2 * FAR_STEPS else None)
 
@@ -273,32 +267,27 @@ class CQHistory:
         if n != self._n + 1:
             raise ValueError(f"history sums go in step order: expected {self._n + 1}, got {n}")
         self._n = n
-        start = n >> NEAR_BITS << NEAR_BITS
-        if start == n:
-            self._far_field(n)
+        start = n - n % FAR_STEPS
         if start == n or n == 2:
-            self._add_startup(n, start + (1 << NEAR_BITS))
+            self._open_block(n, start + FAR_STEPS)
         # the near field and the pending row n in one product
-        out = np.dot(self._near[start + (1 << NEAR_BITS) - n:], self.values[start:n + 1])
+        out = np.dot(self._near[start + FAR_STEPS - n:], self.values[start:n + 1])
         if n == 1:
             return out + self._startup[1, 0] * self.values[0]
         return out
 
-    def _add_startup(self, lo: int, hi: int) -> None:
-        """Add the startup terms c0[n] values[0] + c1[n] values[1] at the
-        steps [lo, hi) to their pending rows, by one (rows x 2) x (2 x ndof)
-        product."""
-        rows = slice(lo, min(hi, len(self.values)))
-        self._columns[rows] += self._startup[rows] @ self._columns[:2]
-
-    def _far_field(self, m: int) -> None:
-        """Add the blocks that end at step m to the pending rows after it."""
-        size = min(m & -m, FAR_STEPS)
+    def _open_block(self, lo: int, hi: int) -> None:
+        """Add to the pending rows [lo, hi): at a block start lo, the
+        previous block by one Toeplitz product and the older rows by the
+        tail; then the startup terms c0[n] values[0] + c1[n] values[1], by
+        one (rows x 2) x (2 x ndof) product."""
         cols = self._columns
-        pending = cols[m:m + size]
-        pending += self._kernels[size][:len(pending)] @ cols[m - size:m]
-        if size == FAR_STEPS and m >= 2 * FAR_STEPS:
-            self.tail.advance(cols[m - 2 * FAR_STEPS:m - FAR_STEPS], pending)
+        pending = cols[lo:hi]
+        if lo % FAR_STEPS == 0:
+            pending += self._kernel[:len(pending)] @ cols[lo - FAR_STEPS:lo]
+            if lo >= 2 * FAR_STEPS:
+                self.tail.advance(cols[lo - 2 * FAR_STEPS:lo - FAR_STEPS], pending)
+        pending += self._startup[lo:lo + len(pending)] @ cols[:2]
 
 
 def _cq_sum(scheme: CQScheme, g: np.ndarray, n: int, corrected: bool):

@@ -38,12 +38,6 @@ class ScalarField:
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
-    def scaled(self, factor: float) -> "ScalarField":
-        grad = None
-        if self.gradient is not None:
-            grad = lambda x, g=self.gradient: factor * g(x)
-        return ScalarField(value=lambda x, v=self.value: factor * v(x), gradient=grad)
-
 
 @dataclass
 class Mesh:
@@ -280,6 +274,9 @@ def max_generalized_eigenvalue(system: FemSystem) -> float:
     3. Refine: shift-invert eigsh about sigma, started from the Ritz
        vector, returns the eigenvalue nearest sigma, which is lambda_max,
        to round-off.  It needs no mass solves.
+    At most LANCZOS_VECTORS dofs, the estimate's Krylov space is the
+    whole space, so theta is lambda_max to round-off and steps 2 and 3
+    are skipped.
     """
     n = system.ndof
     if n == 1:
@@ -290,6 +287,8 @@ def max_generalized_eigenvalue(system: FemSystem) -> float:
     theta, x = spla.eigsh(system.K, k=1, M=system.M, Minv=m_inv, which="LA",
                           v0=v0, ncv=ncv, tol=ESTIMATE_TOL)
     theta = float(theta[0])
+    if ncv == n:
+        return theta
     margin = ESTIMATE_TOL
     while True:
         sigma = theta * (1.0 + margin)

@@ -16,7 +16,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from fracwave.fem import FemSystem, ScalarField, assemble, build_mesh, interpolate
+from fracwave.fem import (
+    FemSystem,
+    ScalarField,
+    assemble,
+    build_mesh,
+    interpolate,
+    ritz_projection,
+)
 from fracwave.fraccalc import (
     GAUSS_JACOBI_NODES,
     FracParams,
@@ -332,12 +339,13 @@ def mesh_system(dimension: int, domain: tuple, cells: int) -> FemSystem:
 def solve_case(case: ManufacturedCase, system: FemSystem, kappa: float,
                corrected: bool, T: float = 1.0, observe=None) -> Trajectory:
     """Run the scheme on the case's data, on a given mesh and step; observe
-    goes to solver.run."""
+    goes to solver.run.  u0 and v0 are multiples of case.spatial, so one
+    Ritz projection gives both."""
+    projected = ritz_projection(system, case.spatial)
     config = SimConfig(
         fem=system, T=T, kappa=kappa, frac=case.frac, corrected=corrected,
         f=SeparableSource(spatial=case.spatial, temporal=case.source_temporal),
-        u0=case.spatial.scaled(case.exact(0.0)),
-        v0=case.spatial.scaled(case.exact_d1(0.0)),
+        u0=case.exact(0.0) * projected, v0=case.exact_d1(0.0) * projected,
     )
     return run(config, observe=observe)
 

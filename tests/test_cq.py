@@ -212,12 +212,13 @@ def check_against_direct_sum(gamma, corrected, N, ndof):
 
 class TestCQHistory:
     @pytest.mark.parametrize("ndof", [1, 7])
-    @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 64, 128, 129, 192, 257, 300, 1000, 3000])
+    @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 192, 257,
+                                   300, 1000, 3000])
     @pytest.mark.parametrize("corrected", [False, True])
     @pytest.mark.parametrize("gamma", [-0.5, 0.5])
     def test_matches_direct_sum_at_every_step(self, gamma, corrected, N, ndof):
-        # N = 129 reaches the tail at its last row only; N = 33 ends in a
-        # Toeplitz block whose omega[:2 size] runs past omega_N
+        # N = 129 reaches the tail at its last row only; N = 65 ends in a
+        # Toeplitz block whose omega[:128] runs past omega_N
         check_against_direct_sum(gamma, corrected, N, ndof)
 
     @pytest.mark.parametrize("corrected", [False, True])

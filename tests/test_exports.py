@@ -1,5 +1,6 @@
 """The package's export list, what importing it and a damped run load, and
-that every top-level name in the package is used by the package."""
+that every top-level name and every method in the package is used by the
+package."""
 
 import ast
 import json
@@ -104,6 +105,28 @@ def test_every_top_level_name_is_used_by_the_package():
               and not any(name in read and name not in names
                           for names, read in statements)]
     assert not unused, "defined in src/fracwave but not used there: " + ", ".join(unused)
+
+
+def test_every_method_is_used_by_the_package():
+    # the same for methods: each function in a class body, dunders aside,
+    # must be read as an attribute somewhere in the package outside its
+    # own body
+    methods, reads = [], []
+    for path in sorted(Path(fracwave.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads += [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+        methods += [(fn, f"{path.name}:{fn.lineno}")
+                    for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                    for fn in cls.body
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    unused = []
+    for fn, where in methods:
+        own = {id(node) for node in ast.walk(fn)}
+        if not any(node.attr == fn.name and id(node) not in own for node in reads):
+            unused.append(f"{fn.name} ({where})")
+    assert not unused, "methods in src/fracwave not used there: " + ", ".join(unused)
 
 
 def test_import_leaves_special_and_integrate_unloaded():

@@ -460,6 +460,36 @@ class TestInverseConstant:
         assert abs(lam - dense) <= 1e-12 * dense
         assert lam >= dense * (1.0 - 1e-14)
 
+    @pytest.mark.parametrize("dimension,domain,cells", [
+        (1, (0.0, 1.0), range(3, 42)),
+        (2, ((-1.0, 1.0), (-1.0, 1.0)), range(3, 8)),
+        (2, ((0.0, 2.0), (0.0, 1.0)), range(3, 8)),
+    ])
+    def test_small_systems_skip_the_shift(self, monkeypatch, dimension, domain, cells):
+        # up to LANCZOS_VECTORS dofs the estimate's Krylov space is the
+        # whole space: its Ritz value is lambda_max, and no sigma M - K is
+        # factored
+        import scipy.linalg as sla
+
+        import fracwave.fem as fem
+
+        factored = []
+
+        def count_factors(A):
+            factored.append(A)
+            return _spd_solver(A)
+
+        monkeypatch.setattr(fem, "_spd_solver", count_factors)
+        for n in cells:
+            system = assemble(build_mesh(dimension, domain, n))
+            assert 2 <= system.ndof <= fem.LANCZOS_VECTORS
+            lam = max_generalized_eigenvalue(system)
+            dense = sla.eigh(system.K.toarray(), system.M.toarray(),
+                             eigvals_only=True)[-1]
+            assert abs(lam - dense) <= 1e-13 * dense
+            # the mass factor of the estimate's solves, and nothing else
+            assert len(factored) == 1 and factored.pop() is system.M
+
     def test_matches_dense_eigenvalue(self):
         import scipy.linalg as sla
 

@@ -29,10 +29,10 @@ from fracwave.solver import (
 )
 
 
-def sin_field():
+def sin_field(scale=1.0):
     return ScalarField(
-        value=lambda x: np.sin(np.pi * x[:, 0]),
-        gradient=lambda x: (np.pi * np.cos(np.pi * x[:, 0]))[:, None],
+        value=lambda x: scale * np.sin(np.pi * x[:, 0]),
+        gradient=lambda x: (scale * np.pi * np.cos(np.pi * x[:, 0]))[:, None],
     )
 
 
@@ -583,7 +583,7 @@ class TestDampingTerm:
                                  temporal=lambda t: np.sin(2.0 * t))
         config = SimConfig(fem=system, T=1.0, kappa=kappa, frac=frac,
                            corrected=corrected, f=source, u0=sin_field(),
-                           v0=sin_field().scaled(-1.0))
+                           v0=sin_field(-1.0))
         traj = run(config)
         _, _, v0_h = initial_data(config)
         scheme = CQScheme.build(gamma, kappa, config.n_steps)
