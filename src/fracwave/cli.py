@@ -221,6 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracwave",
         description="Experiments for a weakly damped fractional wave equation.",
+        allow_abbrev=False,    # an abbreviated --config would go unread
     )
     parser.add_argument("--config", help="flat key = value file presetting "
                         "the chosen subcommand's flags")
@@ -297,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Expand `--config file` into leading flags of the subcommand.
+    """Expand `--config file` or `--config=file` into leading flags of the
+    subcommand.
 
     Keys use the flag spelling without dashes (e.g. `kappa0 = 0.01`).
     Flags given explicitly on the command line take precedence because
@@ -305,13 +307,17 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
     it is: its `command` line must name the subcommand being run, and a
     value of None leaves that flag at its default.
     """
-    if "--config" not in argv:
+    for at, arg in enumerate(argv):
+        if arg == "--config" or arg.startswith("--config="):
+            break
+    else:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise ValueError("--config requires a file path")
-    path = Path(argv[at + 1])
-    rest = argv[:at] + argv[at + 2:]
+    if arg == "--config":
+        if at + 1 >= len(argv):
+            raise ValueError("--config requires a file path")
+        path, rest = Path(argv[at + 1]), argv[:at] + argv[at + 2:]
+    else:
+        path, rest = Path(arg[len("--config="):]), argv[:at] + argv[at + 1:]
     if not rest:
         raise ValueError("--config requires a subcommand")
     command = rest[0]
@@ -346,16 +352,11 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]
 
 
 def _subcommand_flags(parser: argparse.ArgumentParser, command: str) -> set[str]:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            if command in action.choices:
-                return {
-                    s for a in action.choices[command]._actions
-                    for s in a.option_strings
-                    if s not in ("-h", "--help")
-                }
-            raise ValueError(f"unknown subcommand {command!r}")
-    raise RuntimeError("no subcommands registered")
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if command not in sub.choices:
+        raise ValueError(f"unknown subcommand {command!r}")
+    return {s for a in sub.choices[command]._actions for s in a.option_strings
+            if s not in ("-h", "--help")}
 
 
 def main(argv=None) -> int:

@@ -31,7 +31,7 @@ from fracwave.fraccalc import (
     caputo_series,
     rl_integral_gauss_jacobi,
 )
-from fracwave.solver import SeparableSource, SimConfig, Trajectory, block_steps, run
+from fracwave.solver import CHECK_STEPS, SeparableSource, SimConfig, Trajectory, run
 
 # Largest phase omega * t of the trig time factor at which the
 # Gauss-Jacobi rule has converged to round-off: against the tanh-sinh
@@ -222,10 +222,10 @@ class ErrorNorms:
     l2 = max_n ||u_n - I_h u(t_n)||_M.
 
     Exact values enter through nodal interpolation of the spatial factor.
-    Called as observe(lo, rows) with the rows u_lo..u_hi of a block, as
-    solver.run passes them, and reduces each block as a whole; the
-    boundary row that two blocks share enters both maxima twice, which
-    leaves them unchanged.
+    Called as observe(lo, rows) with the rows u_lo..u_hi of a block of
+    solver.CHECK_STEPS steps, as solver.run passes them, and reduces each
+    block as a whole; the boundary row that two blocks share enters both
+    maxima twice, which leaves them unchanged.
     """
 
     def __init__(self, case: ManufacturedCase, system: FemSystem, kappa: float):
@@ -250,15 +250,15 @@ class ErrorNorms:
 
 def _kept_norms(traj: Trajectory, case: ManufacturedCase, system: FemSystem,
                 kappa: float) -> ErrorNorms:
-    """ErrorNorms of a kept trajectory, fed the blocks solver.run passes."""
+    """ErrorNorms of a kept trajectory, fed in the blocks of CHECK_STEPS
+    steps that solver.run passes an observer."""
     if traj.us.shape[0] != len(traj.times):
         raise ValueError(
             f"the error norms need every row of the trajectory, got {traj.us.shape[0]}"
             f" of {len(traj.times)}; an observed run keeps u_N alone")
     norms = ErrorNorms(case, system, kappa)
-    size = block_steps(system.ndof)
-    for lo in range(0, len(traj.times) - 1, size):
-        norms(lo, traj.us[lo:lo + size + 1])
+    for lo in range(0, len(traj.times) - 1, CHECK_STEPS):
+        norms(lo, traj.us[lo:lo + CHECK_STEPS + 1])
     return norms
 
 

@@ -12,10 +12,10 @@ once per run; only step 1, with its w1 term, has its own.  The known
 part of the sum comes from the blocked history `cq.CQHistory`, exact
 up to lag 127 and a sum of Q ~ 100 exponentials beyond, so the time
 loop costs O(N * Q * ndof).  The energy log and the divergence check
-run once per CHECK_STEPS steps, on the trajectory rows of those steps,
-and each block of checked rows then goes to an observer: by default the
-rows are kept as the whole trajectory, and a caller that only reduces
-them (the error norms) streams them through one block of rows instead.
+run once per CHECK_STEPS steps, on one reused block of the trajectory
+rows of those steps, and each checked block then goes to an observer:
+by default one that copies it into the kept trajectory, while a caller
+that only reduces the rows (the error norms) keeps none of them.
 """
 
 from __future__ import annotations
@@ -40,12 +40,9 @@ from fracwave.fraccalc import FracParams
 # A kinetic part 1/2 |d_n|_M^2 beyond this multiple of the energy E_n
 # aborts the run as divergent; under the CFL condition it is at most 2 E_n.
 ENERGY_ABORT_FACTOR = 1e6
-# The energy log and the divergence check cover blocks of this many steps.
+# The energy log, the divergence check and the observers take blocks of
+# this many steps.
 CHECK_STEPS = 32
-# Floats per observed block of trajectory rows, about: a block is never
-# fewer than CHECK_STEPS + 1 rows, so at 3969 dofs it is 2**17 floats
-# (block_steps).
-BLOCK_FLOATS = 2**16
 
 
 class SolverDivergence(RuntimeError):
@@ -103,7 +100,8 @@ class SimConfig:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    us: np.ndarray        # (N+1, ndof); (1, ndof), u_N alone, if run was observed
+    us: np.ndarray        # (N+1, ndof), the default observer's copy of every
+                          # block; (1, ndof), u_N alone, if run was observed
     energy: np.ndarray    # E_n for n = 1..N (index 0 is E_1)
     history: np.ndarray   # central differences, entries 0..N-1
 
@@ -259,12 +257,6 @@ def _check_block(config: SimConfig, rows: np.ndarray, energy: np.ndarray,
         f" (> {ENERGY_ABORT_FACTOR:.0e} x E_n) at step {i + 1}; check the CFL condition")
 
 
-def block_steps(ndof: int) -> int:
-    """Steps per observed block: a multiple of CHECK_STEPS whose rows
-    hold about BLOCK_FLOATS floats, and at least CHECK_STEPS."""
-    return CHECK_STEPS * max(1, BLOCK_FLOATS // (CHECK_STEPS * ndof))
-
-
 def run(config: SimConfig,
         observe: Callable[[int, np.ndarray], None] | None = None) -> Trajectory:
     """Execute initial data and all time steps, recording the energy log.
@@ -278,12 +270,12 @@ def run(config: SimConfig,
     so a divergent run may take up to CHECK_STEPS - 1 steps past the
     first offending one, which the error names, before it raises.
 
-    The rows u_lo..u_hi of each block of block_steps(ndof) steps, and of
-    the last, partial one, go to observe(lo, rows) once they are checked;
-    consecutive blocks share their boundary row, and rows is only valid
-    during the call.  By default the blocks are views of the kept
-    trajectory us.  With an observer, run keeps one block of rows, and
-    the Trajectory's us holds u_N alone.
+    The rows u_lo..u_hi of each block of CHECK_STEPS steps, and of the
+    last, partial one, go to observe(lo, rows) once they are checked;
+    consecutive blocks share their boundary row, and rows is one buffer,
+    reused, so it is only valid during the call.  By default the observer
+    copies each block into the kept trajectory us.  With an observer of
+    the caller's, the Trajectory's us holds u_N alone.
     """
     system = config.fem
     N = config.n_steps
@@ -296,15 +288,12 @@ def run(config: SimConfig,
         f0 = source[0] * load
 
     u0_h, u1_h, dtu0_h = initial_data(config, f0)
-    size = block_steps(system.ndof)
+    us = None
     if observe is None:
         us = np.empty((N + 1, system.ndof))
-        block = lambda lo: us[lo:lo + size + 1]
-        observe = lambda lo, rows: None     # the rows are already in us
-    else:
-        us = None
-        buffer = np.empty((min(size, N) + 1, system.ndof))
-        block = lambda lo: buffer
+
+        def observe(lo: int, rows: np.ndarray) -> None:
+            us[lo:lo + len(rows)] = rows
     history = np.zeros((N, system.ndof))
     history[0] = dtu0_h
     energy = np.empty(N)
@@ -314,24 +303,20 @@ def run(config: SimConfig,
                        config.corrected)
     state = SimState(n=1, u_prev=u0_h, u_cur=u1_h, history=history,
                      cq=cq, source=source, load=load)
-    rows = block(0)
+    rows = np.empty((min(CHECK_STEPS, N) + 1, system.ndof))
     rows[0] = u0_h
     rows[1] = u1_h
-    lo = checked = 0
+    lo = 0
     for n in range(2, N + 1):
         state = step(config, state)
         rows[n - lo] = state.u_cur
-        if n % CHECK_STEPS == 0:
-            _check_block(config, rows[checked - lo:n - lo + 1], energy, checked)
-            checked = n
-            if n - lo == size:
-                observe(lo, rows)
-                lo = n
-                rows = block(lo)
-                rows[0] = state.u_cur      # the boundary row opens the next block
-    if checked < N:
-        _check_block(config, rows[checked - lo:N - lo + 1], energy, checked)
+        if n - lo == CHECK_STEPS:
+            _check_block(config, rows, energy, lo)
+            observe(lo, rows)
+            lo = n
+            rows[0] = state.u_cur      # the boundary row opens the next block
     if N > lo:
+        _check_block(config, rows[:N - lo + 1], energy, lo)
         observe(lo, rows[:N - lo + 1])
     if us is None:
         us = rows[N - lo:N - lo + 1].copy()

@@ -312,12 +312,21 @@ class TestSolve:
 
 
 class TestConfigFile:
-    def test_file_presets_flags(self, capsys, tmp_path):
+    @pytest.mark.parametrize("joined", [False, True])
+    def test_file_presets_flags(self, capsys, tmp_path, joined):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma = 1\nkappa = 1\nn = 4\n")
-        code, out, _ = run_cli(capsys, "--config", str(cfg), "weights")
+        flag = [f"--config={cfg}"] if joined else ["--config", str(cfg)]
+        code, out, _ = run_cli(capsys, *flag, "weights")
         assert code == 0
         assert "1.5" in out
+
+    def test_abbreviated_flag_is_refused(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 1\n")
+        with pytest.raises(SystemExit):
+            main([f"--conf={cfg}", "weights", "--gamma", "0.5"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_cli_flags_override_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fem_reference import l2_norm
-from fracwave import harness, solver
+from fracwave import harness
 from fracwave.fem import assemble, build_mesh
 from fracwave.fraccalc import (
     FracParams,
@@ -294,17 +294,17 @@ class TestBlockedNorms:
 
     @pytest.mark.parametrize("dimension,cells,steps", [
         (1, 8, 17),          # one block
-        (1, 256, 600),       # 255 dofs: three blocks, the last one partial
-        (2, 16, 700),        # 225 dofs: three blocks, the last one partial
+        (1, 256, 600),       # 255 dofs: 18 blocks of 32 steps and one of 23
+        (2, 16, 700),        # 225 dofs: 21 blocks of 32 steps and one of 27
     ])
     def test_norms_equal_per_step_loop(self, dimension, cells, steps):
         domain = (0.0, 1.0) if dimension == 1 else ((-1.0, 1.0), (-1.0, 1.0))
         name = "smooth1d" if dimension == 1 else "smooth2d"
         case = build_case(name, FracParams(gamma=0.5))
         system = assemble(build_mesh(dimension, domain, cells))
-        block, N = solver.block_steps(system.ndof), steps - 1
+        N = steps - 1
         if cells > 8:
-            assert N > 2 * block and N % block != 0
+            assert N > 2 * CHECK_STEPS and N % CHECK_STEPS != 0
         kappa = 1.0 / N
         traj = _random_trajectory(system, kappa, steps, seed=cells)
         us = traj.us
@@ -320,8 +320,8 @@ class TestBlockedNorms:
         kept = (error_norm_energy(traj, case, system, kappa),
                 error_norm_l2max(traj, case, system, kappa))
         assert kept == pytest.approx((energy_ref, l2_ref), rel=1e-14)
-        # whole, in run's blocks, in blocks of the energy check, step by step
-        for size in (N, block, CHECK_STEPS, 1):
+        # whole, in run's blocks of CHECK_STEPS steps, step by step
+        for size in (N, CHECK_STEPS, 1):
             norms = harness.ErrorNorms(case, system, kappa)
             for lo in range(0, N, size):
                 norms(lo, us[lo:lo + size + 1])
@@ -344,17 +344,16 @@ class TestStreamedNorms:
     against the norms of the kept trajectory."""
 
     @pytest.mark.parametrize("corrected", [False, True])
-    @pytest.mark.parametrize("name,kappa,floats", [
-        ("smooth1d", 1.0 / 128, 1),                   # 20 dofs, 4 blocks of 32 steps
-        ("nonsmooth1d", 1.0 / 96, 1),                 # 15 dofs, 3 blocks of 32 steps
-        ("smooth2d", 1.0 / 160, solver.BLOCK_FLOATS),  # 961 dofs, 64 + 64 + 32 steps
+    @pytest.mark.parametrize("name,kappa", [
+        ("smooth1d", 1.0 / 128),      # 20 dofs, 4 blocks of 32 steps
+        ("nonsmooth1d", 1.0 / 96),    # 15 dofs, 3 blocks of 32 steps
+        ("smooth2d", 1.0 / 160),      # 961 dofs, 5 blocks of 32 steps
     ])
-    def test_run_level_equals_the_kept_trajectory(self, name, kappa, floats, corrected,
+    def test_run_level_equals_the_kept_trajectory(self, name, kappa, corrected,
                                                   monkeypatch):
-        monkeypatch.setattr(solver, "BLOCK_FLOATS", floats)
         case = build_case(name, FracParams(gamma=0.5))
         system = harness.mesh_system(case.dimension, case.domain, level_cells(case, kappa))
-        assert round(1.0 / kappa) > 2 * solver.block_steps(system.ndof)
+        assert round(1.0 / kappa) > 2 * CHECK_STEPS
         kept_rows = []
         run = harness.run
 
