@@ -450,15 +450,19 @@ class TestObservedRun:
         assert 0.9 * us_bytes <= peaks[0] - peaks[1] <= 1.05 * us_bytes
         assert traj.us.nbytes == 8 * system.ndof
 
-    def test_divergence_reaches_no_observer(self, monkeypatch):
+    @pytest.mark.parametrize("amplitude,seen", [
+        (1e-12, 1),    # diverges in the second block: the first one is observed
+        (1e-3, 0),     # diverges in the first block: nothing is observed
+    ], ids=["after-a-block", "in-the-first-block"])
+    def test_divergence_reaches_no_observer(self, amplitude, seen, monkeypatch):
         monkeypatch.setattr(solver, "inverse_constant", lambda system: 1e-3)
         system = interval_system(32)
         kappa = 1.5 * math.sqrt(2.0) * system.mesh.h / math.sqrt(12.0)
         x = system.mesh.nodes[system.mesh.interior][:, 0]
-        u0 = np.sin(np.pi * x) + 1e-12 * np.sin(31.0 * np.pi * x)
+        u0 = np.sin(np.pi * x) + amplitude * np.sin(31.0 * np.pi * x)
         config = SimConfig(fem=system, T=200.0 * kappa, kappa=kappa, u0=u0)
         first = TestRun.first_offending_step(config)
-        assert first is not None and first > CHECK_STEPS
+        assert first is not None and (first - 1) // CHECK_STEPS == seen
         with pytest.raises(SolverDivergence) as kept:
             run(config)
         blocks = []
