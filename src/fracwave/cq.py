@@ -5,8 +5,9 @@ with delta(zeta) = 3/2 - 2 zeta + zeta^2/2, the Caputo shift for positive
 orders, startup correction weights exact on constants (and linears for
 positive orders), the CQ history sum (direct, and blocked for the time
 loop: lags up to 127 exact by one 64 x 64 Toeplitz product per block of
-64 steps, longer ones by a sum of exponentials), the central difference
-operator, and the mixed operator approximating d_t^(gamma+1).
+64 steps, longer ones by a sum of exponentials, on a ring of 192 rows),
+the central difference operator, and the mixed operator approximating
+d_t^(gamma+1).
 """
 
 from __future__ import annotations
@@ -138,6 +139,7 @@ class CQScheme:
 
 
 FAR_STEPS = 64   # the block: exact lags below 2 * FAR_STEPS, older ones by the tail
+RING_ROWS = 3 * FAR_STEPS   # a block reads the rows [m - 2 FAR_STEPS, m + FAR_STEPS)
 
 
 def tail_weights(gamma: float, kappa: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,8 +156,9 @@ def tail_weights(gamma: float, kappa: float, N: int) -> tuple[np.ndarray, np.nda
     z**gamma) on [0, 4/N], then 12-point Gauss-Legendre on panels that
     grow by 3x up to z = 0.45, both from fraccalc.gauss_jacobi: Q = 100
     nodes at N = 8192, and omega_l to about 4e-13 relative for
-    |gamma| <= 0.95 and N from 256 to 16384.  N <= FAR_STEPS leaves no
-    lag for the tail and raises ValueError.
+    |gamma| <= 0.95 and N from 256 to 16384 (5.2e-12 at N = 131072,
+    Q = 124).  N <= FAR_STEPS leaves no lag for the tail and raises
+    ValueError.
     """
     if N <= FAR_STEPS:
         raise ValueError(f"no lag above FAR_STEPS = {FAR_STEPS} for N = {N}")
@@ -219,28 +222,44 @@ class CQHistory:
       state row per mode: the state decays by lam**FAR_STEPS and the rows
       [m - 2 FAR_STEPS, m - FAR_STEPS) fold in, each by one product.
     The rows after step n are not written yet: row n holds its pending
-    far-field sum until the caller overwrites it with values[n], so the
-    history needs no memory beyond values, one Toeplitz matrix and the
-    Q x ndof tail state.  With at most 2 FAR_STEPS rows, no tail is built
-    and the sum is exact up to round-off.
+    far-field sum until the caller overwrites it with values[n].  A
+    history of at most 2 FAR_STEPS rows builds no tail, and its sum is
+    exact up to round-off.
 
-    values has one row per step (1-D for scalar sequences) and rows
-    beyond the written ones must start at zero; known_sum is called for
-    n = 1, 2, ... in order, after rows 0..n-1 are written and before row
-    n is.  corrected picks the startup table CQScheme.startup once for
-    the whole loop.  Its terms c0[n] values[0] + c1[n] values[1] join
-    the pending rows of each block when it opens (the first block at
-    n = 2, once values[1] is written), so a step adds none of them
-    itself, except step 1, which adds c0[1] values[0] (its c1 term is
-    CQScheme.self_weight's).
+    Oblivious: row j lives in slot j % len(values), so values can be a
+    ring of RING_ROWS = 3 FAR_STEPS rows whatever N: block m reads the
+    rows [m - 2 FAR_STEPS, m) when it opens, its own rows [m, m +
+    FAR_STEPS) after, and rows 0 and 1, copied when the first block
+    opens (n = 2).  In a ring of a multiple of FAR_STEPS rows no aligned
+    block wraps; the pending rows of a block are zeroed before its sums
+    are added, as their slots may still hold older rows.  An array of at
+    least N rows is the ring that never wraps.  The sum keeps nothing
+    beyond values, one Toeplitz matrix, the Q x ndof tail state and the
+    copy of rows 0 and 1.  The history has the N rows 0..N-1 of a time
+    loop of N = scheme.N steps, and row N as well when values has N + 1
+    rows; sums go up to its last row.
+
+    values has one row per slot (1-D for scalar sequences) and must start
+    at zero past row 0; known_sum is called for n = 1, 2, ... in order,
+    after rows 0..n-1 are written and before row n is.  corrected picks
+    the startup table CQScheme.startup once for the whole loop.  Its
+    terms c0[n] values[0] + c1[n] values[1] join the pending rows of each
+    block when it opens, so a step adds none of them itself, except step
+    1, which adds c0[1] values[0] (its c1 term is CQScheme.self_weight's).
     """
 
     def __init__(self, scheme: CQScheme, values: np.ndarray, corrected: bool) -> None:
-        if len(values) > scheme.N + 1:
-            raise ValueError(f"{len(values)} history rows exceed scheme length {scheme.N}")
+        N, slots = scheme.N, len(values)
+        if slots > N + 1:
+            raise ValueError(f"{slots} history rows exceed scheme length {N}")
+        if slots < N and (slots < RING_ROWS or slots % FAR_STEPS):
+            raise ValueError(
+                f"a ring of {slots} history rows for N = {N} steps: it needs at least"
+                f" min(N, {RING_ROWS}) rows, and a multiple of {FAR_STEPS} if fewer than N")
         self.scheme = scheme
         self.values = values
         self.corrected = corrected
+        self._end = N + 1 if slots > N else N   # one past the last row
         self._startup = np.column_stack(scheme.startup(corrected))
         self._columns = values if values.ndim == 2 else values[:, None]
         self._n = 0
@@ -256,7 +275,7 @@ class CQHistory:
         lags = np.arange(FAR_STEPS)
         self._kernel = omega[FAR_STEPS + lags[:, None] - lags]
         self.tail = (_ExponentialTail(scheme, self._columns.shape[1])
-                     if len(values) > 2 * FAR_STEPS else None)
+                     if self._end > 2 * FAR_STEPS else None)
 
     def self_weight(self, n: int) -> float:
         """CQScheme.self_weight(n, corrected)."""
@@ -264,6 +283,9 @@ class CQHistory:
 
     def known_sum(self, n: int):
         """CQScheme.known_sum(values, n, corrected), without its O(n) sum."""
+        if n >= self._end:
+            raise ValueError(f"no history sum at step {n}: the last is step {self._end - 1}"
+                             f" of a run of N = {self.scheme.N} steps")
         if n != self._n + 1:
             raise ValueError(f"history sums go in step order: expected {self._n + 1}, got {n}")
         self._n = n
@@ -271,23 +293,32 @@ class CQHistory:
         if start == n or n == 2:
             self._open_block(n, start + FAR_STEPS)
         # the near field and the pending row n in one product
-        out = np.dot(self._near[start + FAR_STEPS - n:], self.values[start:n + 1])
+        slot = start % len(self.values)
+        out = np.dot(self._near[start + FAR_STEPS - n:],
+                     self.values[slot:slot + n - start + 1])
         if n == 1:
             return out + self._startup[1, 0] * self.values[0]
         return out
 
+    def _rows_of(self, lo: int, hi: int) -> np.ndarray:
+        """The slots of the rows [lo, hi), which no aligned block wraps."""
+        slot = lo % len(self.values)
+        return self._columns[slot:slot + hi - lo]
+
     def _open_block(self, lo: int, hi: int) -> None:
-        """Add to the pending rows [lo, hi): at a block start lo, the
-        previous block by one Toeplitz product and the older rows by the
-        tail; then the startup terms c0[n] values[0] + c1[n] values[1], by
-        one (rows x 2) x (2 x ndof) product."""
-        cols = self._columns
-        pending = cols[lo:hi]
+        """Set the pending rows [lo, hi) up to the last row: at a block
+        start lo, the previous block by one Toeplitz product and the older
+        rows by the tail; then the startup terms c0[n] values[0] + c1[n]
+        values[1], by one (rows x 2) x (2 x ndof) product."""
+        if lo == 2:   # a ring overwrites rows 0 and 1 at steps RING_ROWS and RING_ROWS + 1
+            self._first = self._columns[:2].copy()
+        pending = self._rows_of(lo, min(hi, self._end))
+        pending.fill(0.0)
         if lo % FAR_STEPS == 0:
-            pending += self._kernel[:len(pending)] @ cols[lo - FAR_STEPS:lo]
+            pending += self._kernel[:len(pending)] @ self._rows_of(lo - FAR_STEPS, lo)
             if lo >= 2 * FAR_STEPS:
-                self.tail.advance(cols[lo - 2 * FAR_STEPS:lo - FAR_STEPS], pending)
-        pending += self._startup[lo:lo + len(pending)] @ cols[:2]
+                self.tail.advance(self._rows_of(lo - 2 * FAR_STEPS, lo - FAR_STEPS), pending)
+        pending += self._startup[lo:lo + len(pending)] @ self._first
 
 
 def _cq_sum(scheme: CQScheme, g: np.ndarray, n: int, corrected: bool):

@@ -11,11 +11,12 @@ u_n, u_{n-1}, the known CQ sum and the solve, with coefficients folded
 once per run; only step 1, with its w1 term, has its own.  The known
 part of the sum comes from the blocked history `cq.CQHistory`, exact
 up to lag 127 and a sum of Q ~ 100 exponentials beyond, so the time
-loop costs O(N * Q * ndof).  The energy log and the divergence check
-run once per CHECK_STEPS steps, on one reused block of the trajectory
-rows of those steps, and each checked block then goes to an observer:
-by default one that copies it into the kept trajectory, while a caller
-that only reduces the rows (the error norms) keeps none of them.
+loop costs O(N * Q * ndof) and keeps a ring of 192 history rows
+whatever N.  The energy log and the divergence check run once per
+CHECK_STEPS steps, on one reused block of the trajectory rows of those
+steps, and each checked block then goes to an observer: by default one
+that copies it into the kept trajectory, while a caller that only
+reduces the rows (the error norms) keeps none of them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from fracwave.cq import CQHistory, CQScheme
+from fracwave.cq import RING_ROWS, CQHistory, CQScheme
 from fracwave.fem import (
     FemSystem,
     ScalarField,
@@ -103,7 +104,9 @@ class Trajectory:
     us: np.ndarray        # (N+1, ndof), the default observer's copy of every
                           # block; (1, ndof), u_N alone, if run was observed
     energy: np.ndarray    # E_n for n = 1..N (index 0 is E_1)
-    history: np.ndarray   # central differences, entries 0..N-1
+    history: np.ndarray   # (min(N, RING_ROWS), ndof) ring of the central
+                          # differences: row j in slot j % len(history), so it
+                          # holds the last len(history) rows of 0..N-1
 
 
 def _project_initial(system: FemSystem, data, name: str) -> np.ndarray:
@@ -163,8 +166,9 @@ class SimState:
     n: int
     u_prev: np.ndarray
     u_cur: np.ndarray
-    history: np.ndarray       # (N, ndof) central differences filled through n-1;
-                              # later rows hold pending far-field CQ sums
+    history: np.ndarray       # ring of central differences, row j in slot
+                              # j % len(history), written through row n-1; the
+                              # open block's later rows hold pending CQ sums
     cq: CQHistory | None      # the damping term's history sum over `history`
     source: np.ndarray | None  # G(t_n) for every step, with f = G(t) * load
     load: np.ndarray | None    # the assembled spatial load
@@ -196,7 +200,8 @@ def _combine_rows(config: SimConfig, cq: CQHistory | None) -> tuple:
 
 
 def step(config: SimConfig, state: SimState) -> SimState:
-    """Advance u_n -> u_{n+1}; appends the step-n central difference.
+    """Advance u_n -> u_{n+1}; writes the step-n central difference to its
+    slot n % len(history).
 
     u_{n+1} = c @ [u_n, u_{n-1}, known_n, M^-1 (K u_n - G(t_n) load)],
     one product with the row c of _combine_rows (without known_n when
@@ -218,7 +223,7 @@ def step(config: SimConfig, state: SimState) -> SimState:
         rows.append(state.cq.known_sum(n))
     rows.append(config.fem.solve_mass(rhs))
     u_next = np.dot(combine[n == 1], np.array(rows))
-    state.history[n] = (u_next - state.u_prev) / (2.0 * config.kappa)
+    state.history[n % len(state.history)] = (u_next - state.u_prev) / (2.0 * config.kappa)
     return SimState(n=n + 1, u_prev=state.u_cur, u_cur=u_next, history=state.history,
                     cq=state.cq, source=state.source, load=state.load, combine=combine)
 
@@ -294,7 +299,7 @@ def run(config: SimConfig,
 
         def observe(lo: int, rows: np.ndarray) -> None:
             us[lo:lo + len(rows)] = rows
-    history = np.zeros((N, system.ndof))
+    history = np.zeros((min(N, RING_ROWS), system.ndof))
     history[0] = dtu0_h
     energy = np.empty(N)
     cq = None

@@ -7,6 +7,7 @@ import pytest
 
 from fracwave.cq import (
     FAR_STEPS,
+    RING_ROWS,
     CQHistory,
     CQScheme,
     apply_cq,
@@ -172,15 +173,19 @@ class TestStartupTable:
 
 
 class TestTailWeights:
-    @pytest.mark.parametrize("N", [129, 256, 1000, 3000, 8192, 16384])
+    @pytest.mark.parametrize("N", [129, 256, 1000, 3000, 8192, 16384, 65536, 131072])
     @pytest.mark.parametrize("gamma", [-0.95, -0.75, -0.5, -0.05, 0.05, 0.5, 0.7, 0.75, 0.95])
     def test_exponential_sum_matches_weights_past_far_steps(self, gamma, N):
         kappa = 4.0 / N
         weights, log_rates = tail_weights(gamma, kappa, N)
-        lags = np.arange(FAR_STEPS + 1, N + 1)
-        want = bdf2_weights(gamma, kappa, N)[FAR_STEPS + 1:]
-        got = np.exp(np.outer(lags, log_rates)) @ weights
-        assert np.max(np.abs(got / want - 1.0)) <= 1e-11
+        want = bdf2_weights(gamma, kappa, N)
+        worst = 0.0
+        # 4096 lags at a time: no N x Q array
+        for lo in range(FAR_STEPS + 1, N + 1, 4096):
+            lags = np.arange(lo, min(lo + 4096, N + 1))
+            got = np.exp(np.outer(lags, log_rates)) @ weights
+            worst = max(worst, np.max(np.abs(got / want[lags] - 1.0)))
+        assert worst <= 1e-11
 
     def test_node_count(self):
         # 16 Gauss-Jacobi nodes and seven 12-point panels up to z = 0.45
@@ -210,6 +215,34 @@ def check_against_direct_sum(gamma, corrected, N, ndof):
         rows[n] = values[n]
 
 
+def check_ring_against_full_history(gamma, corrected, N, ndof):
+    """A ring of RING_ROWS rows, row n written to slot n % RING_ROWS
+    as the time loop writes it, at every step of a run of N steps: equal
+    to the history over all N rows (the same products, on rows at new
+    addresses) and to 1e-10 of the direct sum's terms by magnitude, which
+    a sum that cancels does not show; no sum at step N."""
+    scheme = CQScheme.build(gamma, 1.0 / 64, N)
+    c0, c1 = (np.abs(c) for c in scheme.startup(corrected))
+    rng = np.random.default_rng(N + ndof)
+    shape = (N + 1,) if ndof == 1 else (N + 1, ndof)
+    values = rng.standard_normal(shape)
+    ring = np.zeros((RING_ROWS,) + shape[1:])
+    rows = np.zeros((N,) + shape[1:])
+    ring[0] = rows[0] = values[0]
+    ring_history = CQHistory(scheme, ring, corrected)
+    history = CQHistory(scheme, rows, corrected)
+    for n in range(1, N):
+        got = ring_history.known_sum(n)
+        np.testing.assert_array_equal(got, history.known_sum(n))
+        want = scheme.known_sum(values, n, corrected)
+        terms = (np.abs(scheme.omega[n:0:-1]) @ np.abs(values[:n])
+                 + c0[n] * np.abs(values[0]) + (n >= 2) * c1[n] * np.abs(values[1]))
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(terms)
+        ring[n % len(ring)] = rows[n] = values[n]
+    with pytest.raises(ValueError, match=f"step {N}: the last is step {N - 1}"):
+        ring_history.known_sum(N)
+
+
 class TestCQHistory:
     @pytest.mark.parametrize("ndof", [1, 7])
     @pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 192, 257,
@@ -226,11 +259,38 @@ class TestCQHistory:
     def test_matches_direct_sum_at_decay_length(self, gamma, corrected):
         check_against_direct_sum(gamma, corrected, 8192, 7)
 
-    @pytest.mark.parametrize("rows", [1, 64, 128, 129, 300])
-    def test_tail_only_past_two_far_blocks(self, rows):
-        # a run of N <= 128 steps has at most 128 history rows
-        history = CQHistory(CQScheme.build(0.5, 1.0 / 64, 300), np.zeros(rows), corrected=True)
-        assert (history.tail is not None) == (rows > 2 * FAR_STEPS)
+    @pytest.mark.parametrize("ndof", [1, 7])
+    @pytest.mark.parametrize("N", [192, 193, 257, 300, 1000, 3000, 8192])
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("gamma", [-0.5, 0.5])
+    def test_ring_matches_the_full_history(self, gamma, corrected, N, ndof):
+        check_ring_against_full_history(gamma, corrected, N, ndof)
+
+    @pytest.mark.parametrize("N", [1, 64, 128, 129, 300])
+    def test_tail_only_past_two_far_blocks(self, N):
+        # the time loop's ring of min(N, RING_ROWS) rows sums up to step
+        # N - 1, and N + 1 rows up to step N; the tail starts at step 128
+        scheme = CQScheme.build(0.5, 1.0 / 64, N)
+        for rows, last in ((min(N, RING_ROWS), N - 1), (N + 1, N)):
+            history = CQHistory(scheme, np.zeros(rows), corrected=True)
+            assert (history.tail is not None) == (last >= 2 * FAR_STEPS)
+
+    @pytest.mark.parametrize("rows", [8, 9])
+    def test_no_sum_past_the_last_row(self, rows):
+        # N = 8: the time loop's rows 0..7, or 0..8 with the row of step 8
+        history = CQHistory(CQScheme.build(0.5, 0.1, 8), np.zeros((rows, 3)), corrected=True)
+        for n in range(1, rows):
+            history.known_sum(n)
+        with pytest.raises(ValueError, match=f"step {rows}: the last is step {rows - 1}"
+                                             " of a run of N = 8 steps"):
+            history.known_sum(rows)
+
+    @pytest.mark.parametrize("N,rows", [(100, 99), (300, 128), (300, 191), (300, 200)])
+    def test_refuses_a_ring_too_short(self, N, rows):
+        # fewer than min(N, RING_ROWS) rows, or a ring of 200 rows, which
+        # an aligned block would wrap
+        with pytest.raises(ValueError, match=f"ring of {rows} history rows for N = {N} "):
+            CQHistory(CQScheme.build(0.5, 1.0 / 64, N), np.zeros(rows), corrected=True)
 
     def test_sums_go_in_step_order(self):
         scheme = CQScheme.build(0.5, 0.1, 8)

@@ -10,7 +10,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from fem_reference import l2_norm
-from fracwave.cq import CQHistory, CQScheme, mixed_operator
+from fracwave.cq import RING_ROWS, CQHistory, CQScheme, mixed_operator
 from fracwave.fem import ScalarField, assemble, build_mesh, load_vector
 from fracwave.fraccalc import FracParams
 from fracwave import solver
@@ -302,9 +302,21 @@ def reference_step(config, state):
     if state.load is not None:
         rhs = rhs - state.source[n] * state.load
     u_next = (v - system.solve_mass(rhs)) / coef
-    state.history[n] = (u_next - state.u_prev) / (2.0 * kappa)
+    state.history[n % len(state.history)] = (u_next - state.u_prev) / (2.0 * kappa)
     return SimState(n=n + 1, u_prev=state.u_cur, u_cur=u_next, history=state.history,
                     cq=state.cq, source=state.source, load=state.load)
+
+
+def assert_ring_holds_central_differences(traj, kappa):
+    """The history is a ring of min(N, RING_ROWS) slots, and every slot
+    holds the central difference (u_{j+1} - u_{j-1}) / (2 kappa) of the
+    last row j it took, so no pending sum is left."""
+    N = len(traj.us) - 1
+    assert len(traj.history) == min(N, RING_ROWS)
+    rows = np.arange(N - len(traj.history), N)
+    assert rows[0] >= 1
+    np.testing.assert_array_equal(traj.history[rows % len(traj.history)],
+                                  (traj.us[rows + 1] - traj.us[rows - 1]) / (2.0 * kappa))
 
 
 class TestTimeLoop:
@@ -346,9 +358,7 @@ class TestTimeLoop:
         want = run(config)
         scale = np.max(np.abs(want.us))
         assert np.max(np.abs(traj.us - want.us)) <= 1e-11 * scale
-        # the history rows are the central differences of the new step's rows
-        np.testing.assert_array_equal(traj.history[1:],
-                                      (traj.us[2:] - traj.us[:-2]) / (2.0 * kappa))
+        assert_ring_holds_central_differences(traj, kappa)
 
     def test_step_leaves_its_input_state_unchanged(self):
         system = interval_system(16)
@@ -450,6 +460,26 @@ class TestObservedRun:
         assert 0.9 * us_bytes <= peaks[0] - peaks[1] <= 1.05 * us_bytes
         assert traj.us.nbytes == 8 * system.ndof
 
+    def test_memory_does_not_grow_with_the_step_count(self):
+        import tracemalloc
+
+        # a damped 127-dof run keeps a ring of RING_ROWS history rows, so
+        # 8x the steps adds only the O(N) weight tables and energy log
+        system = interval_system(128)
+        kappa = 1.0 / 2048
+        peaks, growth = [], []
+        for N in (16384, 2048):
+            config = SimConfig(fem=system, T=N * kappa, kappa=kappa,
+                               frac=FracParams(gamma=-0.5), u0=sin_field())
+            tracemalloc.start()
+            traj = run(config, observe=lambda lo, rows: None)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            growth.append(np.max(traj.energy) / traj.energy[0] - 1.0)
+        assert peaks[0] - peaks[1] <= 2e6
+        # criterion 8's bound on the damped energy
+        assert max(growth) <= 1e-8
+
     @pytest.mark.parametrize("amplitude,seen", [
         (1e-12, 1),    # diverges in the second block: the first one is observed
         (1e-3, 0),     # diverges in the first block: nothing is observed
@@ -548,10 +578,7 @@ class TestModeStructure:
                            corrected=corrected)
             coef = traj.us @ modes[k] / (modes[k] @ modes[k])
             assert np.max(np.abs(coef - a * d)) <= 1e-9
-        # every history row is a central difference: no pending sum is left
-        np.testing.assert_array_equal(traj.history[0], 0.0)
-        np.testing.assert_array_equal(traj.history[1:],
-                                      (traj.us[2:] - traj.us[:-2]) / (2.0 * kappa))
+        assert_ring_holds_central_differences(traj, kappa)
 
 
 class TestDampingTerm:
