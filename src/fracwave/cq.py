@@ -5,9 +5,9 @@ with delta(zeta) = 3/2 - 2 zeta + zeta^2/2, the Caputo shift for positive
 orders, startup correction weights exact on constants (and linears for
 positive orders), the CQ history sum (direct, and blocked for the time
 loop: lags up to 127 exact by one 64 x 64 Toeplitz product per block of
-64 steps, longer ones by a sum of exponentials, on a ring of 192 rows),
-the central difference operator, and the mixed operator approximating
-d_t^(gamma+1).
+64 steps, longer ones by a sum of exponentials, on a ring of 192 rows
+that CQHistory owns), the central difference operator, and the mixed
+operator approximating d_t^(gamma+1).
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ def bdf2_weights(gamma: float, kappa: float, N: int) -> np.ndarray:
     the coefficients f_n of p^gamma satisfy p f' = gamma p' f, that is
     f_0 = 1, f_1 = -4 gamma/3 and
     f_{n+1} = ((2n - 2 gamma) f_n - ((n-1)/2 - gamma) f_{n-1}) 2/(3(n+1)),
-    scaled by (3/(2 kappa))^gamma.  O(N) work; forward-stable, as the
-    recurrence's parasitic root is 1/3 and its dominant one 1.
+    scaled by (3/(2 kappa))^gamma.  O(N) work, written into the returned
+    array as it goes; forward-stable, as the recurrence's parasitic root
+    is 1/3 and its dominant one 1.
     """
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
@@ -36,11 +37,13 @@ def bdf2_weights(gamma: float, kappa: float, N: int) -> np.ndarray:
         raise ValueError(f"gamma must be finite, got {gamma}")
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
-    f = [1.0, -4.0 * gamma / 3.0]
+    omega = np.empty(N + 1)
+    f_prev, f = 1.0, -4.0 * gamma / 3.0
+    omega[:2] = (f_prev, f)[:N + 1]
     for n in range(1, N):
-        f.append(((2.0 * n - 2.0 * gamma) * f[n] - ((n - 1) / 2.0 - gamma) * f[n - 1])
-                 * 2.0 / (3.0 * (n + 1)))
-    omega = np.array(f[:N + 1])
+        f_prev, f = f, (((2.0 * n - 2.0 * gamma) * f - ((n - 1) / 2.0 - gamma) * f_prev)
+                        * 2.0 / (3.0 * (n + 1)))
+        omega[n + 1] = f
     omega *= (3.0 / (2.0 * kappa)) ** gamma
     return omega
 
@@ -221,50 +224,39 @@ class CQHistory:
       (lags above FAR_STEPS, to about 1e-12 relative), which keeps one
       state row per mode: the state decays by lam**FAR_STEPS and the rows
       [m - 2 FAR_STEPS, m - FAR_STEPS) fold in, each by one product.
-    The rows after step n are not written yet: row n holds its pending
-    far-field sum until the caller overwrites it with values[n].  A
-    history of at most 2 FAR_STEPS rows builds no tail, and its sum is
+    A run of at most 2 FAR_STEPS steps builds no tail, and its sum is
     exact up to round-off.
 
-    Oblivious: row j lives in slot j % len(values), so values can be a
-    ring of RING_ROWS = 3 FAR_STEPS rows whatever N: block m reads the
-    rows [m - 2 FAR_STEPS, m) when it opens, its own rows [m, m +
-    FAR_STEPS) after, and rows 0 and 1, copied when the first block
-    opens (n = 2).  In a ring of a multiple of FAR_STEPS rows no aligned
-    block wraps; the pending rows of a block are zeroed before its sums
-    are added, as their slots may still hold older rows.  An array of at
-    least N rows is the ring that never wraps.  The sum keeps nothing
-    beyond values, one Toeplitz matrix, the Q x ndof tail state and the
-    copy of rows 0 and 1.  The history has the N rows 0..N-1 of a time
-    loop of N = scheme.N steps, and row N as well when values has N + 1
-    rows; sums go up to its last row.
+    The history has the rows 0..N-1 of a time loop of N = scheme.N
+    steps: row 0 is slope0, and the caller calls known_sum(n), then
+    record(row) with row n, for n = 1, ..., N - 1 in order.  corrected
+    picks the startup table CQScheme.startup once for the whole loop.
+    Its terms c0[n] values[0] + c1[n] values[1] join the pending rows of
+    each block when it opens, so a step adds none of them itself, except
+    step 1, which adds c0[1] values[0] (its c1 term is
+    CQScheme.self_weight's).
 
-    values has one row per slot (1-D for scalar sequences) and must start
-    at zero past row 0; known_sum is called for n = 1, 2, ... in order,
-    after rows 0..n-1 are written and before row n is.  corrected picks
-    the startup table CQScheme.startup once for the whole loop.  Its
-    terms c0[n] values[0] + c1[n] values[1] join the pending rows of each
-    block when it opens, so a step adds none of them itself, except step
-    1, which adds c0[1] values[0] (its c1 term is CQScheme.self_weight's).
+    Oblivious: values is a ring of min(N, RING_ROWS) rows, RING_ROWS =
+    3 FAR_STEPS, with row j in slot j % len(values).  Block m reads the
+    rows [m - 2 FAR_STEPS, m) when it opens, its own rows [m, m +
+    FAR_STEPS) after, and rows 0 and 1, copied when the first block opens
+    (n = 2).  As the ring is a multiple of FAR_STEPS rows (or has room for
+    all N), no aligned block wraps.  The rows of the open block after
+    row n are not recorded yet and hold their pending far-field sums;
+    they are zeroed before the sums are added, as their slots may still
+    hold older rows.  The sum keeps nothing beyond values, one Toeplitz
+    matrix, the Q x ndof tail state and the copy of rows 0 and 1.
     """
 
-    def __init__(self, scheme: CQScheme, values: np.ndarray, corrected: bool) -> None:
-        N, slots = scheme.N, len(values)
-        if slots > N + 1:
-            raise ValueError(f"{slots} history rows exceed scheme length {N}")
-        if slots < N and (slots < RING_ROWS or slots % FAR_STEPS):
-            raise ValueError(
-                f"a ring of {slots} history rows for N = {N} steps: it needs at least"
-                f" min(N, {RING_ROWS}) rows, and a multiple of {FAR_STEPS} if fewer than N")
+    def __init__(self, scheme: CQScheme, slope0: np.ndarray, corrected: bool) -> None:
         self.scheme = scheme
-        self.values = values
         self.corrected = corrected
-        self._end = N + 1 if slots > N else N   # one past the last row
+        self.values = np.zeros((min(scheme.N, RING_ROWS), len(slope0)))
+        self.values[0] = slope0
         self._startup = np.column_stack(scheme.startup(corrected))
-        self._columns = values if values.ndim == 2 else values[:, None]
         self._n = 0
         # omega_0..omega_{2 FAR_STEPS - 1}, zero-padded past omega_N, which
-        # no row of values reaches
+        # no row reaches
         omega = np.zeros(2 * FAR_STEPS)
         head = scheme.omega[:2 * FAR_STEPS]
         omega[:len(head)] = head
@@ -274,18 +266,19 @@ class CQHistory:
         # T[r, c] = omega[FAR_STEPS + r - c] takes row m - FAR_STEPS + c to row m + r
         lags = np.arange(FAR_STEPS)
         self._kernel = omega[FAR_STEPS + lags[:, None] - lags]
-        self.tail = (_ExponentialTail(scheme, self._columns.shape[1])
-                     if self._end > 2 * FAR_STEPS else None)
+        self.tail = (_ExponentialTail(scheme, len(slope0))
+                     if scheme.N > 2 * FAR_STEPS else None)
 
     def self_weight(self, n: int) -> float:
         """CQScheme.self_weight(n, corrected)."""
         return self.scheme.self_weight(n, self.corrected)
 
     def known_sum(self, n: int):
-        """CQScheme.known_sum(values, n, corrected), without its O(n) sum."""
-        if n >= self._end:
-            raise ValueError(f"no history sum at step {n}: the last is step {self._end - 1}"
-                             f" of a run of N = {self.scheme.N} steps")
+        """CQScheme.known_sum at step n of the rows 0..n-1 recorded so far,
+        without its O(n) sum."""
+        if n >= self.scheme.N:
+            raise ValueError(f"no history sum at step {n}: the last is step"
+                             f" {self.scheme.N - 1} of a run of N = {self.scheme.N} steps")
         if n != self._n + 1:
             raise ValueError(f"history sums go in step order: expected {self._n + 1}, got {n}")
         self._n = n
@@ -300,19 +293,23 @@ class CQHistory:
             return out + self._startup[1, 0] * self.values[0]
         return out
 
+    def record(self, row: np.ndarray) -> None:
+        """Write row n of the last known_sum(n) to its slot."""
+        self.values[self._n % len(self.values)] = row
+
     def _rows_of(self, lo: int, hi: int) -> np.ndarray:
         """The slots of the rows [lo, hi), which no aligned block wraps."""
         slot = lo % len(self.values)
-        return self._columns[slot:slot + hi - lo]
+        return self.values[slot:slot + hi - lo]
 
     def _open_block(self, lo: int, hi: int) -> None:
         """Set the pending rows [lo, hi) up to the last row: at a block
         start lo, the previous block by one Toeplitz product and the older
         rows by the tail; then the startup terms c0[n] values[0] + c1[n]
         values[1], by one (rows x 2) x (2 x ndof) product."""
-        if lo == 2:   # a ring overwrites rows 0 and 1 at steps RING_ROWS and RING_ROWS + 1
-            self._first = self._columns[:2].copy()
-        pending = self._rows_of(lo, min(hi, self._end))
+        if lo == 2:   # the ring overwrites rows 0 and 1 at steps RING_ROWS and RING_ROWS + 1
+            self._first = self.values[:2].copy()
+        pending = self._rows_of(lo, min(hi, self.scheme.N))
         pending.fill(0.0)
         if lo % FAR_STEPS == 0:
             pending += self._kernel[:len(pending)] @ self._rows_of(lo - FAR_STEPS, lo)

@@ -11,12 +11,13 @@ u_n, u_{n-1}, the known CQ sum and the solve, with coefficients folded
 once per run; only step 1, with its w1 term, has its own.  The known
 part of the sum comes from the blocked history `cq.CQHistory`, exact
 up to lag 127 and a sum of Q ~ 100 exponentials beyond, so the time
-loop costs O(N * Q * ndof) and keeps a ring of 192 history rows
-whatever N.  The energy log and the divergence check run once per
-CHECK_STEPS steps, on one reused block of the trajectory rows of those
-steps, and each checked block then goes to an observer: by default one
-that copies it into the kept trajectory, while a caller that only
-reduces the rows (the error norms) keeps none of them.
+loop costs O(N * Q * ndof); each damped step records its central
+difference there, in a ring of 192 rows whatever N, and an undamped
+run keeps no history.  The energy log and the divergence check run
+once per CHECK_STEPS steps, on one reused block of the trajectory rows
+of those steps, and each checked block then goes to an observer: by
+default one that copies it into the kept trajectory, while a caller
+that only reduces the rows (the error norms) keeps none of them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from fracwave.cq import RING_ROWS, CQHistory, CQScheme
+from fracwave.cq import CQHistory, CQScheme
 from fracwave.fem import (
     FemSystem,
     ScalarField,
@@ -104,9 +105,8 @@ class Trajectory:
     us: np.ndarray        # (N+1, ndof), the default observer's copy of every
                           # block; (1, ndof), u_N alone, if run was observed
     energy: np.ndarray    # E_n for n = 1..N (index 0 is E_1)
-    history: np.ndarray   # (min(N, RING_ROWS), ndof) ring of the central
-                          # differences: row j in slot j % len(history), so it
-                          # holds the last len(history) rows of 0..N-1
+    history: np.ndarray   # the damping term's CQHistory.values, the ring of
+                          # the last central differences; (0, ndof) undamped
 
 
 def _project_initial(system: FemSystem, data, name: str) -> np.ndarray:
@@ -166,14 +166,10 @@ class SimState:
     n: int
     u_prev: np.ndarray
     u_cur: np.ndarray
-    history: np.ndarray       # ring of central differences, row j in slot
-                              # j % len(history), written through row n-1; the
-                              # open block's later rows hold pending CQ sums
-    cq: CQHistory | None      # the damping term's history sum over `history`
+    cq: CQHistory | None      # the damping term's history of central differences
     source: np.ndarray | None  # G(t_n) for every step, with f = G(t) * load
     load: np.ndarray | None    # the assembled spatial load
-    combine: tuple | None = None  # step's rows c for n >= 2 and n = 1; the
-                                  # first step folds them and passes them on
+    combine: tuple            # _combine_rows' rows c, for n >= 2 and for n = 1
 
 
 def _combine_rows(config: SimConfig, cq: CQHistory | None) -> tuple:
@@ -200,32 +196,31 @@ def _combine_rows(config: SimConfig, cq: CQHistory | None) -> tuple:
 
 
 def step(config: SimConfig, state: SimState) -> SimState:
-    """Advance u_n -> u_{n+1}; writes the step-n central difference to its
-    slot n % len(history).
+    """Advance u_n -> u_{n+1}; a damped step records its central
+    difference (u_{n+1} - u_{n-1}) / (2 kappa) in the CQ history.
 
     u_{n+1} = c @ [u_n, u_{n-1}, known_n, M^-1 (K u_n - G(t_n) load)],
     one product with the row c of _combine_rows (without known_n when
     undamped), known_n the CQ history sum without its unknown term.
     Returns a new state; the one passed in keeps its n and vectors, and
-    shares its history rows with the new one.
+    shares its CQ history with the new one.
     """
     n = state.n
     if n < 1:
         raise ValueError("stepping starts at n = 1")
-    combine = state.combine
-    if combine is None:
-        combine = _combine_rows(config, state.cq)
+    cq = state.cq
     rhs = config.fem.K @ state.u_cur
     if state.load is not None:
         rhs -= state.source[n] * state.load
     rows = [state.u_cur, state.u_prev]
-    if state.cq is not None:
-        rows.append(state.cq.known_sum(n))
+    if cq is not None:
+        rows.append(cq.known_sum(n))
     rows.append(config.fem.solve_mass(rhs))
-    u_next = np.dot(combine[n == 1], np.array(rows))
-    state.history[n % len(state.history)] = (u_next - state.u_prev) / (2.0 * config.kappa)
-    return SimState(n=n + 1, u_prev=state.u_cur, u_cur=u_next, history=state.history,
-                    cq=state.cq, source=state.source, load=state.load, combine=combine)
+    u_next = np.dot(state.combine[n == 1], np.array(rows))
+    if cq is not None:
+        cq.record((u_next - state.u_prev) / (2.0 * config.kappa))
+    return SimState(n=n + 1, u_prev=state.u_cur, u_cur=u_next, cq=cq,
+                    source=state.source, load=state.load, combine=state.combine)
 
 
 def _check_block(config: SimConfig, rows: np.ndarray, energy: np.ndarray,
@@ -299,15 +294,13 @@ def run(config: SimConfig,
 
         def observe(lo: int, rows: np.ndarray) -> None:
             us[lo:lo + len(rows)] = rows
-    history = np.zeros((min(N, RING_ROWS), system.ndof))
-    history[0] = dtu0_h
     energy = np.empty(N)
     cq = None
     if config.a_gamma != 0.0:
-        cq = CQHistory(CQScheme.build(config.frac.gamma, kappa, N), history,
+        cq = CQHistory(CQScheme.build(config.frac.gamma, kappa, N), dtu0_h,
                        config.corrected)
-    state = SimState(n=1, u_prev=u0_h, u_cur=u1_h, history=history,
-                     cq=cq, source=source, load=load)
+    state = SimState(n=1, u_prev=u0_h, u_cur=u1_h, cq=cq, source=source, load=load,
+                     combine=_combine_rows(config, cq))
     rows = np.empty((min(CHECK_STEPS, N) + 1, system.ndof))
     rows[0] = u0_h
     rows[1] = u1_h
@@ -325,6 +318,7 @@ def run(config: SimConfig,
         observe(lo, rows[:N - lo + 1])
     if us is None:
         us = rows[N - lo:N - lo + 1].copy()
+    history = np.zeros((0, system.ndof)) if cq is None else cq.values
     return Trajectory(times=times, us=us, energy=energy, history=history)
 
 

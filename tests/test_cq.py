@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracwave import cq
 from fracwave.cq import (
     FAR_STEPS,
     RING_ROWS,
@@ -88,6 +89,16 @@ class TestBdf2Weights:
             t = n * kappa
             ratio = np.abs(w[1:]) / (kappa * t ** (-gamma - 1.0))
             assert ratio.max() < 10.0
+
+    def test_weights_are_written_in_place(self):
+        import tracemalloc
+
+        # no list of Python floats (32 B a weight) beside the result
+        tracemalloc.start()
+        omega = bdf2_weights(0.5, 1.0 / 64, 65536)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak <= 2 * omega.nbytes
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -199,48 +210,42 @@ class TestTailWeights:
 
 def check_against_direct_sum(gamma, corrected, N, ndof):
     """The blocked sum against CQScheme.known_sum, the direct sum, at
-    every step; ndof = 1 runs on a 1-D (scalar) sequence."""
+    every step of a run of N steps, with rows fed as the time loop feeds
+    them."""
     scheme = CQScheme.build(gamma, 1.0 / 64, N)
-    rng = np.random.default_rng(N + ndof)
-    shape = (N + 1,) if ndof == 1 else (N + 1, ndof)
-    values = rng.standard_normal(shape)
-    rows = np.zeros(shape)
-    rows[0] = values[0]
-    history = CQHistory(scheme, rows, corrected)
-    for n in range(1, N + 1):
+    values = np.random.default_rng(N + ndof).standard_normal((N, ndof))
+    history = CQHistory(scheme, values[0], corrected)
+    for n in range(1, N):
         got = history.known_sum(n)
         want = scheme.known_sum(values, n, corrected)
-        assert np.shape(got) == np.shape(want)
+        assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-        rows[n] = values[n]
+        history.record(values[n])
 
 
-def check_ring_against_full_history(gamma, corrected, N, ndof):
-    """A ring of RING_ROWS rows, row n written to slot n % RING_ROWS
-    as the time loop writes it, at every step of a run of N steps: equal
-    to the history over all N rows (the same products, on rows at new
-    addresses) and to 1e-10 of the direct sum's terms by magnitude, which
-    a sum that cancels does not show; no sum at step N."""
+def check_ring_against_full_history(gamma, corrected, N, ndof, monkeypatch):
+    """The ring of RING_ROWS rows at every step of a run of N steps: equal
+    to a history whose ring holds all N rows (the same products, on rows
+    at new addresses) and to 1e-10 of the direct sum's terms by
+    magnitude, which a sum that cancels does not show; no sum at step N."""
     scheme = CQScheme.build(gamma, 1.0 / 64, N)
     c0, c1 = (np.abs(c) for c in scheme.startup(corrected))
-    rng = np.random.default_rng(N + ndof)
-    shape = (N + 1,) if ndof == 1 else (N + 1, ndof)
-    values = rng.standard_normal(shape)
-    ring = np.zeros((RING_ROWS,) + shape[1:])
-    rows = np.zeros((N,) + shape[1:])
-    ring[0] = rows[0] = values[0]
-    ring_history = CQHistory(scheme, ring, corrected)
-    history = CQHistory(scheme, rows, corrected)
+    values = np.random.default_rng(N + ndof).standard_normal((N, ndof))
+    ring = CQHistory(scheme, values[0], corrected)
+    monkeypatch.setattr(cq, "RING_ROWS", N)
+    history = CQHistory(scheme, values[0], corrected)
+    assert (len(ring.values), len(history.values)) == (RING_ROWS, N)
     for n in range(1, N):
-        got = ring_history.known_sum(n)
+        got = ring.known_sum(n)
         np.testing.assert_array_equal(got, history.known_sum(n))
         want = scheme.known_sum(values, n, corrected)
         terms = (np.abs(scheme.omega[n:0:-1]) @ np.abs(values[:n])
                  + c0[n] * np.abs(values[0]) + (n >= 2) * c1[n] * np.abs(values[1]))
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(terms)
-        ring[n % len(ring)] = rows[n] = values[n]
+        ring.record(values[n])
+        history.record(values[n])
     with pytest.raises(ValueError, match=f"step {N}: the last is step {N - 1}"):
-        ring_history.known_sum(N)
+        ring.known_sum(N)
 
 
 class TestCQHistory:
@@ -263,43 +268,33 @@ class TestCQHistory:
     @pytest.mark.parametrize("N", [192, 193, 257, 300, 1000, 3000, 8192])
     @pytest.mark.parametrize("corrected", [False, True])
     @pytest.mark.parametrize("gamma", [-0.5, 0.5])
-    def test_ring_matches_the_full_history(self, gamma, corrected, N, ndof):
-        check_ring_against_full_history(gamma, corrected, N, ndof)
+    def test_ring_matches_the_full_history(self, gamma, corrected, N, ndof, monkeypatch):
+        check_ring_against_full_history(gamma, corrected, N, ndof, monkeypatch)
 
     @pytest.mark.parametrize("N", [1, 64, 128, 129, 300])
     def test_tail_only_past_two_far_blocks(self, N):
-        # the time loop's ring of min(N, RING_ROWS) rows sums up to step
-        # N - 1, and N + 1 rows up to step N; the tail starts at step 128
-        scheme = CQScheme.build(0.5, 1.0 / 64, N)
-        for rows, last in ((min(N, RING_ROWS), N - 1), (N + 1, N)):
-            history = CQHistory(scheme, np.zeros(rows), corrected=True)
-            assert (history.tail is not None) == (last >= 2 * FAR_STEPS)
+        # a ring of min(N, RING_ROWS) rows, summed up to step N - 1; the
+        # tail starts at step 128
+        history = CQHistory(CQScheme.build(0.5, 1.0 / 64, N), np.zeros(3), corrected=True)
+        assert history.values.shape == (min(N, RING_ROWS), 3)
+        assert (history.tail is not None) == (N - 1 >= 2 * FAR_STEPS)
 
-    @pytest.mark.parametrize("rows", [8, 9])
-    def test_no_sum_past_the_last_row(self, rows):
-        # N = 8: the time loop's rows 0..7, or 0..8 with the row of step 8
-        history = CQHistory(CQScheme.build(0.5, 0.1, 8), np.zeros((rows, 3)), corrected=True)
-        for n in range(1, rows):
+    @pytest.mark.parametrize("N", [8, 200])
+    def test_no_sum_past_the_last_row(self, N):
+        # the time loop's rows 0..N-1; N = 200 wraps the ring
+        history = CQHistory(CQScheme.build(0.5, 0.1, N), np.zeros(3), corrected=True)
+        for n in range(1, N):
             history.known_sum(n)
-        with pytest.raises(ValueError, match=f"step {rows}: the last is step {rows - 1}"
-                                             " of a run of N = 8 steps"):
-            history.known_sum(rows)
-
-    @pytest.mark.parametrize("N,rows", [(100, 99), (300, 128), (300, 191), (300, 200)])
-    def test_refuses_a_ring_too_short(self, N, rows):
-        # fewer than min(N, RING_ROWS) rows, or a ring of 200 rows, which
-        # an aligned block would wrap
-        with pytest.raises(ValueError, match=f"ring of {rows} history rows for N = {N} "):
-            CQHistory(CQScheme.build(0.5, 1.0 / 64, N), np.zeros(rows), corrected=True)
+            history.record(np.ones(3))
+        with pytest.raises(ValueError, match=f"step {N}: the last is step {N - 1}"
+                                             f" of a run of N = {N} steps"):
+            history.known_sum(N)
 
     def test_sums_go_in_step_order(self):
-        scheme = CQScheme.build(0.5, 0.1, 8)
-        history = CQHistory(scheme, np.zeros(9), corrected=True)
+        history = CQHistory(CQScheme.build(0.5, 0.1, 8), np.zeros(3), corrected=True)
         history.known_sum(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected 2, got 3"):
             history.known_sum(3)
-        with pytest.raises(ValueError):
-            CQHistory(scheme, np.zeros(10), corrected=True)
 
 
 class TestApplyCq:

@@ -188,9 +188,8 @@ class TestRun:
             load = load_vector(system, config.f.spatial.value)
             source = config.f.temporal(kappa * np.arange(config.n_steps + 1))
         u0, u1, v0 = initial_data(config)
-        state = SimState(n=1, u_prev=u0, u_cur=u1,
-                         history=np.zeros((config.n_steps, system.ndof)),
-                         cq=None, source=source, load=load)
+        state = SimState(n=1, u_prev=u0, u_cur=u1, cq=None, source=source, load=load,
+                         combine=solver._combine_rows(config, None))
         while state.n < config.n_steps:
             new = step(config, state)
             e = discrete_energy(system, new.u_cur, state.u_cur, system.K @ state.u_cur, kappa)
@@ -302,21 +301,27 @@ def reference_step(config, state):
     if state.load is not None:
         rhs = rhs - state.source[n] * state.load
     u_next = (v - system.solve_mass(rhs)) / coef
-    state.history[n % len(state.history)] = (u_next - state.u_prev) / (2.0 * kappa)
-    return SimState(n=n + 1, u_prev=state.u_cur, u_cur=u_next, history=state.history,
-                    cq=state.cq, source=state.source, load=state.load)
+    if state.cq is not None:
+        state.cq.record((u_next - state.u_prev) / (2.0 * kappa))
+    return SimState(n=n + 1, u_prev=state.u_cur, u_cur=u_next, cq=state.cq,
+                    source=state.source, load=state.load, combine=state.combine)
 
 
-def assert_ring_holds_central_differences(traj, kappa):
-    """The history is a ring of min(N, RING_ROWS) slots, and every slot
-    holds the central difference (u_{j+1} - u_{j-1}) / (2 kappa) of the
-    last row j it took, so no pending sum is left."""
+def assert_ring_holds_central_differences(traj, config):
+    """A damped run's history is a ring of min(N, RING_ROWS) slots, and
+    every slot holds the central difference (u_{j+1} - u_{j-1}) / (2 kappa)
+    of the last row j it took, so no pending sum is left; an undamped run
+    keeps no history."""
     N = len(traj.us) - 1
+    if config.frac is None:
+        assert traj.history.shape == (0, config.fem.ndof)
+        return
     assert len(traj.history) == min(N, RING_ROWS)
     rows = np.arange(N - len(traj.history), N)
     assert rows[0] >= 1
-    np.testing.assert_array_equal(traj.history[rows % len(traj.history)],
-                                  (traj.us[rows + 1] - traj.us[rows - 1]) / (2.0 * kappa))
+    np.testing.assert_array_equal(
+        traj.history[rows % len(traj.history)],
+        (traj.us[rows + 1] - traj.us[rows - 1]) / (2.0 * config.kappa))
 
 
 class TestTimeLoop:
@@ -358,7 +363,7 @@ class TestTimeLoop:
         want = run(config)
         scale = np.max(np.abs(want.us))
         assert np.max(np.abs(traj.us - want.us)) <= 1e-11 * scale
-        assert_ring_holds_central_differences(traj, kappa)
+        assert_ring_holds_central_differences(traj, config)
 
     def test_step_leaves_its_input_state_unchanged(self):
         system = interval_system(16)
@@ -366,12 +371,9 @@ class TestTimeLoop:
         config = SimConfig(fem=system, T=0.5, kappa=kappa, frac=FracParams(gamma=0.5),
                            corrected=True, u0=sin_field(), v0=sin_field())
         u0, u1, v0 = initial_data(config)
-        history = np.zeros((config.n_steps, system.ndof))
-        history[0] = v0
-        state = SimState(n=1, u_prev=u0, u_cur=u1, history=history,
-                         cq=CQHistory(CQScheme.build(0.5, kappa, config.n_steps),
-                                      history, True),
-                         source=None, load=None)
+        cq = CQHistory(CQScheme.build(0.5, kappa, config.n_steps), v0, True)
+        state = SimState(n=1, u_prev=u0, u_cur=u1, cq=cq, source=None, load=None,
+                         combine=solver._combine_rows(config, cq))
         new = step(config, state)
         assert state.n == 1 and new.n == 2
         np.testing.assert_array_equal(state.u_prev, u0)
@@ -578,7 +580,7 @@ class TestModeStructure:
                            corrected=corrected)
             coef = traj.us @ modes[k] / (modes[k] @ modes[k])
             assert np.max(np.abs(coef - a * d)) <= 1e-9
-        assert_ring_holds_central_differences(traj, kappa)
+        assert_ring_holds_central_differences(traj, config)
 
 
 class TestDampingTerm:
