@@ -108,7 +108,7 @@ def cmd_weights(args) -> int:
     _print_echo(args)
     header = ["n", "t_n", "omega_n"] + (["w0_n", "w1_n"] if scheme else [])
     _table(header, ([n, n * args.kappa, omega[n]]
-                    + ([scheme.w0[n], scheme.w1[n]] if scheme else [])
+                    + (list(scheme.startup[True][n]) if scheme else [])
                     for n in range(args.n + 1)))
     return 0
 
@@ -128,7 +128,7 @@ def cmd_ode(args) -> int:
     # fails with no partial output
     exponent = asymptotic_check(problem, args.T, args.m) if args.fit else None
     _print_echo(args)
-    print(f"v0 = {F % solution.v[0]}")
+    print(f"v(0) = {F % solution.v[0]}")
     print(f"u(T) = {F % solution.u[-1]}")
     if exponent is not None:
         print(f"startup_exponent = {F % exponent}")

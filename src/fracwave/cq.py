@@ -62,82 +62,73 @@ def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _correction_weights(gamma: float, kappa: float, omega: np.ndarray,
+                        s0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The startup correction weights (w0, w1) at t_n = n kappa, from the
+    partial sums s0 of omega: exact on constants, and for positive orders
+    on linears (w1 = 0 for negative orders).  A function of its own, so
+    that its temporaries are freed before CQScheme.build's second table."""
+    t = kappa * np.arange(len(omega))
+    if gamma < 0.0:
+        return t ** -gamma / math.gamma(1.0 - gamma) - s0, np.zeros(len(omega))
+    w1 = (t ** (1.0 - gamma) / math.gamma(2.0 - gamma)
+          - (t * s0 - _kahan_cumsum(t * omega))) / kappa
+    return -s0 - w1, w1
+
+
 @dataclass(frozen=True)
 class CQScheme:
     """Immutable weight tables for a fixed (gamma, kappa, N).
 
-    omega are the convolution weights, omega_cumsum their compensated
-    partial sums, w0/w1 the startup correction weights evaluated at t_n,
-    chi the Caputo shift indicator (1 for positive orders).
+    omega are the convolution weights.  startup[corrected] is a read-only
+    (N+1) x 2 table whose row n holds the startup weights (c0[n], c1[n])
+    of the CQ sum at step n, sum omega_{n-j} g_j + c0[n] g_0 + c1[n] g_1:
+    uncorrected (startup[False]) the Caputo shift (-chi sum omega_{0..n},
+    0), chi = 1 for positive orders and 0 for negative ones; corrected
+    (startup[True]) the correction weights (w0, w1).
     """
 
     gamma: float
     kappa: float
     N: int
     omega: np.ndarray
-    w0: np.ndarray
-    w1: np.ndarray
-    chi: int
-    omega_cumsum: np.ndarray = field(repr=False)
-    _startup: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        shift, zeros = -self.chi * self.omega_cumsum, np.zeros(self.N + 1)
-        for arr in (self.omega, self.w0, self.w1, self.omega_cumsum, shift, zeros):
-            arr.setflags(write=False)
-        object.__setattr__(self, "_startup", {True: (self.w0, self.w1),
-                                              False: (shift, zeros)})
+    startup: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     @classmethod
     def build(cls, gamma: float, kappa: float, N: int) -> "CQScheme":
         check_order(gamma)
         omega = bdf2_weights(gamma, kappa, N)
-        t = kappa * np.arange(N + 1)
         s0 = _kahan_cumsum(omega)
-        w1 = np.zeros(N + 1)
-        if gamma < 0.0:
-            chi = 0
-            w0 = np.empty(N + 1)
-            w0[0] = -s0[0]
-            w0[1:] = t[1:] ** (-gamma) / math.gamma(1.0 - gamma) - s0[1:]
-        else:
-            chi = 1
-            s1 = _kahan_cumsum(t * omega)
-            w1[1:] = (
-                t[1:] ** (1.0 - gamma) / math.gamma(2.0 - gamma)
-                - (t[1:] * s0[1:] - s1[1:])
-            ) / kappa
-            w0 = -s0 - w1
-        return cls(gamma=gamma, kappa=kappa, N=N, omega=omega, w0=w0, w1=w1,
-                   chi=chi, omega_cumsum=s0)
-
-    def startup(self, corrected: bool) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only startup weights (c0, c1): the CQ sum at step n is
-        sum omega_{n-j} g_j + c0[n] g_0 + c1[n] g_1.  Corrected: (w0, w1);
-        uncorrected: the Caputo shift (-chi omega_cumsum, 0)."""
-        return self._startup[corrected]
+        corrected = np.column_stack(_correction_weights(gamma, kappa, omega, s0))
+        uncorrected = np.zeros((N + 1, 2))
+        if gamma > 0.0:
+            np.negative(s0, out=uncorrected[:, 0])
+        for table in (omega, uncorrected, corrected):
+            table.setflags(write=False)
+        return cls(gamma=gamma, kappa=kappa, N=N, omega=omega,
+                   startup=(uncorrected, corrected))
 
     def self_weight(self, n: int, corrected: bool) -> float:
         """Weight of values[n] in the CQ sum at step n: omega_0, plus c1[1]
         at n = 1, where values[1] is g_1."""
         weight = self.omega[0]
         if n == 1:
-            weight += self.startup(corrected)[1][1]
+            weight += self.startup[corrected][1, 1]
         return weight
 
     def known_sum(self, values: np.ndarray, n: int, corrected: bool):
         """CQ sum at step n over values[0..n-1], without the values[n] term.
 
         That is sum omega_{n-j} g_j + c0[n] g_0 + c1[n] g_1 over j < n,
-        with (c0, c1) = startup(corrected); at n = 1 the c1 term is part
-        of self_weight.  Together with self_weight(n) * values[n] this is
-        the whole sum; the solver keeps the two apart because values[n]
-        holds its unknown.
+        with (c0[n], c1[n]) = startup[corrected][n]; at n = 1 the c1 term
+        is part of self_weight.  Together with self_weight(n) * values[n]
+        this is the whole sum; the solver keeps the two apart because
+        values[n] holds its unknown.
         """
-        c0, c1 = self.startup(corrected)
-        out = self.omega[n:0:-1] @ values[:n] + c0[n] * values[0]
+        c0, c1 = self.startup[corrected][n]
+        out = self.omega[n:0:-1] @ values[:n] + c0 * values[0]
         if n >= 2:
-            out = out + c1[n] * values[1]
+            out = out + c1 * values[1]
         return out
 
 
@@ -230,7 +221,8 @@ class CQHistory:
     The history has the rows 0..N-1 of a time loop of N = scheme.N
     steps: row 0 is slope0, and the caller calls known_sum(n), then
     record(row) with row n, for n = 1, ..., N - 1 in order.  corrected
-    picks the startup table CQScheme.startup once for the whole loop.
+    picks the startup table CQScheme.startup[corrected] once for the
+    whole loop, which the sum reads in place.
     Its terms c0[n] values[0] + c1[n] values[1] join the pending rows of
     each block when it opens, so a step adds none of them itself, except
     step 1, which adds c0[1] values[0] (its c1 term is
@@ -253,7 +245,7 @@ class CQHistory:
         self.corrected = corrected
         self.values = np.zeros((min(scheme.N, RING_ROWS), len(slope0)))
         self.values[0] = slope0
-        self._startup = np.column_stack(scheme.startup(corrected))
+        self._startup = scheme.startup[corrected]
         self._n = 0
         # omega_0..omega_{2 FAR_STEPS - 1}, zero-padded past omega_N, which
         # no row reaches

@@ -412,24 +412,28 @@ def run_damping_demo(gammas=(0.25, 0.75, -0.25, -0.75), n_per_side: int = 32,
 
     Returns (times, dict gamma-label -> trace, dict gamma-label -> energy).
     The undamped baseline is labeled "none".  n_per_side must be even so
-    the origin is a mesh node.
+    the origin is a mesh node, and orders that share a label (0.25 and
+    0.250) raise ValueError before any run.
     """
     n = n_per_side
     if n % 2 != 0:
         raise ValueError("n_per_side must be even so (0,0) is a node")
+    labels = [f"{g:g}" for g in gammas]
+    repeated = sorted({label for label in labels if labels.count(label) > 1})
+    if repeated:
+        raise ValueError(f"repeated damping orders: {', '.join(repeated)}")
     system = mesh_system(2, _GEOMETRY[2].domain, n)
     kappa = system.mesh.h / _DAMPING_COUPLING
     # node (i, j) is i (n + 1) + j; the origin is (n/2, n/2)
     dof = int(system.mesh.interior_index[(n // 2) * (n + 2)])
     bump = _gaussian_bump()
     traces, energies = {}, {}
-    for g in (None,) + tuple(gammas):
+    for label, g in [("none", None), *zip(labels, gammas)]:
         frac = None if g is None else FracParams(gamma=g)
         config = SimConfig(fem=system, T=T, kappa=kappa, frac=frac,
                            corrected=False, u0=bump)
         traj = run(config)
-        label = "none" if g is None else f"{g:g}"
         traces[label] = traj.us[:, dof].copy()
-        energies[label] = traj.energy.copy()
+        energies[label] = traj.energy
     return traj.times, traces, energies
 

@@ -65,8 +65,7 @@ class TestWeights:
         np.testing.assert_array_equal(table[:, 2], bdf2_weights(float(gamma), 0.25, 8))
         if calls == 0:
             scheme = CQScheme.build(float(gamma), 0.25, 8)
-            np.testing.assert_array_equal(table[:, 3], scheme.w0)
-            np.testing.assert_array_equal(table[:, 4], scheme.w1)
+            np.testing.assert_array_equal(table[:, 3:], scheme.startup[True])
 
     def test_nan_order_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "weights", "--gamma", "nan")
@@ -114,7 +113,10 @@ class TestOde:
                                "--fit")
         assert code == 0
         values = printed_values(out)
-        assert float(values["v0"]) == pytest.approx(1.0 - 4.0)
+        # v(0) = f(0) - lam u0, the v column of ode.csv; "v0" is only the
+        # echoed --v0 flag, u'(0)
+        assert "v0" not in values
+        assert float(values["v(0)"]) == pytest.approx(1.0 - 4.0)
         assert float(values["startup_exponent"]) == pytest.approx(0.5, abs=0.1)
 
     def test_outdir_csv(self, capsys, tmp_path):

@@ -11,6 +11,7 @@ from fracwave.cq import (
     RING_ROWS,
     CQHistory,
     CQScheme,
+    _kahan_cumsum,
     apply_cq,
     apply_cq_corrected,
     bdf2_weights,
@@ -116,22 +117,27 @@ class TestBdf2Weights:
 class TestSchemeTables:
     def test_negative_order_corrections(self):
         scheme = CQScheme.build(-0.5, 0.1, 16)
-        assert scheme.chi == 0
-        assert np.all(scheme.w1 == 0.0)
+        uncorrected, corrected = scheme.startup
+        # no Caputo shift (chi = 0), and w1 = 0
+        assert np.all(uncorrected == 0.0)
+        assert np.all(corrected[:, 1] == 0.0)
         t = 0.1 * np.arange(17)
         partial = np.cumsum(scheme.omega)
         expected = t[1:] ** 0.5 / math.gamma(1.5) - partial[1:]
-        assert scheme.w0[1:] == pytest.approx(expected, abs=1e-12)
+        assert corrected[1:, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_positive_order_corrections(self):
         scheme = CQScheme.build(0.5, 0.1, 16)
-        assert scheme.chi == 1
+        uncorrected, corrected = scheme.startup
         t = 0.1 * np.arange(17)
         partial = np.cumsum(scheme.omega)
+        # the Caputo shift (chi = 1)
+        assert uncorrected[:, 0] == pytest.approx(-partial, abs=1e-10)
+        assert np.all(uncorrected[:, 1] == 0.0)
         lin = np.cumsum(t * scheme.omega)
         w1 = (t[1:] ** 0.5 / math.gamma(1.5) - (t[1:] * partial[1:] - lin[1:])) / 0.1
-        assert scheme.w1[1:] == pytest.approx(w1, abs=1e-10)
-        assert scheme.w0 == pytest.approx(-partial - scheme.w1, abs=1e-10)
+        assert corrected[1:, 1] == pytest.approx(w1, abs=1e-10)
+        assert corrected[:, 0] == pytest.approx(-partial - corrected[:, 1], abs=1e-10)
 
     def test_rejects_out_of_domain_order(self):
         for gamma in (0.0, 1.0, -1.0):
@@ -146,25 +152,36 @@ class TestSchemeTables:
 
 def reference_startup(scheme, values, n, corrected):
     """known_sum and self_weight at step n with the startup rule written
-    out per choice, independent of CQScheme.startup: w0[n] g_0 + w1[n] g_1
-    (the n = 1 term in the self weight) when corrected, the Caputo shift
-    -chi sum(omega[:n+1]) g_0 when not."""
-    out = scheme.omega[n:0:-1] @ values[:n]
-    weight = scheme.omega[0]
+    out per choice from its formulas, independent of CQScheme.startup:
+    w0[n] g_0 + w1[n] g_1 (the n = 1 term in the self weight) when
+    corrected, the Caputo shift -s0[n] g_0 for positive orders when not,
+    s0 the compensated partial sums of omega.  The weights take build's
+    arithmetic, so the sums agree bitwise."""
+    gamma, kappa, omega = scheme.gamma, scheme.kappa, scheme.omega
+    t = kappa * np.arange(scheme.N + 1)
+    s0 = _kahan_cumsum(omega)
+    if gamma < 0.0:
+        w0, w1 = t ** -gamma / math.gamma(1.0 - gamma) - s0, np.zeros(scheme.N + 1)
+    else:
+        w1 = (t ** (1.0 - gamma) / math.gamma(2.0 - gamma)
+              - (t * s0 - _kahan_cumsum(t * omega))) / kappa
+        w0 = -s0 - w1
+    out = omega[n:0:-1] @ values[:n]
+    weight = omega[0]
     if corrected:
-        out = out + scheme.w0[n] * values[0]
-        if n >= 2 and scheme.w1[n] != 0.0:
-            out = out + scheme.w1[n] * values[1]
+        out = out + w0[n] * values[0]
+        if n >= 2 and w1[n] != 0.0:
+            out = out + w1[n] * values[1]
         if n == 1:
-            weight += scheme.w1[1]
-    elif scheme.chi:
-        out = out - scheme.omega_cumsum[n] * values[0]
+            weight += w1[1]
+    elif gamma > 0.0:
+        out = out - s0[n] * values[0]
     return out, weight
 
 
 class TestStartupTable:
     @pytest.mark.parametrize("ndof", [1, 3])
-    @pytest.mark.parametrize("N", [1, 2, 33])
+    @pytest.mark.parametrize("N", [0, 1, 2, 33])
     @pytest.mark.parametrize("corrected", [False, True])
     @pytest.mark.parametrize("gamma", [-0.75, -0.25, 0.25, 0.75])
     def test_direct_sum_equals_the_written_out_rule(self, gamma, corrected, N, ndof):
@@ -178,9 +195,10 @@ class TestStartupTable:
 
     @pytest.mark.parametrize("corrected", [False, True])
     def test_table_is_read_only(self, corrected):
-        for weights in CQScheme.build(0.5, 0.1, 8).startup(corrected):
-            with pytest.raises(ValueError):
-                weights[1] = 0.0
+        table = CQScheme.build(0.5, 0.1, 8).startup[corrected]
+        assert table.shape == (9, 2)
+        with pytest.raises(ValueError):
+            table[:] = 0.0
 
 
 class TestTailWeights:
@@ -229,7 +247,7 @@ def check_ring_against_full_history(gamma, corrected, N, ndof, monkeypatch):
     at new addresses) and to 1e-10 of the direct sum's terms by
     magnitude, which a sum that cancels does not show; no sum at step N."""
     scheme = CQScheme.build(gamma, 1.0 / 64, N)
-    c0, c1 = (np.abs(c) for c in scheme.startup(corrected))
+    c0, c1 = np.abs(scheme.startup[corrected]).T
     values = np.random.default_rng(N + ndof).standard_normal((N, ndof))
     ring = CQHistory(scheme, values[0], corrected)
     monkeypatch.setattr(cq, "RING_ROWS", N)
@@ -289,6 +307,24 @@ class TestCQHistory:
         with pytest.raises(ValueError, match=f"step {N}: the last is step {N - 1}"
                                              f" of a run of N = {N} steps"):
             history.known_sum(N)
+
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_keeps_nothing_of_the_run_length(self, corrected):
+        import tracemalloc
+
+        # the ring, the Toeplitz kernel and the Q x ndof tail state (Q
+        # grows from 100 to 124 modes): no copy of the (N + 1) x 2 startup
+        # table or of any other O(N) array
+        kept = []
+        for N in (8192, 65536):
+            scheme = CQScheme.build(0.5, 4.0 / N, N)
+            CQHistory(scheme, np.zeros(127), corrected)   # fills the Gauss rule caches
+            tracemalloc.start()
+            history = CQHistory(scheme, np.zeros(127), corrected)
+            kept.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.stop()
+            assert history.values.shape == (RING_ROWS, 127)
+        assert kept[1] - kept[0] <= 0.1e6
 
     def test_sums_go_in_step_order(self):
         history = CQHistory(CQScheme.build(0.5, 0.1, 8), np.zeros(3), corrected=True)

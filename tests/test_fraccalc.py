@@ -348,7 +348,7 @@ class TestAgainstScipyGamma:
         kappa, N = 1.0 / 64.0, 128
         scheme = CQScheme.build(gamma, kappa, N)
         t = kappa * np.arange(N + 1)
-        s0 = scheme.omega_cumsum
+        s0 = _kahan_cumsum(scheme.omega)
         w1 = np.zeros(N + 1)
         if gamma < 0.0:
             g0 = t ** (-gamma) / sp_gamma(1.0 - gamma)
@@ -359,5 +359,5 @@ class TestAgainstScipyGamma:
             s1 = _kahan_cumsum(t * scheme.omega)
             w1[1:] = g0[1:] - (t[1:] * s0[1:] - s1[1:]) / kappa
             w0 = -s0 - w1
-        for ours, ref in ((scheme.w0, w0), (scheme.w1, w1)):
+        for ours, ref in zip(scheme.startup[True].T, (w0, w1)):
             assert np.all(np.abs(ours - ref) <= 4e-15 * g0)

@@ -538,6 +538,13 @@ class TestDemos:
             run_damping_demo(gammas=(0.5,), n_per_side=8, T=0.25)
         assert assembled == [0.25]
 
+    def test_damping_demo_refuses_repeated_orders(self, monkeypatch):
+        # 0.25 and 0.250 would share the label "0.25", and one trace would
+        # replace the other
+        monkeypatch.setattr(harness, "run", lambda config: pytest.fail("a run started"))
+        with pytest.raises(ValueError, match="^repeated damping orders: 0.25, 0.5$"):
+            run_damping_demo(gammas=(0.25, 0.5, 0.75, 0.250, 0.5), n_per_side=8, T=0.25)
+
     def test_demo_requires_center_node(self):
         with pytest.raises(ValueError):
             run_damping_demo(n_per_side=15)
