@@ -27,7 +27,14 @@ from fracwave.harness import (
     run_convergence,
 )
 from fracwave.oracle import VolterraProblem, VolterraSolution, solve_volterra
-from fracwave.solver import SeparableSource, SimConfig, Trajectory, run, scalar_run
+from fracwave.solver import (
+    KeptRows,
+    SeparableSource,
+    SimConfig,
+    Trajectory,
+    run,
+    scalar_run,
+)
 
 __all__ = [
     "FracParams",
@@ -52,6 +59,7 @@ __all__ = [
     "VolterraProblem",
     "VolterraSolution",
     "solve_volterra",
+    "KeptRows",
     "SeparableSource",
     "SimConfig",
     "Trajectory",

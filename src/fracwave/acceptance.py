@@ -21,7 +21,7 @@ from fracwave.fraccalc import FracParams, caputo_monomial, constants_table
 from fracwave.harness import (build_case, fit_rate, level_cells, mesh_system,
                               run_convergence, time_errors)
 from fracwave.oracle import VolterraProblem, asymptotic_check, solve_volterra
-from fracwave.solver import SimConfig, run, scalar_run
+from fracwave.solver import KeptRows, SimConfig, run, scalar_run
 
 
 @dataclass
@@ -311,9 +311,10 @@ def criterion_10() -> CriterionResult:
 
     config = SimConfig(fem=system, T=T, kappa=kappa, frac=frac, corrected=True,
                        u0=mode.copy(), v0=np.zeros_like(mode))
-    traj = run(config)
     probe = int(np.argmax(np.abs(mode)))
-    fem_trace = traj.us[:, probe] / mode[probe]
+    kept = KeptRows(N, column=probe)
+    run(config, observe=kept)
+    fem_trace = kept.us / mode[probe]
 
     d = scalar_run(gamma, frac.a_gamma, lam_h, kappa, N, d0=1.0,
                    d1=1.0 - 0.5 * kappa**2 * lam_h, dtd0=0.0, corrected=True)

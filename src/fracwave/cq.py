@@ -76,9 +76,10 @@ def _correction_weights(gamma: float, kappa: float, omega: np.ndarray,
     return -s0 - w1, w1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CQScheme:
-    """Immutable weight tables for a fixed (gamma, kappa, N).
+    """Immutable weight tables for a fixed (gamma, kappa, N); two schemes
+    are equal only if they are the same object.
 
     omega are the convolution weights.  startup[corrected] is a read-only
     (N+1) x 2 table whose row n holds the startup weights (c0[n], c1[n])

@@ -31,7 +31,14 @@ from fracwave.fraccalc import (
     caputo_series,
     rl_integral_gauss_jacobi,
 )
-from fracwave.solver import CHECK_STEPS, SeparableSource, SimConfig, Trajectory, run
+from fracwave.solver import (
+    CHECK_STEPS,
+    KeptRows,
+    SeparableSource,
+    SimConfig,
+    Trajectory,
+    run,
+)
 
 # Largest phase omega * t of the trig time factor at which the
 # Gauss-Jacobi rule has converged to round-off: against the tanh-sinh
@@ -248,30 +255,31 @@ class ErrorNorms:
             _m_norms(system, rows - case.exact(t)[:, None] * s))))
 
 
-def _kept_norms(traj: Trajectory, case: ManufacturedCase, system: FemSystem,
+def _kept_norms(us: np.ndarray, case: ManufacturedCase, system: FemSystem,
                 kappa: float) -> ErrorNorms:
-    """ErrorNorms of a kept trajectory, fed in the blocks of CHECK_STEPS
-    steps that solver.run passes an observer."""
-    if traj.us.shape[0] != len(traj.times):
+    """ErrorNorms of the rows u_0..u_N that a KeptRows observer kept, fed
+    in the blocks of CHECK_STEPS steps that solver.run passes an observer."""
+    if us.ndim != 2 or us.shape[0] < 2:
         raise ValueError(
-            f"the error norms need every row of the trajectory, got {traj.us.shape[0]}"
-            f" of {len(traj.times)}; an observed run keeps u_N alone")
+            f"the error norms need the rows u_0..u_N that KeptRows keeps, got shape"
+            f" {us.shape}; a Trajectory's us is u_N alone")
     norms = ErrorNorms(case, system, kappa)
-    for lo in range(0, len(traj.times) - 1, CHECK_STEPS):
-        norms(lo, traj.us[lo:lo + CHECK_STEPS + 1])
+    for lo in range(0, us.shape[0] - 1, CHECK_STEPS):
+        norms(lo, us[lo:lo + CHECK_STEPS + 1])
     return norms
 
 
-def error_norm_energy(traj: Trajectory, case: ManufacturedCase,
+def error_norm_energy(us: np.ndarray, case: ManufacturedCase,
                       system: FemSystem, kappa: float) -> float:
-    """ErrorNorms.energy of a kept trajectory."""
-    return _kept_norms(traj, case, system, kappa).energy
+    """ErrorNorms.energy of the kept rows us = KeptRows.us."""
+    return _kept_norms(us, case, system, kappa).energy
 
 
-def error_norm_l2max(traj: Trajectory, case: ManufacturedCase,
+def error_norm_l2max(us: np.ndarray, case: ManufacturedCase,
                      system: FemSystem, kappa: float) -> float:
-    """ErrorNorms.l2 of a kept trajectory: max_n ||u_n - I_h u(t_n)||_M."""
-    return _kept_norms(traj, case, system, kappa).l2
+    """ErrorNorms.l2 of the kept rows us = KeptRows.us:
+    max_n ||u_n - I_h u(t_n)||_M."""
+    return _kept_norms(us, case, system, kappa).l2
 
 
 def fit_rate(errors) -> tuple[float, bool]:
@@ -391,10 +399,16 @@ def time_errors(case: ManufacturedCase, n_per_side: int, corrected: bool,
     differences fall at the rate of the time discretization alone.
     """
     system = mesh_system(case.dimension, case.domain, n_per_side)
-    coarse = solve_case(case, system, kappa0, corrected).us
+
+    def kept_rows(kappa: float) -> np.ndarray:
+        kept = KeptRows(round(1.0 / kappa))
+        solve_case(case, system, kappa, corrected, observe=kept)
+        return kept.us
+
+    coarse = kept_rows(kappa0)
     errors = []
     for lev in range(1, levels + 1):
-        fine = solve_case(case, system, kappa0 / 2**lev, corrected).us
+        fine = kept_rows(kappa0 / 2**lev)
         errors.append(float(np.max(_m_norms(system, fine[::2] - coarse))))
         coarse = fine
     return errors
@@ -432,8 +446,9 @@ def run_damping_demo(gammas=(0.25, 0.75, -0.25, -0.75), n_per_side: int = 32,
         frac = None if g is None else FracParams(gamma=g)
         config = SimConfig(fem=system, T=T, kappa=kappa, frac=frac,
                            corrected=False, u0=bump)
-        traj = run(config)
-        traces[label] = traj.us[:, dof].copy()
+        trace = KeptRows(config.n_steps, column=dof)
+        traj = run(config, observe=trace)
+        traces[label] = trace.us
         energies[label] = traj.energy
     return traj.times, traces, energies
 

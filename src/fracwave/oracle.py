@@ -142,7 +142,10 @@ def asymptotic_check(problem: VolterraProblem, T: float, M: int) -> float:
     lo, hi = FIT_WINDOW
     if hi >= M:
         raise ValueError(f"fit window {FIT_WINDOW} exceeds grid length {M}")
-    sol = solve_volterra(problem, T, M)
+    # the first hi steps of the M-step grid: v_n depends on v_0..v_{n-1}
+    # alone, and hi is a power of two, so (hi * (T / M)) / hi is the step
+    # T / M bit for bit and v[:hi + 1] is the full solve's
+    sol = solve_volterra(problem, hi * (T / M), hi)
     idx = np.arange(lo, hi + 1)
     f = problem.f or (lambda t: 0.0)
     mags = np.abs([sol.v[i] - (f(sol.times[i]) - problem.lam * problem.u0) for i in idx])

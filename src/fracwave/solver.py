@@ -15,9 +15,10 @@ loop costs O(N * Q * ndof); each damped step records its central
 difference there, in a ring of 192 rows whatever N, and an undamped
 run keeps no history.  The energy log and the divergence check run
 once per CHECK_STEPS steps, on one reused block of the trajectory rows
-of those steps, and each checked block then goes to an observer: by
-default one that copies it into the kept trajectory, while a caller
-that only reduces the rows (the error norms) keeps none of them.
+of those steps, and each checked block then goes to the caller's
+observer, if any: a run keeps u_N alone, and a caller that reads rows
+keeps them, or the columns it reads, with a KeptRows observer, while one
+that only reduces them (the error norms) keeps none.
 """
 
 from __future__ import annotations
@@ -102,8 +103,7 @@ class SimConfig:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    us: np.ndarray        # (N+1, ndof), the default observer's copy of every
-                          # block; (1, ndof), u_N alone, if run was observed
+    us: np.ndarray        # (1, ndof), u_N alone; KeptRows keeps the others
     energy: np.ndarray    # E_n for n = 1..N (index 0 is E_1)
     history: np.ndarray   # the damping term's CQHistory.values, the ring of
                           # the last central differences; (0, ndof) undamped
@@ -257,6 +257,22 @@ def _check_block(config: SimConfig, rows: np.ndarray, energy: np.ndarray,
         f" (> {ENERGY_ABORT_FACTOR:.0e} x E_n) at step {i + 1}; check the CFL condition")
 
 
+class KeptRows:
+    """An observer for run that keeps the rows it is passed: after the run,
+    us[n] is u_n for n = 0..n_steps, or with a column (an index or a slice
+    of the dofs) that part of u_n alone."""
+
+    def __init__(self, n_steps: int, column: int | slice = slice(None)):
+        self.n_steps, self.column = n_steps, column
+        self.us = None
+
+    def __call__(self, lo: int, rows: np.ndarray) -> None:
+        kept = rows[:, self.column]
+        if self.us is None:
+            self.us = np.empty((self.n_steps + 1,) + kept.shape[1:])
+        self.us[lo:lo + len(rows)] = kept
+
+
 def run(config: SimConfig,
         observe: Callable[[int, np.ndarray], None] | None = None) -> Trajectory:
     """Execute initial data and all time steps, recording the energy log.
@@ -273,9 +289,9 @@ def run(config: SimConfig,
     The rows u_lo..u_hi of each block of CHECK_STEPS steps, and of the
     last, partial one, go to observe(lo, rows) once they are checked;
     consecutive blocks share their boundary row, and rows is one buffer,
-    reused, so it is only valid during the call.  By default the observer
-    copies each block into the kept trajectory us.  With an observer of
-    the caller's, the Trajectory's us holds u_N alone.
+    reused, so it is only valid during the call: KeptRows copies the rows,
+    or the columns, a caller reads.  The Trajectory's us holds u_N alone,
+    observed or not.
     """
     system = config.fem
     N = config.n_steps
@@ -288,12 +304,9 @@ def run(config: SimConfig,
         f0 = source[0] * load
 
     u0_h, u1_h, dtu0_h = initial_data(config, f0)
-    us = None
     if observe is None:
-        us = np.empty((N + 1, system.ndof))
-
         def observe(lo: int, rows: np.ndarray) -> None:
-            us[lo:lo + len(rows)] = rows
+            pass
     energy = np.empty(N)
     cq = None
     if config.a_gamma != 0.0:
@@ -316,8 +329,7 @@ def run(config: SimConfig,
     if N > lo:
         _check_block(config, rows[:N - lo + 1], energy, lo)
         observe(lo, rows[:N - lo + 1])
-    if us is None:
-        us = rows[N - lo:N - lo + 1].copy()
+    us = rows[N - lo:N - lo + 1].copy()
     history = np.zeros((0, system.ndof)) if cq is None else cq.values
     return Trajectory(times=times, us=us, energy=energy, history=history)
 

@@ -84,6 +84,29 @@ def test_criterion_10_oracle_solver_equivalence():
     _check(10)
 
 
+def test_criterion_10_traces_the_probe_of_every_row(monkeypatch):
+    # the probe's values, kept alone, are the probe column of the rows
+    # u_0..u_N of the same run
+    import numpy as np
+
+    from fracwave.solver import KeptRows
+
+    calls = []
+    run = acceptance.run
+
+    def recording_run(config, observe=None):
+        calls.append((config, observe))
+        return run(config, observe)
+
+    monkeypatch.setattr(acceptance, "run", recording_run)
+    assert acceptance.criterion_10().passed
+    [(config, probe)] = calls
+    rows = KeptRows(config.n_steps)
+    run(config, observe=rows)
+    assert probe.us.shape == (config.n_steps + 1,)
+    np.testing.assert_array_equal(probe.us, rows.us[:, probe.column])
+
+
 def test_smooth2d_skip_guard_reads_the_graded_norm(monkeypatch):
     # smooth2d is graded on max-L2: clean energy rates must not hide
     # pre-asymptotic L2 rates

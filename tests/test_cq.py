@@ -149,6 +149,15 @@ class TestSchemeTables:
         with pytest.raises(ValueError):
             scheme.omega[0] = 0.0
 
+    def test_schemes_compare_by_identity(self):
+        # equal fields would compare their arrays, whose truth is ambiguous
+        scheme = CQScheme.build(0.5, 0.1, 8)
+        rebuilt = CQScheme.build(0.5, 0.1, 8)
+        assert scheme == scheme and not scheme != scheme
+        assert scheme != rebuilt and not scheme == rebuilt
+        assert hash(scheme) == hash(scheme) != hash(rebuilt)
+        assert len({scheme, rebuilt, scheme}) == 2
+
 
 def reference_startup(scheme, values, n, corrected):
     """known_sum and self_weight at step n with the startup rule written

@@ -28,10 +28,18 @@ from fracwave.harness import (
     time_errors,
     verify_case,
 )
-from fracwave.solver import CHECK_STEPS, Trajectory
+from fracwave.solver import CHECK_STEPS, KeptRows
+
 
 # Times near t = 0 at which the source's singular exponent is fitted.
 _SINGULAR_FIT_TIMES = np.geomspace(1e-9, 1e-7, 12)
+
+
+def kept_rows(case, system, kappa, corrected):
+    """The rows u_0..u_N of solve_case's run at T = 1, kept by KeptRows."""
+    kept = KeptRows(round(1.0 / kappa))
+    solve_case(case, system, kappa, corrected, observe=kept)
+    return kept.us
 
 
 def singular_exponent_of_source(case: ManufacturedCase) -> float:
@@ -239,10 +247,8 @@ class TestErrorNorms:
         kappa = 1.0 / 16
         system = assemble(build_mesh(1, (0.0, 1.0), 8))
         us = np.zeros((17, system.ndof))
-        traj = Trajectory(times=kappa * np.arange(17), us=us,
-                          energy=np.zeros(16), history=us[:16])
-        assert error_norm_energy(traj, case, system, kappa) == 0.0
-        assert error_norm_l2max(traj, case, system, kappa) == 0.0
+        assert error_norm_energy(us, case, system, kappa) == 0.0
+        assert error_norm_l2max(us, case, system, kappa) == 0.0
 
     def test_blocks_count_every_row_once(self):
         # the largest error sits in u_0, the first block's own row, or in
@@ -271,21 +277,18 @@ class TestErrorNorms:
         s = case.spatial.value(system.mesh.nodes[system.mesh.interior])
         steps = 513
         us = np.stack([case.exact(m * kappa) * s for m in range(steps)])
-        traj = Trajectory(times=kappa * np.arange(steps), us=us,
-                          energy=np.zeros(steps - 1), history=us[:-1])
         # pure time-offset residual of the half-step norm: O(kappa^2)
         # with the solution's large frequencies (24, 12)
-        err = error_norm_energy(traj, case, system, kappa)
+        err = error_norm_energy(us, case, system, kappa)
         assert err < 0.05
-        assert error_norm_l2max(traj, case, system, kappa) < 1e-12
+        assert error_norm_l2max(us, case, system, kappa) < 1e-12
 
 
-def _random_trajectory(system, kappa, steps, seed):
+def _random_trajectory(system, steps, seed):
     # growing, so that the largest norms sit in the last, partial block
     us = np.random.default_rng(seed).standard_normal((steps, system.ndof))
     us *= np.linspace(1.0, 3.0, steps)[:, None]
-    return Trajectory(times=kappa * np.arange(steps), us=us,
-                      energy=np.zeros(steps - 1), history=us[:-1])
+    return us
 
 
 class TestBlockedNorms:
@@ -306,8 +309,7 @@ class TestBlockedNorms:
         if cells > 8:
             assert N > 2 * CHECK_STEPS and N % CHECK_STEPS != 0
         kappa = 1.0 / N
-        traj = _random_trajectory(system, kappa, steps, seed=cells)
-        us = traj.us
+        us = _random_trajectory(system, steps, seed=cells)
         s = case.spatial.value(system.mesh.nodes[system.mesh.interior])
         energy_ref = max(
             l2_norm(system, (us[n] - us[n - 1]) / kappa
@@ -317,8 +319,8 @@ class TestBlockedNorms:
             for n in range(1, steps))
         l2_ref = max(l2_norm(system, us[n] - case.exact(n * kappa) * s)
                      for n in range(steps))
-        kept = (error_norm_energy(traj, case, system, kappa),
-                error_norm_l2max(traj, case, system, kappa))
+        kept = (error_norm_energy(us, case, system, kappa),
+                error_norm_l2max(us, case, system, kappa))
         assert kept == pytest.approx((energy_ref, l2_ref), rel=1e-14)
         # whole, in run's blocks of CHECK_STEPS steps, step by step
         for size in (N, CHECK_STEPS, 1):
@@ -331,12 +333,15 @@ class TestBlockedNorms:
         case = build_case("smooth1d", FracParams(gamma=-0.25))
         system = assemble(build_mesh(1, (0.0, 1.0), 8))
         got = time_errors(case, 8, corrected=True, kappa0=1.0 / 32, levels=2)
-        runs = [solve_case(case, system, kappa, True).us
+        runs = [kept_rows(case, system, kappa, True)
                 for kappa in (1.0 / 32, 1.0 / 64, 1.0 / 128)]
         want = [max(l2_norm(system, fine[2 * n] - coarse[n])
                     for n in range(coarse.shape[0]))
                 for coarse, fine in zip(runs, runs[1:])]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        # the same arithmetic on the kept rows: equal bit for bit
+        assert got == [float(np.max(harness._m_norms(system, fine[::2] - coarse)))
+                       for coarse, fine in zip(runs, runs[1:])]
 
 
 class TestStreamedNorms:
@@ -354,31 +359,33 @@ class TestStreamedNorms:
         case = build_case(name, FracParams(gamma=0.5))
         system = harness.mesh_system(case.dimension, case.domain, level_cells(case, kappa))
         assert round(1.0 / kappa) > 2 * CHECK_STEPS
-        kept_rows = []
+        returned_rows = []
         run = harness.run
 
         def counting_run(config, observe=None):
             traj = run(config, observe)
-            kept_rows.append(traj.us.shape[0])
+            returned_rows.append(traj.us.shape[0])
             return traj
 
         monkeypatch.setattr(harness, "run", counting_run)
         h, e_en, e_l2 = run_level(case, kappa, corrected)
-        traj = solve_case(case, system, kappa, corrected)
-        assert kept_rows == [1, round(1.0 / kappa) + 1]
+        assert returned_rows == [1]
+        us = kept_rows(case, system, kappa, corrected)
+        assert us.shape[0] == round(1.0 / kappa) + 1
         assert h == system.mesh.h
         # the kept trajectory is fed in run's blocks: the same arithmetic
-        assert e_en == error_norm_energy(traj, case, system, kappa)
-        assert e_l2 == error_norm_l2max(traj, case, system, kappa)
+        assert e_en == error_norm_energy(us, case, system, kappa)
+        assert e_l2 == error_norm_l2max(us, case, system, kappa)
 
     def test_norms_refuse_an_observed_trajectory(self):
         case = build_case("smooth1d", FracParams(gamma=0.5))
         kappa = 1.0 / 64
         system = harness.mesh_system(1, case.domain, level_cells(case, kappa))
-        traj = solve_case(case, system, kappa, False, observe=lambda lo, rows: None)
+        traj = solve_case(case, system, kappa, False)
         for norm in (error_norm_energy, error_norm_l2max):
-            with pytest.raises(ValueError, match="every row of the trajectory, got 1 of 65"):
-                norm(traj, case, system, kappa)
+            with pytest.raises(ValueError, match=r"u_0\.\.u_N that KeptRows keeps, got"
+                                                 r" shape \(1, 10\)"):
+                norm(traj.us, case, system, kappa)
 
 
 class TestConvergence:
@@ -514,20 +521,27 @@ class TestDemos:
 
     @pytest.mark.parametrize("n", [2, 4, 16, 32])
     def test_damping_demo_traces_the_origin(self, monkeypatch, n):
-        configs, trajectories = [], []
+        # every trace and energy log equals the origin's column and the
+        # energy of a run that kept every row
+        configs = []
         run = harness.run
 
-        def recording_run(config):
+        def recording_run(config, observe=None):
             configs.append(config)
-            trajectories.append(run(config))
-            return trajectories[-1]
+            return run(config, observe)
 
         monkeypatch.setattr(harness, "run", recording_run)
-        _, traces, _ = run_damping_demo(gammas=(), n_per_side=n, T=2.0 / n)
+        _, traces, energies = run_damping_demo(gammas=(0.5, -0.5), n_per_side=n,
+                                               T=2.0 / n)
         mesh = configs[0].fem.mesh
         origin = np.flatnonzero(np.all(np.abs(mesh.nodes[mesh.interior]) < 1e-12, axis=1))
         assert len(origin) == 1
-        np.testing.assert_array_equal(traces["none"], trajectories[0].us[:, origin[0]])
+        assert list(traces) == list(energies) == ["none", "0.5", "-0.5"]
+        for label, config in zip(traces, configs):
+            kept = KeptRows(config.n_steps)
+            traj = run(config, observe=kept)
+            np.testing.assert_array_equal(traces[label], kept.us[:, origin[0]])
+            np.testing.assert_array_equal(energies[label], traj.energy)
 
     def test_damping_demo_assembles_once_per_mesh(self, monkeypatch, fresh_systems):
         assembled = []
@@ -541,7 +555,8 @@ class TestDemos:
     def test_damping_demo_refuses_repeated_orders(self, monkeypatch):
         # 0.25 and 0.250 would share the label "0.25", and one trace would
         # replace the other
-        monkeypatch.setattr(harness, "run", lambda config: pytest.fail("a run started"))
+        monkeypatch.setattr(harness, "run",
+                            lambda *args, **kwargs: pytest.fail("a run started"))
         with pytest.raises(ValueError, match="^repeated damping orders: 0.25, 0.5$"):
             run_damping_demo(gammas=(0.25, 0.5, 0.75, 0.250, 0.5), n_per_side=8, T=0.25)
 

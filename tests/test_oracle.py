@@ -147,6 +147,36 @@ class TestAsymptotics:
         zero = asymptotic_check(VolterraProblem(**params, f=lambda t: 0.0), 1.0, 2048)
         assert unforced == zero
 
+    @pytest.mark.parametrize("problem", [
+        VolterraProblem(gamma=0.5, a_gamma=FracParams(0.5, 0.25).a_gamma, lam=4.0,
+                        u0=1.0, v0=0.0, f=lambda t: math.cos(3.0 * t)),
+        VolterraProblem(gamma=-0.5, a_gamma=FracParams(-0.5, 2.0).a_gamma, lam=4.0,
+                        u0=1.0, v0=1.0, f=lambda t: math.cos(3.0 * t)),
+    ], ids=["0.5", "-0.5"])
+    def test_fit_solves_only_its_window(self, problem, monkeypatch):
+        # criterion 9's problems: the first FIT_WINDOW[1] steps of the grid
+        # equal the full solve's, and so does the fitted exponent
+        from fracwave import oracle
+
+        solves = []
+
+        def recording_solve(*args):
+            solves.append(solve_volterra(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(oracle, "solve_volterra", recording_solve)
+        exponent = asymptotic_check(problem, 1.0, 4096)
+        lo, hi = oracle.FIT_WINDOW
+        [part] = solves
+        full = solve_volterra(problem, 1.0, 4096)
+        assert len(part.v) == hi + 1
+        for got, want in ((part.times, full.times), (part.v, full.v), (part.u, full.u)):
+            np.testing.assert_array_equal(got, want[:hi + 1])
+        idx = np.arange(lo, hi + 1)
+        mags = np.abs([full.v[i] - (problem.f(full.times[i]) - problem.lam * problem.u0)
+                       for i in idx])
+        assert exponent == np.polyfit(np.log(full.times[idx]), np.log(mags), 1)[0]
+
     def test_window_exceeding_grid_rejected(self):
         problem = VolterraProblem(gamma=0.5, a_gamma=1.0, lam=1.0,
                                   u0=1.0, v0=0.0)

@@ -17,6 +17,7 @@ from fracwave import solver
 from fracwave.solver import (
     CHECK_STEPS,
     ENERGY_ABORT_FACTOR,
+    KeptRows,
     SeparableSource,
     SimConfig,
     SimState,
@@ -38,6 +39,14 @@ def sin_field(scale=1.0):
 
 def interval_system(n):
     return assemble(build_mesh(1, (0.0, 1.0), n))
+
+
+def kept_run(config):
+    """run(config) with a KeptRows observer: the Trajectory and the rows
+    u_0..u_N."""
+    kept = KeptRows(config.n_steps)
+    traj = run(config, observe=kept)
+    return traj, kept.us
 
 
 class TestInitialData:
@@ -85,14 +94,17 @@ class TestRun:
             frac = None if gamma is None else FracParams(gamma=gamma)
             config = SimConfig(fem=system, T=0.5, kappa=1.0 / 128,
                                frac=frac, corrected=corrected)
-            traj = run(config)
-            assert np.all(traj.us == 0.0)
+            _, us = kept_run(config)
+            assert np.all(us == 0.0)
 
     def test_trajectory_length(self):
         system = interval_system(16)
         config = SimConfig(fem=system, T=0.5, kappa=1.0 / 128, u0=sin_field())
-        traj = run(config)
-        assert traj.us.shape[0] == config.n_steps + 1 == 65
+        traj, us = kept_run(config)
+        assert us.shape[0] == config.n_steps + 1 == 65
+        assert traj.us.shape == (1, system.ndof)
+        np.testing.assert_array_equal(traj.us[0], us[-1])
+        np.testing.assert_array_equal(run(config).us, traj.us)
 
     def test_energy_conservation_undamped(self):
         system = interval_system(64)
@@ -119,14 +131,14 @@ class TestRun:
             n = round(1.0 / (6.0 * kappa))
             system = assemble(build_mesh(1, (0.0, 1.0), n))
             config = SimConfig(fem=system, T=1.0, kappa=kappa, u0=sin_field())
-            traj = run(config)
+            _, us = kept_run(config)
             s = np.sin(np.pi * system.mesh.nodes[system.mesh.interior][:, 0])
             worst = 0.0
-            for m in range(1, traj.us.shape[0]):
+            for m in range(1, us.shape[0]):
                 th = (m - 0.5) * kappa
-                dv = (traj.us[m] - traj.us[m - 1]) / kappa \
+                dv = (us[m] - us[m - 1]) / kappa \
                     - (-math.pi * math.sin(math.pi * th)) * s
-                av = 0.5 * (traj.us[m] + traj.us[m - 1]) \
+                av = 0.5 * (us[m] + us[m - 1]) \
                     - math.cos(math.pi * th) * s
                 worst = max(worst, l2_norm(system, dv) + l2_norm(system, av))
             errs.append(worst)
@@ -307,12 +319,12 @@ def reference_step(config, state):
                     source=state.source, load=state.load, combine=state.combine)
 
 
-def assert_ring_holds_central_differences(traj, config):
+def assert_ring_holds_central_differences(traj, us, config):
     """A damped run's history is a ring of min(N, RING_ROWS) slots, and
     every slot holds the central difference (u_{j+1} - u_{j-1}) / (2 kappa)
     of the last row j it took, so no pending sum is left; an undamped run
-    keeps no history."""
-    N = len(traj.us) - 1
+    keeps no history.  us holds the run's rows u_0..u_N."""
+    N = len(us) - 1
     if config.frac is None:
         assert traj.history.shape == (0, config.fem.ndof)
         return
@@ -321,7 +333,7 @@ def assert_ring_holds_central_differences(traj, config):
     assert rows[0] >= 1
     np.testing.assert_array_equal(
         traj.history[rows % len(traj.history)],
-        (traj.us[rows + 1] - traj.us[rows - 1]) / (2.0 * config.kappa))
+        (us[rows + 1] - us[rows - 1]) / (2.0 * config.kappa))
 
 
 class TestTimeLoop:
@@ -341,9 +353,8 @@ class TestTimeLoop:
         kappa = 1.0 / 128
         config = SimConfig(fem=system, T=N * kappa, kappa=kappa, u0=sin_field(),
                            **self.CASES[case])
-        traj = run(config)
+        traj, us = kept_run(config)
         assert len(traj.energy) == N
-        us = traj.us
         for i in range(N):
             want = discrete_energy(system, us[i + 1], us[i], system.K @ us[i], kappa)
             assert traj.energy[i] == pytest.approx(want, rel=1e-13)
@@ -358,12 +369,12 @@ class TestTimeLoop:
         N, kappa = 300, 1.0 / 512
         config = SimConfig(fem=system, T=N * kappa, kappa=kappa, u0=sin_field(),
                            **self.CASES[case])
-        traj = run(config)
+        traj, us = kept_run(config)
         monkeypatch.setattr(solver, "step", reference_step)
-        want = run(config)
-        scale = np.max(np.abs(want.us))
-        assert np.max(np.abs(traj.us - want.us)) <= 1e-11 * scale
-        assert_ring_holds_central_differences(traj, config)
+        _, want = kept_run(config)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(us - want)) <= 1e-11 * scale
+        assert_ring_holds_central_differences(traj, us, config)
 
     def test_step_leaves_its_input_state_unchanged(self):
         system = interval_system(16)
@@ -420,8 +431,8 @@ class TestObservedRun:
 
     @staticmethod
     def assert_same_run(traj, want):
-        assert traj.us.shape == (1, want.us.shape[1])
-        np.testing.assert_array_equal(traj.us[0], want.us[-1])
+        assert traj.us.shape == want.us.shape == (1, want.us.shape[1])
+        np.testing.assert_array_equal(traj.us, want.us)
         np.testing.assert_array_equal(traj.times, want.times)
         np.testing.assert_array_equal(traj.energy, want.energy)
         np.testing.assert_array_equal(traj.history, want.history)
@@ -439,11 +450,13 @@ class TestObservedRun:
             kappa = 1.0 / 160
         config = SimConfig(fem=system, T=N * kappa, kappa=kappa, u0=sin_field(),
                            **TestTimeLoop.CASES[case])
-        want = run(config)
+        want, us = kept_run(config)
         traj, blocks = self.observed(config)
         assert len(blocks) == math.ceil(N / CHECK_STEPS)
-        self.assert_blocks_cover(blocks, want.us, CHECK_STEPS)
+        self.assert_blocks_cover(blocks, us, CHECK_STEPS)
+        np.testing.assert_array_equal(want.us[0], us[-1])
         self.assert_same_run(traj, want)
+        self.assert_same_run(run(config), want)
 
     def test_observed_run_keeps_no_trajectory(self):
         import tracemalloc
@@ -452,15 +465,45 @@ class TestObservedRun:
         kappa = 1.0 / 128
         config = SimConfig(fem=system, T=4096 * kappa, kappa=kappa, u0=sin_field())
         peaks = []
-        for observe in (None, lambda lo, rows: None):
+        for observe in (KeptRows(config.n_steps), lambda lo, rows: None, None):
             tracemalloc.start()
             traj = run(config, observe=observe)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
+            assert traj.us.nbytes == 8 * system.ndof
         us_bytes = 8 * (config.n_steps + 1) * system.ndof
-        # the default observer copies each block into us once, and nothing more
+        # KeptRows copies each block into its us once, and nothing more
         assert 0.9 * us_bytes <= peaks[0] - peaks[1] <= 1.05 * us_bytes
-        assert traj.us.nbytes == 8 * system.ndof
+        # a run without an observer keeps no more than an observed one
+        assert peaks[2] <= peaks[1] + 0.05 * us_bytes
+
+    @pytest.mark.parametrize("column", [3, slice(2, 5)])
+    def test_kept_columns_are_columns_of_the_kept_rows(self, column):
+        config = SimConfig(fem=interval_system(16), T=65 / 128, kappa=1.0 / 128,
+                           u0=sin_field(), **TestTimeLoop.CASES["0.5C"])
+        _, us = kept_run(config)
+        kept = KeptRows(config.n_steps, column=column)
+        run(config, observe=kept)
+        np.testing.assert_array_equal(kept.us, us[:, column])
+
+    @pytest.mark.parametrize("gamma,corrected", [(-0.5, False), (0.5, True)])
+    def test_a_run_keeps_u_n_alone(self, gamma, corrected):
+        import tracemalloc
+
+        # the perfbench decay1d runs: 127 dofs and N = 8192 steps, whose
+        # rows u_0..u_N would take 8.3 MB
+        system = interval_system(128)
+        config = SimConfig(fem=system, T=4.0, kappa=1.0 / 2048,
+                           frac=FracParams(gamma=gamma), corrected=corrected,
+                           u0=sin_field(), v0=np.zeros(system.ndof))
+        assert config.n_steps == 8192
+        tracemalloc.start()
+        traj = run(config)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert traj.us.shape == (1, system.ndof)
+        assert kept <= 0.5e6
+        assert peak <= 2e6
 
     def test_memory_does_not_grow_with_the_step_count(self):
         import tracemalloc
@@ -520,13 +563,13 @@ class TestModeStructure:
         config = SimConfig(fem=system, T=1.0, kappa=1.0 / 256,
                            frac=FracParams(gamma=-0.5), corrected=False,
                            u0=mode.copy())
-        traj = run(config)
-        for u in traj.us[:: 32]:
+        _, us = kept_run(config)
+        for u in us[:: 32]:
             coeff = eigvec @ (system.M @ u)
             ortho = u - coeff * eigvec
             scale = l2_norm(system, u)
             if scale > 1e-14:
-                assert l2_norm(system, ortho) <= 1e-8 * l2_norm(system, traj.us[0])
+                assert l2_norm(system, ortho) <= 1e-8 * l2_norm(system, us[0])
 
     @pytest.mark.parametrize("gamma,corrected", [(0.5, True), (-0.5, False)])
     def test_scalar_recurrence_equivalence(self, gamma, corrected):
@@ -542,12 +585,12 @@ class TestModeStructure:
         frac = FracParams(gamma=gamma)
         config = SimConfig(fem=system, T=1.0, kappa=kappa, frac=frac,
                            corrected=corrected, u0=mode.copy())
-        traj = run(config)
+        _, us = kept_run(config)
         probe = int(np.argmax(np.abs(mode)))
         d = scalar_run(gamma, frac.a_gamma, lam_h, kappa, N, d0=1.0,
                        d1=1.0 - 0.5 * kappa**2 * lam_h, dtd0=0.0,
                        corrected=corrected)
-        assert np.max(np.abs(traj.us[:, probe] / mode[probe] - d)) <= 1e-12
+        assert np.max(np.abs(us[:, probe] / mode[probe] - d)) <= 1e-12
 
 
     @pytest.mark.parametrize("N", [0, -1])
@@ -569,7 +612,7 @@ class TestModeStructure:
                            corrected=corrected,
                            u0=sum(a * modes[k] for k, a in amplitudes.items()),
                            v0=np.zeros_like(x))
-        traj = run(config)
+        traj, us = kept_run(config)
         assert config.n_steps == N
         h = system.mesh.h
         for k, a in amplitudes.items():
@@ -578,9 +621,9 @@ class TestModeStructure:
             d = scalar_run(gamma, frac.a_gamma, lam_h, kappa, N, d0=1.0,
                            d1=1.0 - 0.5 * kappa**2 * lam_h, dtd0=0.0,
                            corrected=corrected)
-            coef = traj.us @ modes[k] / (modes[k] @ modes[k])
+            coef = us @ modes[k] / (modes[k] @ modes[k])
             assert np.max(np.abs(coef - a * d)) <= 1e-9
-        assert_ring_holds_central_differences(traj, config)
+        assert_ring_holds_central_differences(traj, us, config)
 
 
 class TestDampingTerm:
@@ -597,15 +640,14 @@ class TestDampingTerm:
         config = SimConfig(fem=system, T=1.0, kappa=kappa, frac=frac,
                            corrected=corrected, f=source, u0=sin_field(),
                            v0=sin_field(-1.0))
-        traj = run(config)
+        _, us = kept_run(config)
         _, _, v0_h = initial_data(config)
         scheme = CQScheme.build(gamma, kappa, config.n_steps)
         load = load_vector(system, sin_field().value)
-        us = traj.us
         for n in range(1, config.n_steps):
             inertia = system.M @ (us[n + 1] - 2.0 * us[n] + us[n - 1]) / kappa**2
             damping = frac.a_gamma * (
-                system.M @ mixed_operator(scheme, traj.us, n, v0_h, corrected))
+                system.M @ mixed_operator(scheme, us, n, v0_h, corrected))
             forcing = math.sin(2.0 * n * kappa) * load
             residual = inertia + system.K @ us[n] + damping - forcing
             # round-off scale: the terms of the second difference before cancelling
@@ -633,13 +675,13 @@ class TestSources:
         kappa = 1.0 / 128
         config = SimConfig(fem=system, T=0.5, kappa=kappa, frac=FracParams(gamma=0.5),
                            f=SeparableSource(spatial=sin_field(), temporal=temporal))
-        traj = run(config)
+        _, us = kept_run(config)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], kappa * np.arange(config.n_steps + 1))
         # initial_data on its own evaluates G(0) alone and gives the run's u1
         calls.clear()
         _, u1, _ = initial_data(config)
-        np.testing.assert_array_equal(u1, traj.us[1])
+        np.testing.assert_array_equal(u1, us[1])
         assert len(calls) == 1 and calls[0].shape == (1,)
 
     def test_bare_callable_source_rejected(self):
