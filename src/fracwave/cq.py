@@ -5,7 +5,7 @@ with delta(zeta) = 3/2 - 2 zeta + zeta^2/2, the Caputo shift for positive
 orders, startup correction weights exact on constants (and linears for
 positive orders), the CQ history sum (direct, and blocked for the time
 loop: lags up to 127 exact by one 64 x 64 Toeplitz product per block of
-64 steps, longer ones by a sum of exponentials, on a ring of 192 rows
+64 steps, longer ones by a sum of exponentials, on a ring of 64 rows
 that CQHistory owns), the central difference operator, and the mixed
 operator approximating d_t^(gamma+1).
 """
@@ -134,7 +134,7 @@ class CQScheme:
 
 
 FAR_STEPS = 64   # the block: exact lags below 2 * FAR_STEPS, older ones by the tail
-RING_ROWS = 3 * FAR_STEPS   # a block reads the rows [m - 2 FAR_STEPS, m + FAR_STEPS)
+RING_ROWS = FAR_STEPS   # block m overwrites the rows [m - FAR_STEPS, m) it reads
 
 
 def tail_weights(gamma: float, kappa: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -187,17 +187,17 @@ class _ExponentialTail:
         weights, log_rates = tail_weights(scheme.gamma, scheme.kappa, scheme.N)
         lags = np.arange(FAR_STEPS)
         self._decay = np.exp(FAR_STEPS * log_rates)[:, None]
-        # row m - 2 FAR_STEPS + c enters the state of block m with lam**(2 FAR_STEPS - c)
+        # row m - FAR_STEPS + c enters block m + FAR_STEPS's state by lam**(2 FAR_STEPS - c)
         self._fold = np.exp(np.outer(log_rates, 2 * FAR_STEPS - lags))
         self._expand = weights * np.exp(np.outer(lags, log_rates))
         self._state = np.zeros((len(weights), ncols))
 
-    def advance(self, older: np.ndarray, pending: np.ndarray) -> None:
-        """Move the state to the next block, folding in its FAR_STEPS rows
-        `older`, and add the tail to the block's pending rows."""
-        self._state *= self._decay
-        self._state += self._fold @ older
+    def advance(self, previous: np.ndarray, pending: np.ndarray) -> None:
+        """Add the tail to the open block's pending rows, then move the
+        state to the next block, folding in the rows `previous` before it."""
         pending += self._expand[:len(pending)] @ self._state
+        self._state *= self._decay
+        self._state += self._fold @ previous
 
 
 class CQHistory:
@@ -214,8 +214,8 @@ class CQHistory:
       Toeplitz product (lags 1 to 2 FAR_STEPS - 1, exact);
     - j < m - FAR_STEPS: at step m, the exponential tail of tail_weights
       (lags above FAR_STEPS, to about 1e-12 relative), which keeps one
-      state row per mode: the state decays by lam**FAR_STEPS and the rows
-      [m - 2 FAR_STEPS, m - FAR_STEPS) fold in, each by one product.
+      state row per mode: then the state decays by lam**FAR_STEPS and the
+      rows [m - FAR_STEPS, m) fold in, each by one product.
     A run of at most 2 FAR_STEPS steps builds no tail, and its sum is
     exact up to round-off.
 
@@ -230,15 +230,14 @@ class CQHistory:
     CQScheme.self_weight's).
 
     Oblivious: values is a ring of min(N, RING_ROWS) rows, RING_ROWS =
-    3 FAR_STEPS, with row j in slot j % len(values).  Block m reads the
-    rows [m - 2 FAR_STEPS, m) when it opens, its own rows [m, m +
-    FAR_STEPS) after, and rows 0 and 1, copied when the first block opens
-    (n = 2).  As the ring is a multiple of FAR_STEPS rows (or has room for
-    all N), no aligned block wraps.  The rows of the open block after
-    row n are not recorded yet and hold their pending far-field sums;
-    they are zeroed before the sums are added, as their slots may still
-    hold older rows.  The sum keeps nothing beyond values, one Toeplitz
-    matrix, the Q x ndof tail state and the copy of rows 0 and 1.
+    FAR_STEPS, with row j in slot j % len(values), so no aligned block
+    wraps.  Block m reads the rows [m - FAR_STEPS, m) when it opens, for
+    its Toeplitz product and the tail's fold, and writes its pending sums
+    over them; then its own rows, and rows 0 and 1, copied when the first
+    block opens (n = 2).  The rows of the open block after row n are not
+    recorded yet and hold their pending far-field sums.  The sum keeps
+    nothing beyond values, one Toeplitz matrix, the Q x ndof tail state
+    and the copy of rows 0 and 1.
     """
 
     def __init__(self, scheme: CQScheme, slope0: np.ndarray, corrected: bool) -> None:
@@ -298,17 +297,20 @@ class CQHistory:
     def _open_block(self, lo: int, hi: int) -> None:
         """Set the pending rows [lo, hi) up to the last row: at a block
         start lo, the previous block by one Toeplitz product and the older
-        rows by the tail; then the startup terms c0[n] values[0] + c1[n]
+        rows by the tail, written over the previous block once the tail has
+        folded it in; then the startup terms c0[n] values[0] + c1[n]
         values[1], by one (rows x 2) x (2 x ndof) product."""
         if lo == 2:   # the ring overwrites rows 0 and 1 at steps RING_ROWS and RING_ROWS + 1
             self._first = self.values[:2].copy()
-        pending = self._rows_of(lo, min(hi, self.scheme.N))
-        pending.fill(0.0)
+        hi = min(hi, self.scheme.N)
+        pending = self._rows_of(lo, hi)   # at lo = 2 still the zeros of the new ring
         if lo % FAR_STEPS == 0:
-            pending += self._kernel[:len(pending)] @ self._rows_of(lo - FAR_STEPS, lo)
-            if lo >= 2 * FAR_STEPS:
-                self.tail.advance(self._rows_of(lo - 2 * FAR_STEPS, lo - FAR_STEPS), pending)
-        pending += self._startup[lo:lo + len(pending)] @ self._first
+            previous = self._rows_of(lo - FAR_STEPS, lo)
+            sums = self._kernel[:hi - lo] @ previous
+            if self.tail is not None:
+                self.tail.advance(previous, sums)
+            pending[...] = sums
+        pending += self._startup[lo:hi] @ self._first
 
 
 def _cq_sum(scheme: CQScheme, g: np.ndarray, n: int, corrected: bool):

@@ -1,9 +1,9 @@
 """P1 finite elements on uniform interval meshes and structured triangulations.
 
 Homogeneous Dirichlet conditions are imposed by elimination: the
-assembled mass and stiffness matrices act on interior nodes only.
-Factorizations are computed lazily and reused across the many solves of
-a time loop.
+assembled mass and stiffness matrices act on interior nodes only.  Only
+the mass factorization is kept, computed lazily and reused across the
+many solves of a time loop; a stiffness solve factors K and drops it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class ScalarField:
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class Mesh:
     dimension: int
     domain: tuple
@@ -49,8 +49,8 @@ class Mesh:
     interior: np.ndarray        # interior node indices, in dof order
     interior_index: np.ndarray  # node -> dof index, -1 on the boundary
     # read-only, as every run on the mesh shares them
-    measures: np.ndarray = field(init=False, repr=False, compare=False)   # |det J| / d!
-    gradients: np.ndarray = field(init=False, repr=False, compare=False)  # (ne, d+1, d)
+    measures: np.ndarray = field(init=False, repr=False)   # |det J| / d!
+    gradients: np.ndarray = field(init=False, repr=False)  # (ne, d+1, d)
 
     def __post_init__(self) -> None:
         # J has the edges p_k - p_0 as columns; the rows of J^{-1} are the
@@ -121,15 +121,14 @@ def _reference_rule(dimension: int):
             np.full(3, 1.0 / 3.0))
 
 
-@dataclass
+@dataclass(eq=False)
 class FemSystem:
-    """Assembled interior-node mass and stiffness matrices with lazy solvers."""
+    """Assembled interior-node mass and stiffness matrices with solvers."""
 
     mesh: Mesh
     M: sp.csr_matrix
     K: sp.csr_matrix
     _M_solve: Callable | None = field(default=None, init=False, repr=False)
-    _K_solve: Callable | None = field(default=None, init=False, repr=False)
     _lambda_max: float | None = field(default=None, init=False, repr=False)
 
     @property
@@ -142,9 +141,8 @@ class FemSystem:
         return self._M_solve(rhs)
 
     def solve_stiffness(self, rhs: np.ndarray) -> np.ndarray:
-        if self._K_solve is None:
-            self._K_solve = _spd_solver(self.K)
-        return self._K_solve(rhs)
+        """K^-1 rhs by a factor built for this solve alone."""
+        return _spd_solver(self.K)(rhs)
 
     def lambda_max(self) -> float:
         """lambda_max(K, M), computed once per system."""

@@ -12,7 +12,7 @@ once per run; only step 1, with its w1 term, has its own.  The known
 part of the sum comes from the blocked history `cq.CQHistory`, exact
 up to lag 127 and a sum of Q ~ 100 exponentials beyond, so the time
 loop costs O(N * Q * ndof); each damped step records its central
-difference there, in a ring of 192 rows whatever N, and an undamped
+difference there, in a ring of 64 rows whatever N, and an undamped
 run keeps no history.  The energy log and the divergence check run
 once per CHECK_STEPS steps, on one reused block of the trajectory rows
 of those steps, and each checked block then goes to the caller's
@@ -100,13 +100,13 @@ class SimConfig:
         return 0.0 if self.frac is None else self.frac.a_gamma
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     times: np.ndarray
     us: np.ndarray        # (1, ndof), u_N alone; KeptRows keeps the others
     energy: np.ndarray    # E_n for n = 1..N (index 0 is E_1)
     history: np.ndarray   # the damping term's CQHistory.values, the ring of
-                          # the last central differences; (0, ndof) undamped
+                          # the last min(N, 64) central differences; (0, ndof) undamped
 
 
 def _project_initial(system: FemSystem, data, name: str) -> np.ndarray:

@@ -258,6 +258,7 @@ def check_ring_against_full_history(gamma, corrected, N, ndof, monkeypatch):
     scheme = CQScheme.build(gamma, 1.0 / 64, N)
     c0, c1 = np.abs(scheme.startup[corrected]).T
     values = np.random.default_rng(N + ndof).standard_normal((N, ndof))
+    abs_omega, abs_values = np.abs(scheme.omega), np.abs(values)
     ring = CQHistory(scheme, values[0], corrected)
     monkeypatch.setattr(cq, "RING_ROWS", N)
     history = CQHistory(scheme, values[0], corrected)
@@ -266,8 +267,8 @@ def check_ring_against_full_history(gamma, corrected, N, ndof, monkeypatch):
         got = ring.known_sum(n)
         np.testing.assert_array_equal(got, history.known_sum(n))
         want = scheme.known_sum(values, n, corrected)
-        terms = (np.abs(scheme.omega[n:0:-1]) @ np.abs(values[:n])
-                 + c0[n] * np.abs(values[0]) + (n >= 2) * c1[n] * np.abs(values[1]))
+        terms = (abs_omega[n:0:-1] @ abs_values[:n]
+                 + c0[n] * abs_values[0] + (n >= 2) * c1[n] * abs_values[1])
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(terms)
         ring.record(values[n])
         history.record(values[n])
@@ -292,10 +293,12 @@ class TestCQHistory:
         check_against_direct_sum(gamma, corrected, 8192, 7)
 
     @pytest.mark.parametrize("ndof", [1, 7])
-    @pytest.mark.parametrize("N", [192, 193, 257, 300, 1000, 3000, 8192])
+    @pytest.mark.parametrize("N", [65, 128, 129, 192, 193, 257, 300, 1000, 3000, 8192])
     @pytest.mark.parametrize("corrected", [False, True])
     @pytest.mark.parametrize("gamma", [-0.5, 0.5])
     def test_ring_matches_the_full_history(self, gamma, corrected, N, ndof, monkeypatch):
+        # N = 65 wraps the 64-row ring, at N = 128 the last block's rows all
+        # went over the first block's, and N = 129 reaches the tail
         check_ring_against_full_history(gamma, corrected, N, ndof, monkeypatch)
 
     @pytest.mark.parametrize("N", [1, 64, 128, 129, 300])
@@ -332,7 +335,7 @@ class TestCQHistory:
             history = CQHistory(scheme, np.zeros(127), corrected)
             kept.append(tracemalloc.get_traced_memory()[0])
             tracemalloc.stop()
-            assert history.values.shape == (RING_ROWS, 127)
+            assert history.values.shape == (64, 127)
         assert kept[1] - kept[0] <= 0.1e6
 
     def test_sums_go_in_step_order(self):

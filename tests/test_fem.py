@@ -150,6 +150,18 @@ class TestBuildMesh:
             build_mesh(1, (0.0, 1.0), 1)
 
 
+@pytest.mark.parametrize("build", [build_mesh, lambda *args: assemble(build_mesh(*args))],
+                         ids=["mesh", "system"])
+def test_meshes_and_systems_compare_by_identity(build):
+    # equal fields would compare their arrays, whose truth is ambiguous,
+    # and their sparse matrices, which warn
+    one, rebuilt = build(*UNIT_SQUARE, 4), build(*UNIT_SQUARE, 4)
+    assert one == one and not one != one
+    assert one != rebuilt and not one == rebuilt
+    assert hash(one) == hash(one) != hash(rebuilt)
+    assert len({one, rebuilt, one}) == 2
+
+
 class TestAssembly:
     def test_interval_closed_forms(self):
         mesh = build_mesh(1, (0.0, 1.0), 4)
@@ -292,6 +304,20 @@ class TestProjections:
         x = ritz_projection(system, sin_field())
         residual = np.max(np.abs(system.K @ x - g))
         assert residual <= 1e-10 * np.max(np.abs(g))
+
+    def test_ritz_projection_keeps_nothing_beyond_its_result(self):
+        import tracemalloc
+
+        # the 2D stiffness factor (band 32, 254 KB) is built for the
+        # projection and dropped; a first projection on another system
+        # fills the quadrature rule caches
+        ritz_projection(assemble(build_mesh(*UNIT_SQUARE, 32)), sin_sin_field())
+        system = assemble(build_mesh(*UNIT_SQUARE, 32))
+        tracemalloc.start()
+        x = ritz_projection(system, sin_sin_field())
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        assert kept <= 1.1 * x.nbytes
 
     def test_l2_projection_recovers_grid_function(self):
         system = assemble(build_mesh(1, (0.0, 1.0), 16))

@@ -106,6 +106,16 @@ class TestRun:
         np.testing.assert_array_equal(traj.us[0], us[-1])
         np.testing.assert_array_equal(run(config).us, traj.us)
 
+    def test_trajectories_compare_by_identity(self):
+        # equal fields would compare their arrays, whose truth is ambiguous
+        config = SimConfig(fem=interval_system(16), T=0.5, kappa=1.0 / 128,
+                           u0=sin_field())
+        traj, rerun = run(config), run(config)
+        assert traj == traj and not traj != traj
+        assert traj != rerun and not traj == rerun
+        assert hash(traj) == hash(traj) != hash(rerun)
+        assert len({traj, rerun, traj}) == 2
+
     def test_energy_conservation_undamped(self):
         system = interval_system(64)
         config = SimConfig(fem=system, T=1.0, kappa=1.0 / 1000, u0=sin_field())
