@@ -312,7 +312,7 @@ def criterion_10() -> CriterionResult:
     config = SimConfig(fem=system, T=T, kappa=kappa, frac=frac, corrected=True,
                        u0=mode.copy(), v0=np.zeros_like(mode))
     probe = int(np.argmax(np.abs(mode)))
-    kept = KeptRows(N, column=probe)
+    kept = KeptRows(column=probe)
     run(config, observe=kept)
     fem_trace = kept.us / mode[probe]
 

@@ -31,13 +31,10 @@ from fracwave.fraccalc import FracParams, constants_table
 from fracwave.harness import (
     _GEOMETRY,
     CASES,
-    ErrorNorms,
     build_case,
-    level_cells,
-    mesh_system,
     run_convergence,
     run_damping_demo,
-    solve_case,
+    run_level,
 )
 from fracwave.oracle import VolterraProblem, asymptotic_check, solve_volterra
 
@@ -180,10 +177,8 @@ def cmd_constants(args) -> int:
 
 def cmd_solve(args) -> int:
     case = build_case(args.case, FracParams(gamma=args.gamma, alpha0=args.alpha0))
-    system = mesh_system(case.dimension, case.domain, level_cells(case, args.kappa))
-    mesh = system.mesh
-    norms = ErrorNorms(case, system, args.kappa)
-    traj = solve_case(case, system, args.kappa, args.corrected, args.T, observe=norms)
+    norms, traj = run_level(case, args.kappa, args.corrected, args.T)
+    mesh = norms.system.mesh
     steps = len(traj.times) - 1
     _print_echo(args)
     print(f"h = {F % mesh.h}")

@@ -32,7 +32,6 @@ from fracwave.fraccalc import (
     rl_integral_gauss_jacobi,
 )
 from fracwave.solver import (
-    CHECK_STEPS,
     KeptRows,
     SeparableSource,
     SimConfig,
@@ -229,10 +228,10 @@ class ErrorNorms:
     l2 = max_n ||u_n - I_h u(t_n)||_M.
 
     Exact values enter through nodal interpolation of the spatial factor.
-    Called as observe(lo, rows) with the rows u_lo..u_hi of a block of
-    solver.CHECK_STEPS steps, as solver.run passes them, and reduces each
-    block as a whole; the boundary row that two blocks share enters both
-    maxima twice, which leaves them unchanged.
+    Called as observe(lo, rows) with the rows u_lo..u_hi of a block, as
+    solver.run passes them, and reduces each block as a whole; the
+    boundary row that two blocks share enters both maxima twice, which
+    leaves them unchanged.
     """
 
     def __init__(self, case: ManufacturedCase, system: FemSystem, kappa: float):
@@ -258,14 +257,13 @@ class ErrorNorms:
 def _kept_norms(us: np.ndarray, case: ManufacturedCase, system: FemSystem,
                 kappa: float) -> ErrorNorms:
     """ErrorNorms of the rows u_0..u_N that a KeptRows observer kept, fed
-    in the blocks of CHECK_STEPS steps that solver.run passes an observer."""
+    as one block."""
     if us.ndim != 2 or us.shape[0] < 2:
         raise ValueError(
             f"the error norms need the rows u_0..u_N that KeptRows keeps, got shape"
             f" {us.shape}; a Trajectory's us is u_N alone")
     norms = ErrorNorms(case, system, kappa)
-    for lo in range(0, us.shape[0] - 1, CHECK_STEPS):
-        norms(lo, us[lo:lo + CHECK_STEPS + 1])
+    norms(0, us)
     return norms
 
 
@@ -359,12 +357,13 @@ def solve_case(case: ManufacturedCase, system: FemSystem, kappa: float,
 
 
 def run_level(case: ManufacturedCase, kappa: float, corrected: bool,
-              T: float = 1.0) -> tuple[float, float, float]:
-    """Solve one refinement level; returns (h, error_energy, error_l2max)."""
+              T: float = 1.0) -> tuple[ErrorNorms, Trajectory]:
+    """Solve one refinement level on the mesh with h = coupling * kappa;
+    returns the run's ErrorNorms, whose system holds the mesh, and its
+    Trajectory."""
     system = mesh_system(case.dimension, case.domain, level_cells(case, kappa))
     norms = ErrorNorms(case, system, kappa)
-    solve_case(case, system, kappa, corrected, T, observe=norms)
-    return system.mesh.h, norms.energy, norms.l2
+    return norms, solve_case(case, system, kappa, corrected, T, observe=norms)
 
 
 def run_convergence(case: ManufacturedCase, corrected: bool, levels: int = 4,
@@ -379,8 +378,9 @@ def run_convergence(case: ManufacturedCase, corrected: bool, levels: int = 4,
     rows = []
     for lev in range(levels):
         kappa = kappa0 / 2**lev
-        h, e_en, e_l2 = run_level(case, kappa, corrected, T)
-        rows.append((h, kappa, e_en, e_l2))
+        # [0]: the level's Trajectory is dropped before the next level runs
+        norms = run_level(case, kappa, corrected, T)[0]
+        rows.append((norms.system.mesh.h, kappa, norms.energy, norms.l2))
     report = ConvergenceReport(
         case=case.name, gamma=case.frac.gamma, alpha0=case.frac.alpha0,
         corrected=corrected, coupling=case.coupling, levels=rows,
@@ -401,7 +401,7 @@ def time_errors(case: ManufacturedCase, n_per_side: int, corrected: bool,
     system = mesh_system(case.dimension, case.domain, n_per_side)
 
     def kept_rows(kappa: float) -> np.ndarray:
-        kept = KeptRows(round(1.0 / kappa))
+        kept = KeptRows()
         solve_case(case, system, kappa, corrected, observe=kept)
         return kept.us
 
@@ -446,7 +446,7 @@ def run_damping_demo(gammas=(0.25, 0.75, -0.25, -0.75), n_per_side: int = 32,
         frac = None if g is None else FracParams(gamma=g)
         config = SimConfig(fem=system, T=T, kappa=kappa, frac=frac,
                            corrected=False, u0=bump)
-        trace = KeptRows(config.n_steps, column=dof)
+        trace = KeptRows(column=dof)
         traj = run(config, observe=trace)
         traces[label] = trace.us
         energies[label] = traj.energy

@@ -13,12 +13,14 @@ part of the sum comes from the blocked history `cq.CQHistory`, exact
 up to lag 127 and a sum of Q ~ 100 exponentials beyond, so the time
 loop costs O(N * Q * ndof); each damped step records its central
 difference there, in a ring of 64 rows whatever N, and an undamped
-run keeps no history.  The energy log and the divergence check run
-once per CHECK_STEPS steps, on one reused block of the trajectory rows
-of those steps, and each checked block then goes to the caller's
-observer, if any: a run keeps u_N alone, and a caller that reads rows
-keeps them, or the columns it reads, with a KeptRows observer, while one
-that only reduces them (the error norms) keeps none.
+run keeps no history.  run alone knows the step count N, assembles
+the source load and its F(0), and holds the loop state: step returns
+u_{n+1} and run advances the state.  The energy log and the divergence
+check run once per CHECK_STEPS steps, on one reused block of the
+trajectory rows of those steps, and each checked block then goes to the
+caller's observer, if any: a run keeps u_N alone, and a caller that
+reads rows keeps them, or the columns it reads, with a KeptRows
+observer, while one that only reduces them (the error norms) keeps none.
 """
 
 from __future__ import annotations
@@ -120,28 +122,16 @@ def _project_initial(system: FemSystem, data, name: str) -> np.ndarray:
     return ritz_projection(system, data)
 
 
-def _temporal_values(config: SimConfig, times: np.ndarray) -> np.ndarray:
-    values = np.asarray(config.f.temporal(times), dtype=float)
-    if values.shape != times.shape:
-        raise ValueError(
-            f"source temporal factor returned shape {values.shape} for times of"
-            f" shape {times.shape}; it must map an array of times elementwise")
-    return values
-
-
-def initial_data(config: SimConfig, f0: np.ndarray | None = None):
+def initial_data(config: SimConfig, f0: np.ndarray | None):
     """Ritz-projected initial data and the L2-projected initial acceleration.
 
     u1 = R_h(u0 + kappa v0) + kappa^2/2 * w, where M w = F(0) - K u0_h;
     the Ritz load of u0 equals K u0_h by Galerkin orthogonality.  f0 is
-    the source load F(0); by default it is assembled from config.f.
+    the source load F(0) that run assembles, None without a source.
     """
     system = config.fem
     u0_h = _project_initial(system, config.u0, "u0")
     dtu0_h = _project_initial(system, config.v0, "v0")
-    if f0 is None and config.f is not None:
-        f0 = (_temporal_values(config, np.zeros(1))[0]
-              * load_vector(system, config.f.spatial.value))
     rhs0 = -(system.K @ u0_h)
     if f0 is not None:
         rhs0 = rhs0 + f0
@@ -157,8 +147,7 @@ def discrete_energy(system: FemSystem, u_cur, u_prev, k_u_prev, kappa: float):
     k_u_prev = (K @ u_prev.T).T, and give an array of one energy per row.
     """
     d = (u_cur - u_prev) / kappa
-    energy = 0.5 * np.sum(d * (system.M @ d.T).T + u_cur * k_u_prev, axis=-1)
-    return float(energy) if energy.ndim == 0 else energy
+    return 0.5 * np.sum(d * (system.M @ d.T).T + u_cur * k_u_prev, axis=-1)
 
 
 @dataclass
@@ -195,15 +184,14 @@ def _combine_rows(config: SimConfig, cq: CQHistory | None) -> tuple:
     return row(2), row(1)
 
 
-def step(config: SimConfig, state: SimState) -> SimState:
-    """Advance u_n -> u_{n+1}; a damped step records its central
-    difference (u_{n+1} - u_{n-1}) / (2 kappa) in the CQ history.
+def step(config: SimConfig, state: SimState) -> np.ndarray:
+    """Return u_{n+1} from the state of step n; a damped step records its
+    central difference (u_{n+1} - u_{n-1}) / (2 kappa) in the CQ history.
 
     u_{n+1} = c @ [u_n, u_{n-1}, known_n, M^-1 (K u_n - G(t_n) load)],
     one product with the row c of _combine_rows (without known_n when
     undamped), known_n the CQ history sum without its unknown term.
-    Returns a new state; the one passed in keeps its n and vectors, and
-    shares its CQ history with the new one.
+    The state keeps its n and vectors: run advances it.
     """
     n = state.n
     if n < 1:
@@ -219,8 +207,7 @@ def step(config: SimConfig, state: SimState) -> SimState:
     u_next = np.dot(state.combine[n == 1], np.array(rows))
     if cq is not None:
         cq.record((u_next - state.u_prev) / (2.0 * config.kappa))
-    return SimState(n=n + 1, u_prev=state.u_cur, u_cur=u_next, cq=cq,
-                    source=state.source, load=state.load, combine=state.combine)
+    return u_next
 
 
 def _check_block(config: SimConfig, rows: np.ndarray, energy: np.ndarray,
@@ -258,19 +245,24 @@ def _check_block(config: SimConfig, rows: np.ndarray, energy: np.ndarray,
 
 
 class KeptRows:
-    """An observer for run that keeps the rows it is passed: after the run,
-    us[n] is u_n for n = 0..n_steps, or with a column (an index or a slice
-    of the dofs) that part of u_n alone."""
+    """An observer for run that keeps the rows it is passed: after a run,
+    us[n] is u_n for n = 0..N, or with a column (an index or a slice of
+    the dofs) that part of u_n alone.  Each block is copied, with the
+    boundary row two blocks share kept once, and us joins the copies; the
+    block at lo = 0 starts over, so a second run replaces the first."""
 
-    def __init__(self, n_steps: int, column: int | slice = slice(None)):
-        self.n_steps, self.column = n_steps, column
-        self.us = None
+    def __init__(self, column: int | slice = slice(None)):
+        self.column = column
+        self._blocks = []
 
     def __call__(self, lo: int, rows: np.ndarray) -> None:
-        kept = rows[:, self.column]
-        if self.us is None:
-            self.us = np.empty((self.n_steps + 1,) + kept.shape[1:])
-        self.us[lo:lo + len(rows)] = kept
+        if lo == 0:
+            self._blocks = [rows[:1, self.column].copy()]
+        self._blocks.append(rows[1:, self.column].copy())
+
+    @property
+    def us(self) -> np.ndarray:
+        return np.concatenate(self._blocks)
 
 
 def run(config: SimConfig,
@@ -291,7 +283,9 @@ def run(config: SimConfig,
     consecutive blocks share their boundary row, and rows is one buffer,
     reused, so it is only valid during the call: KeptRows copies the rows,
     or the columns, a caller reads.  The Trajectory's us holds u_N alone,
-    observed or not.
+    observed or not.  Only run knows N and F(0): it gives initial_data
+    F(0), and after each step it advances the state to the u_{n+1} that
+    step returns.
     """
     system = config.fem
     N = config.n_steps
@@ -300,7 +294,11 @@ def run(config: SimConfig,
     load = source = f0 = None
     if config.f is not None:
         load = load_vector(system, config.f.spatial.value)
-        source = _temporal_values(config, times)
+        source = np.asarray(config.f.temporal(times), dtype=float)
+        if source.shape != times.shape:
+            raise ValueError(
+                f"source temporal factor returned shape {source.shape} for times of"
+                f" shape {times.shape}; it must map an array of times elementwise")
         f0 = source[0] * load
 
     u0_h, u1_h, dtu0_h = initial_data(config, f0)
@@ -319,13 +317,14 @@ def run(config: SimConfig,
     rows[1] = u1_h
     lo = 0
     for n in range(2, N + 1):
-        state = step(config, state)
-        rows[n - lo] = state.u_cur
+        u_next = step(config, state)
+        state.n, state.u_prev, state.u_cur = n, state.u_cur, u_next
+        rows[n - lo] = u_next
         if n - lo == CHECK_STEPS:
             _check_block(config, rows, energy, lo)
             observe(lo, rows)
             lo = n
-            rows[0] = state.u_cur      # the boundary row opens the next block
+            rows[0] = u_next           # the boundary row opens the next block
     if N > lo:
         _check_block(config, rows[:N - lo + 1], energy, lo)
         observe(lo, rows[:N - lo + 1])

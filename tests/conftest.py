@@ -1,5 +1,9 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
+from contextlib import contextmanager
+from types import SimpleNamespace
+
 import pytest
 
 from fracwave import harness
@@ -16,3 +20,23 @@ def fresh_systems():
     harness.mesh_system.cache_clear()
     yield
     harness.mesh_system.cache_clear()
+
+
+@contextmanager
+def _tracing():
+    window = SimpleNamespace(current=None, peak=None)
+    tracemalloc.start()
+    try:
+        yield window
+        window.current, window.peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def traced():
+    """A context manager that traces the allocations of its block and
+    stops tracing on leaving it, also when the block raises.  It yields a
+    window whose current and peak are tracemalloc's traced bytes at the
+    end of the block."""
+    return _tracing

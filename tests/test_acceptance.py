@@ -101,7 +101,7 @@ def test_criterion_10_traces_the_probe_of_every_row(monkeypatch):
     monkeypatch.setattr(acceptance, "run", recording_run)
     assert acceptance.criterion_10().passed
     [(config, probe)] = calls
-    rows = KeptRows(config.n_steps)
+    rows = KeptRows()
     run(config, observe=rows)
     assert probe.us.shape == (config.n_steps + 1,)
     np.testing.assert_array_equal(probe.us, rows.us[:, probe.column])

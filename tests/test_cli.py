@@ -236,11 +236,11 @@ class TestSolve:
                                "--outdir", str(tmp_path))
         assert code == 0
         case = build_case("smooth1d", FracParams(gamma=0.5))
-        h, e_en, e_l2 = run_level(case, 1.0 / 64, corrected=True)
+        norms, _ = run_level(case, 1.0 / 64, corrected=True)
         values = printed_values(out)
-        assert float(values["h"]) == h
-        assert float(values["error_energy"]) == e_en
-        assert float(values["error_l2max"]) == e_l2
+        assert float(values["h"]) == norms.system.mesh.h
+        assert float(values["error_energy"]) == norms.energy
+        assert float(values["error_l2max"]) == norms.l2
         mesh = build_mesh(1, case.domain, level_cells(case, 1.0 / 64))
         traj = solve_case(case, assemble(mesh), 1.0 / 64, corrected=True)
         assert int(values["steps"]) == len(traj.energy) == 64

@@ -91,15 +91,11 @@ class TestBdf2Weights:
             ratio = np.abs(w[1:]) / (kappa * t ** (-gamma - 1.0))
             assert ratio.max() < 10.0
 
-    def test_weights_are_written_in_place(self):
-        import tracemalloc
-
+    def test_weights_are_written_in_place(self, traced):
         # no list of Python floats (32 B a weight) beside the result
-        tracemalloc.start()
-        omega = bdf2_weights(0.5, 1.0 / 64, 65536)
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-        assert peak <= 2 * omega.nbytes
+        with traced() as window:
+            omega = bdf2_weights(0.5, 1.0 / 64, 65536)
+        assert window.peak <= 2 * omega.nbytes
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -321,9 +317,7 @@ class TestCQHistory:
             history.known_sum(N)
 
     @pytest.mark.parametrize("corrected", [False, True])
-    def test_keeps_nothing_of_the_run_length(self, corrected):
-        import tracemalloc
-
+    def test_keeps_nothing_of_the_run_length(self, corrected, traced):
         # the ring, the Toeplitz kernel and the Q x ndof tail state (Q
         # grows from 100 to 124 modes): no copy of the (N + 1) x 2 startup
         # table or of any other O(N) array
@@ -331,10 +325,9 @@ class TestCQHistory:
         for N in (8192, 65536):
             scheme = CQScheme.build(0.5, 4.0 / N, N)
             CQHistory(scheme, np.zeros(127), corrected)   # fills the Gauss rule caches
-            tracemalloc.start()
-            history = CQHistory(scheme, np.zeros(127), corrected)
-            kept.append(tracemalloc.get_traced_memory()[0])
-            tracemalloc.stop()
+            with traced() as window:
+                history = CQHistory(scheme, np.zeros(127), corrected)
+            kept.append(window.current)
             assert history.values.shape == (64, 127)
         assert kept[1] - kept[0] <= 0.1e6
 

@@ -305,19 +305,15 @@ class TestProjections:
         residual = np.max(np.abs(system.K @ x - g))
         assert residual <= 1e-10 * np.max(np.abs(g))
 
-    def test_ritz_projection_keeps_nothing_beyond_its_result(self):
-        import tracemalloc
-
+    def test_ritz_projection_keeps_nothing_beyond_its_result(self, traced):
         # the 2D stiffness factor (band 32, 254 KB) is built for the
         # projection and dropped; a first projection on another system
         # fills the quadrature rule caches
         ritz_projection(assemble(build_mesh(*UNIT_SQUARE, 32)), sin_sin_field())
         system = assemble(build_mesh(*UNIT_SQUARE, 32))
-        tracemalloc.start()
-        x = ritz_projection(system, sin_sin_field())
-        kept = tracemalloc.get_traced_memory()[0]
-        tracemalloc.stop()
-        assert kept <= 1.1 * x.nbytes
+        with traced() as window:
+            x = ritz_projection(system, sin_sin_field())
+        assert window.current <= 1.1 * x.nbytes
 
     def test_l2_projection_recovers_grid_function(self):
         system = assemble(build_mesh(1, (0.0, 1.0), 16))

@@ -37,7 +37,7 @@ _SINGULAR_FIT_TIMES = np.geomspace(1e-9, 1e-7, 12)
 
 def kept_rows(case, system, kappa, corrected):
     """The rows u_0..u_N of solve_case's run at T = 1, kept by KeptRows."""
-    kept = KeptRows(round(1.0 / kappa))
+    kept = KeptRows()
     solve_case(case, system, kappa, corrected, observe=kept)
     return kept.us
 
@@ -354,28 +354,19 @@ class TestStreamedNorms:
         ("nonsmooth1d", 1.0 / 96),    # 15 dofs, 3 blocks of 32 steps
         ("smooth2d", 1.0 / 160),      # 961 dofs, 5 blocks of 32 steps
     ])
-    def test_run_level_equals_the_kept_trajectory(self, name, kappa, corrected,
-                                                  monkeypatch):
+    def test_run_level_equals_the_kept_trajectory(self, name, kappa, corrected):
         case = build_case(name, FracParams(gamma=0.5))
         system = harness.mesh_system(case.dimension, case.domain, level_cells(case, kappa))
         assert round(1.0 / kappa) > 2 * CHECK_STEPS
-        returned_rows = []
-        run = harness.run
-
-        def counting_run(config, observe=None):
-            traj = run(config, observe)
-            returned_rows.append(traj.us.shape[0])
-            return traj
-
-        monkeypatch.setattr(harness, "run", counting_run)
-        h, e_en, e_l2 = run_level(case, kappa, corrected)
-        assert returned_rows == [1]
+        norms, traj = run_level(case, kappa, corrected)
+        assert traj.us.shape == (1, system.ndof)
         us = kept_rows(case, system, kappa, corrected)
         assert us.shape[0] == round(1.0 / kappa) + 1
-        assert h == system.mesh.h
-        # the kept trajectory is fed in run's blocks: the same arithmetic
-        assert e_en == error_norm_energy(us, case, system, kappa)
-        assert e_l2 == error_norm_l2max(us, case, system, kappa)
+        assert norms.system is system
+        # the kept trajectory is fed as one block: a row's norms do not
+        # depend on the block it is reduced in
+        assert norms.energy == error_norm_energy(us, case, system, kappa)
+        assert norms.l2 == error_norm_l2max(us, case, system, kappa)
 
     def test_norms_refuse_an_observed_trajectory(self):
         case = build_case("smooth1d", FracParams(gamma=0.5))
@@ -454,8 +445,8 @@ class TestConvergence:
 
     def test_run_level_respects_coupling(self):
         case = build_case("smooth1d", FracParams(gamma=-0.5))
-        h, _, _ = run_level(case, 1.0 / 64, corrected=True)
-        assert h == pytest.approx(6.0 / 64, rel=0.1)
+        norms, _ = run_level(case, 1.0 / 64, corrected=True)
+        assert norms.system.mesh.h == pytest.approx(6.0 / 64, rel=0.1)
 
     def test_fit_rate_on_exact_powers(self):
         rate, pre = fit_rate([2.0 ** (-1.5 * lev) for lev in range(4)])
@@ -479,9 +470,9 @@ class TestMeshSystem:
         case = build_case("smooth1d", FracParams(gamma=-0.75))
         cells = harness.level_cells(case, 1.0 / 64)
         time_errors(case, cells, corrected=True, kappa0=1.0 / 64, levels=1)
-        h, _, _ = run_level(case, 1.0 / 64, corrected=False)
+        norms, _ = run_level(case, 1.0 / 64, corrected=False)
         run_level(case, 1.0 / 64, corrected=True)
-        assert assembled == [h] == [1.0 / cells]
+        assert assembled == [norms.system.mesh.h] == [1.0 / cells]
 
 
 class TestTimeErrors:
@@ -538,7 +529,7 @@ class TestDemos:
         assert len(origin) == 1
         assert list(traces) == list(energies) == ["none", "0.5", "-0.5"]
         for label, config in zip(traces, configs):
-            kept = KeptRows(config.n_steps)
+            kept = KeptRows()
             traj = run(config, observe=kept)
             np.testing.assert_array_equal(traces[label], kept.us[:, origin[0]])
             np.testing.assert_array_equal(energies[label], traj.energy)

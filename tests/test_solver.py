@@ -44,7 +44,7 @@ def interval_system(n):
 def kept_run(config):
     """run(config) with a KeptRows observer: the Trajectory and the rows
     u_0..u_N."""
-    kept = KeptRows(config.n_steps)
+    kept = KeptRows()
     traj = run(config, observe=kept)
     return traj, kept.us
 
@@ -52,15 +52,16 @@ def kept_run(config):
 class TestInitialData:
     def test_zero_data_gives_zero_vectors(self):
         config = SimConfig(fem=interval_system(8), T=1.0, kappa=0.01)
-        u0, u1, v0 = initial_data(config)
+        u0, u1, v0 = initial_data(config, None)
         assert np.all(u0 == 0.0) and np.all(u1 == 0.0) and np.all(v0 == 0.0)
 
     def test_first_step_identity(self):
         system = interval_system(16)
         config = SimConfig(fem=system, T=1.0, kappa=0.01,
                            u0=sin_field(), v0=sin_field())
-        u0, u1, v0 = initial_data(config)
-        rhs = -(system.K @ u0)
+        f0 = load_vector(system, sin_field(3.0).value)
+        u0, u1, v0 = initial_data(config, f0)
+        rhs = f0 - system.K @ u0
         w = system.solve_mass(rhs)
         expected = u0 + config.kappa * v0 + 0.5 * config.kappa**2 * w
         assert u1 == pytest.approx(expected, abs=1e-14)
@@ -70,7 +71,7 @@ class TestInitialData:
         for n in (16, 32):
             system = assemble(build_mesh(1, (0.0, 1.0), n))
             config = SimConfig(fem=system, T=1.0, kappa=1e-3, u0=sin_field())
-            u0, u1, _ = initial_data(config)
+            u0, u1, _ = initial_data(config, None)
             w = (u1 - u0) / (0.5 * config.kappa**2)
             nodes = system.mesh.nodes[system.mesh.interior][:, 0]
             exact = -math.pi**2 * np.sin(math.pi * nodes)
@@ -84,7 +85,7 @@ class TestInitialData:
                            **{name: np.ones(shape)})
         expected = re.escape(f"{name} has shape {shape}") + ".*" + re.escape("(15,)")
         with pytest.raises(ValueError, match=expected):
-            initial_data(config)
+            initial_data(config, None)
 
 
 class TestRun:
@@ -205,20 +206,21 @@ class TestRun:
         """Reference: the energy and its kinetic part 1/2 |d|_M^2 of every
         step, checked as it is made; None if no step exceeds the limit."""
         system, kappa = config.fem, config.kappa
-        load = source = None
+        load = source = f0 = None
         if config.f is not None:
             load = load_vector(system, config.f.spatial.value)
             source = config.f.temporal(kappa * np.arange(config.n_steps + 1))
-        u0, u1, v0 = initial_data(config)
+            f0 = source[0] * load
+        u0, u1, v0 = initial_data(config, f0)
         state = SimState(n=1, u_prev=u0, u_cur=u1, cq=None, source=source, load=load,
                          combine=solver._combine_rows(config, None))
         while state.n < config.n_steps:
-            new = step(config, state)
-            e = discrete_energy(system, new.u_cur, state.u_cur, system.K @ state.u_cur, kappa)
-            d = (new.u_cur - state.u_cur) / kappa
+            u_next = step(config, state)
+            e = discrete_energy(system, u_next, state.u_cur, system.K @ state.u_cur, kappa)
+            d = (u_next - state.u_cur) / kappa
             if 0.5 * d @ (system.M @ d) > ENERGY_ABORT_FACTOR * max(e, 0.0):
-                return new.n
-            state = new
+                return state.n + 1
+            state.n, state.u_prev, state.u_cur = state.n + 1, state.u_cur, u_next
         return None
 
     def test_cfl_violation_diverges(self, monkeypatch):
@@ -325,8 +327,7 @@ def reference_step(config, state):
     u_next = (v - system.solve_mass(rhs)) / coef
     if state.cq is not None:
         state.cq.record((u_next - state.u_prev) / (2.0 * kappa))
-    return SimState(n=n + 1, u_prev=state.u_cur, u_cur=u_next, cq=state.cq,
-                    source=state.source, load=state.load, combine=state.combine)
+    return u_next
 
 
 def assert_ring_holds_central_differences(traj, us, config):
@@ -391,15 +392,17 @@ class TestTimeLoop:
         kappa = 1.0 / 128
         config = SimConfig(fem=system, T=0.5, kappa=kappa, frac=FracParams(gamma=0.5),
                            corrected=True, u0=sin_field(), v0=sin_field())
-        u0, u1, v0 = initial_data(config)
+        u0, u1, v0 = initial_data(config, None)
         cq = CQHistory(CQScheme.build(0.5, kappa, config.n_steps), v0, True)
         state = SimState(n=1, u_prev=u0, u_cur=u1, cq=cq, source=None, load=None,
                          combine=solver._combine_rows(config, cq))
-        new = step(config, state)
-        assert state.n == 1 and new.n == 2
-        np.testing.assert_array_equal(state.u_prev, u0)
-        np.testing.assert_array_equal(state.u_cur, u1)
-        assert new.u_prev is state.u_cur
+        copies = u0.copy(), u1.copy()
+        u2 = step(config, state)
+        # step returns u_2 alone; run, not step, advances the state
+        assert isinstance(u2, np.ndarray) and u2.shape == u1.shape
+        assert state.n == 1 and state.u_prev is u0 and state.u_cur is u1
+        np.testing.assert_array_equal(state.u_prev, copies[0])
+        np.testing.assert_array_equal(state.u_cur, copies[1])
 
     def test_a_step_takes_one_stiffness_product_and_no_mass_product(self):
         system = interval_system(16)
@@ -468,18 +471,15 @@ class TestObservedRun:
         self.assert_same_run(traj, want)
         self.assert_same_run(run(config), want)
 
-    def test_observed_run_keeps_no_trajectory(self):
-        import tracemalloc
-
+    def test_observed_run_keeps_no_trajectory(self, traced):
         system = interval_system(16)
         kappa = 1.0 / 128
         config = SimConfig(fem=system, T=4096 * kappa, kappa=kappa, u0=sin_field())
         peaks = []
-        for observe in (KeptRows(config.n_steps), lambda lo, rows: None, None):
-            tracemalloc.start()
-            traj = run(config, observe=observe)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+        for observe in (KeptRows(), lambda lo, rows: None, None):
+            with traced() as window:
+                traj = run(config, observe=observe)
+            peaks.append(window.peak)
             assert traj.us.nbytes == 8 * system.ndof
         us_bytes = 8 * (config.n_steps + 1) * system.ndof
         # KeptRows copies each block into its us once, and nothing more
@@ -492,14 +492,32 @@ class TestObservedRun:
         config = SimConfig(fem=interval_system(16), T=65 / 128, kappa=1.0 / 128,
                            u0=sin_field(), **TestTimeLoop.CASES["0.5C"])
         _, us = kept_run(config)
-        kept = KeptRows(config.n_steps, column=column)
+        kept = KeptRows(column=column)
         run(config, observe=kept)
         np.testing.assert_array_equal(kept.us, us[:, column])
 
-    @pytest.mark.parametrize("gamma,corrected", [(-0.5, False), (0.5, True)])
-    def test_a_run_keeps_u_n_alone(self, gamma, corrected):
-        import tracemalloc
+    def test_kept_rows_start_over_on_a_second_run(self):
+        system, kappa = interval_system(16), 1.0 / 128
+        configs = [SimConfig(fem=system, T=N * kappa, kappa=kappa, u0=sin_field(),
+                             **TestTimeLoop.CASES["0.5C"]) for N in (33, 65)]
+        kept = KeptRows()
+        for config in configs:
+            run(config, observe=kept)
+        _, want = kept_run(configs[1])
+        assert kept.us.shape == (66, system.ndof)
+        np.testing.assert_array_equal(kept.us, want)
 
+    def test_a_kept_column_of_one_step_holds_two_values(self):
+        config = SimConfig(fem=interval_system(16), T=1.0 / 128, kappa=1.0 / 128,
+                           u0=sin_field(), **TestTimeLoop.CASES["0.5C"])
+        _, us = kept_run(config)
+        kept = KeptRows(column=3)
+        run(config, observe=kept)
+        assert kept.us.shape == (2,)
+        np.testing.assert_array_equal(kept.us, us[:, 3])
+
+    @pytest.mark.parametrize("gamma,corrected", [(-0.5, False), (0.5, True)])
+    def test_a_run_keeps_u_n_alone(self, gamma, corrected, traced):
         # the perfbench decay1d runs: 127 dofs and N = 8192 steps, whose
         # rows u_0..u_N would take 8.3 MB
         system = interval_system(128)
@@ -507,17 +525,13 @@ class TestObservedRun:
                            frac=FracParams(gamma=gamma), corrected=corrected,
                            u0=sin_field(), v0=np.zeros(system.ndof))
         assert config.n_steps == 8192
-        tracemalloc.start()
-        traj = run(config)
-        kept, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
+        with traced() as window:
+            traj = run(config)
         assert traj.us.shape == (1, system.ndof)
-        assert kept <= 0.5e6
-        assert peak <= 2e6
+        assert window.current <= 0.5e6
+        assert window.peak <= 2e6
 
-    def test_memory_does_not_grow_with_the_step_count(self):
-        import tracemalloc
-
+    def test_memory_does_not_grow_with_the_step_count(self, traced):
         # a damped 127-dof run keeps a ring of RING_ROWS history rows, so
         # 8x the steps adds only the O(N) weight tables and energy log
         system = interval_system(128)
@@ -526,10 +540,9 @@ class TestObservedRun:
         for N in (16384, 2048):
             config = SimConfig(fem=system, T=N * kappa, kappa=kappa,
                                frac=FracParams(gamma=-0.5), u0=sin_field())
-            tracemalloc.start()
-            traj = run(config, observe=lambda lo, rows: None)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+            with traced() as window:
+                traj = run(config, observe=lambda lo, rows: None)
+            peaks.append(window.peak)
             growth.append(np.max(traj.energy) / traj.energy[0] - 1.0)
         assert peaks[0] - peaks[1] <= 2e6
         # criterion 8's bound on the damped energy
@@ -651,7 +664,7 @@ class TestDampingTerm:
                            corrected=corrected, f=source, u0=sin_field(),
                            v0=sin_field(-1.0))
         _, us = kept_run(config)
-        _, _, v0_h = initial_data(config)
+        _, _, v0_h = initial_data(config, None)     # G(0) = 0
         scheme = CQScheme.build(gamma, kappa, config.n_steps)
         load = load_vector(system, sin_field().value)
         for n in range(1, config.n_steps):
@@ -685,14 +698,9 @@ class TestSources:
         kappa = 1.0 / 128
         config = SimConfig(fem=system, T=0.5, kappa=kappa, frac=FracParams(gamma=0.5),
                            f=SeparableSource(spatial=sin_field(), temporal=temporal))
-        _, us = kept_run(config)
+        run(config)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], kappa * np.arange(config.n_steps + 1))
-        # initial_data on its own evaluates G(0) alone and gives the run's u1
-        calls.clear()
-        _, u1, _ = initial_data(config)
-        np.testing.assert_array_equal(u1, us[1])
-        assert len(calls) == 1 and calls[0].shape == (1,)
 
     def test_bare_callable_source_rejected(self):
         with pytest.raises(TypeError, match="SeparableSource"):
@@ -714,4 +722,5 @@ def test_discrete_energy_formula():
     kappa = 0.01
     d = (u1 - u0) / kappa
     expected = 0.5 * d @ (system.M @ d) + 0.5 * u1 @ (system.K @ u0)
-    assert discrete_energy(system, u1, u0, system.K @ u0, kappa) == pytest.approx(expected)
+    energy = discrete_energy(system, u1, u0, system.K @ u0, kappa)
+    assert isinstance(energy, float) and energy == pytest.approx(expected)
