@@ -246,28 +246,46 @@ def check_against_direct_sum(gamma, corrected, N, ndof):
         history.record(values[n])
 
 
+def known_sums_by_fft(omega, startup, values):
+    """CQScheme.known_sum at every step n < N of the N rows of values at
+    once: sum omega_{n-j} values_j over j < n by one FFT convolution of
+    omega, without omega_0, with each column, plus c0[n] values_0 and, from
+    n = 2, c1[n] values_1.  Row 0 is the empty sum.  Given |omega|,
+    |startup| and |values|, the same sums are the terms by magnitude."""
+    N = len(values)
+    lagged = np.concatenate([[0.0], omega[1:N]])
+    size = 2 * N
+    sums = np.fft.irfft(np.fft.rfft(lagged, size)[:, None] * np.fft.rfft(values, size, axis=0),
+                        size, axis=0)[:N]
+    c0, c1 = startup[:N].T
+    sums += c0[:, None] * values[0]
+    sums[2:] += c1[2:, None] * values[1]
+    return sums
+
+
 def check_ring_against_full_history(gamma, corrected, N, ndof, monkeypatch):
     """The ring of RING_ROWS rows at every step of a run of N steps: equal
     to a history whose ring holds all N rows (the same products, on rows
     at new addresses) and to 1e-10 of the direct sum's terms by
-    magnitude, which a sum that cancels does not show; no sum at step N."""
+    magnitude, which a sum that cancels does not show; no sum at step N.
+    The direct sums and their terms come from known_sums_by_fft."""
     scheme = CQScheme.build(gamma, 1.0 / 64, N)
-    c0, c1 = np.abs(scheme.startup[corrected]).T
+    startup = scheme.startup[corrected]
     values = np.random.default_rng(N + ndof).standard_normal((N, ndof))
-    abs_omega, abs_values = np.abs(scheme.omega), np.abs(values)
     ring = CQHistory(scheme, values[0], corrected)
     monkeypatch.setattr(cq, "RING_ROWS", N)
     history = CQHistory(scheme, values[0], corrected)
     assert (len(ring.values), len(history.values)) == (RING_ROWS, N)
+    got, full = np.zeros((N, ndof)), np.zeros((N, ndof))
     for n in range(1, N):
-        got = ring.known_sum(n)
-        np.testing.assert_array_equal(got, history.known_sum(n))
-        want = scheme.known_sum(values, n, corrected)
-        terms = (abs_omega[n:0:-1] @ abs_values[:n]
-                 + c0[n] * abs_values[0] + (n >= 2) * c1[n] * abs_values[1])
-        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(terms)
+        got[n], full[n] = ring.known_sum(n), history.known_sum(n)
         ring.record(values[n])
         history.record(values[n])
+    np.testing.assert_array_equal(got, full)
+    want = known_sums_by_fft(scheme.omega, startup, values)
+    terms = known_sums_by_fft(np.abs(scheme.omega), np.abs(startup), np.abs(values))
+    excess = np.max(np.abs(got - want), axis=1) - 1e-10 * np.max(terms, axis=1)
+    assert np.all(excess[1:] <= 0.0), f"steps {np.flatnonzero(excess[1:] > 0.0)[:5] + 1}"
     with pytest.raises(ValueError, match=f"step {N}: the last is step {N - 1}"):
         ring.known_sum(N)
 
@@ -296,6 +314,19 @@ class TestCQHistory:
         # N = 65 wraps the 64-row ring, at N = 128 the last block's rows all
         # went over the first block's, and N = 129 reaches the tail
         check_ring_against_full_history(gamma, corrected, N, ndof, monkeypatch)
+
+    @pytest.mark.parametrize("N", [2, 65, 300])
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_fft_reference_is_the_direct_sum(self, corrected, N):
+        # the ring test's reference, against CQScheme.known_sum at every step
+        scheme = CQScheme.build(0.5, 1.0 / 64, N)
+        startup = scheme.startup[corrected]
+        values = np.random.default_rng(N).standard_normal((N, 3))
+        want = known_sums_by_fft(scheme.omega, startup, values)
+        terms = known_sums_by_fft(np.abs(scheme.omega), np.abs(startup), np.abs(values))
+        for n in range(1, N):
+            got = scheme.known_sum(values, n, corrected)
+            assert np.max(np.abs(got - want[n])) <= 1e-14 * np.max(terms[n])
 
     @pytest.mark.parametrize("N", [1, 64, 128, 129, 300])
     def test_tail_only_past_two_far_blocks(self, N):

@@ -8,6 +8,7 @@ from scipy.special import gamma as sp_gamma
 
 from fracwave.cq import CQScheme, _kahan_cumsum
 from fracwave.fraccalc import (
+    GAUSS_JACOBI_BLOCK,
     FracParams,
     _gamma_ratio,
     a_gamma,
@@ -21,6 +22,7 @@ from fracwave.fraccalc import (
     rl_integral_monomial,
     rl_integral_quadrature,
 )
+from fracwave.harness import build_case
 
 # Independent Gamma via the classic 9-term Lanczos approximation (g = 7),
 # with the reflection formula below 0.5; used only as a cross-check.
@@ -265,6 +267,35 @@ class TestGaussJacobi:
     def test_rejects_nonpositive_order(self):
         with pytest.raises(ValueError):
             rl_integral_gauss_jacobi(np.cos, 0.0, 1.0)
+
+    @pytest.mark.parametrize("gamma", [-0.25, 0.75])
+    def test_a_time_does_not_depend_on_its_grid(self, gamma):
+        # the smooth1d source's integral on the 16385 step times of
+        # kappa = 1/16384, against slices of the grid evaluated alone (some
+        # across a block boundary), a 2D array of times and scalar times
+        temporal = build_case("smooth1d", FracParams(gamma)).temporal
+        g, beta = (temporal.d2, 1.0 - gamma) if gamma > 0.0 else (temporal.d1, -gamma)
+        t = np.arange(16385) / 16384
+        grid = rl_integral_gauss_jacobi(g, beta, t)
+        b = GAUSS_JACOBI_BLOCK
+        for lo, hi in [(0, 1), (3, 10), (b - 5, b + 7), (b, 2 * b), (5 * b - 1, 7 * b + 3),
+                       (16380, 16385), (1, 16385)]:
+            np.testing.assert_array_equal(rl_integral_gauss_jacobi(g, beta, t[lo:hi]),
+                                          grid[lo:hi])
+        np.testing.assert_array_equal(rl_integral_gauss_jacobi(g, beta, t[6:12].reshape(2, 3)),
+                                      grid[6:12].reshape(2, 3))
+        for i in [0, 1, b - 1, b, b + 1, 8191, 16383, 16384]:
+            assert rl_integral_gauss_jacobi(g, beta, float(t[i])) == grid[i]
+
+    def test_holds_one_block_of_times(self, traced):
+        # the 16385 step times of kappa = 1/16384: one (times x nodes) grid
+        # would peak at 25.4 MB; blocks of 256 times read 0.66-0.68 MB, the
+        # result's 0.13 MB included
+        source = build_case("smooth1d", FracParams(0.75)).source_temporal
+        t = np.arange(16385) / 16384
+        with traced() as window:
+            values = source(t)
+        assert values.nbytes <= window.peak <= 1.5e6
 
 
 class TestPositivityConstants:
