@@ -29,8 +29,8 @@ from fracwave import __version__
 from fracwave.cq import CQScheme, bdf2_weights
 from fracwave.fraccalc import FracParams, constants_table
 from fracwave.harness import (
-    _GEOMETRY,
     CASES,
+    GEOMETRY,
     build_case,
     run_convergence,
     run_damping_demo,
@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha0", type=float, default=1.0)
     p.add_argument("--corrected", action="store_true")
     p.add_argument("--levels", type=int, default=4)
-    one, two = _GEOMETRY[1], _GEOMETRY[2]
+    one, two = GEOMETRY[1], GEOMETRY[2]
     p.add_argument("--coupling", type=float, default=None,
                    help=f"h = coupling * kappa (default: {one.coupling:g} in 1D,"
                         f" {two.coupling:g} in 2D)")

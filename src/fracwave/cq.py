@@ -222,8 +222,8 @@ class CQHistory:
     The history has the rows 0..N-1 of a time loop of N = scheme.N
     steps: row 0 is slope0, and the caller calls known_sum(n), then
     record(row) with row n, for n = 1, ..., N - 1 in order.  corrected
-    picks the startup table CQScheme.startup[corrected] once for the
-    whole loop, which the sum reads in place.
+    picks the startup table CQScheme.startup[corrected], read in place, for
+    the whole loop; the caller weighs row n by CQScheme.self_weight.
     Its terms c0[n] values[0] + c1[n] values[1] join the pending rows of
     each block when it opens, so a step adds none of them itself, except
     step 1, which adds c0[1] values[0] (its c1 term is
@@ -242,7 +242,6 @@ class CQHistory:
 
     def __init__(self, scheme: CQScheme, slope0: np.ndarray, corrected: bool) -> None:
         self.scheme = scheme
-        self.corrected = corrected
         self.values = np.zeros((min(scheme.N, RING_ROWS), len(slope0)))
         self.values[0] = slope0
         self._startup = scheme.startup[corrected]
@@ -260,10 +259,6 @@ class CQHistory:
         self._kernel = omega[FAR_STEPS + lags[:, None] - lags]
         self.tail = (_ExponentialTail(scheme, len(slope0))
                      if scheme.N > 2 * FAR_STEPS else None)
-
-    def self_weight(self, n: int) -> float:
-        """CQScheme.self_weight(n, corrected)."""
-        return self.scheme.self_weight(n, self.corrected)
 
     def known_sum(self, n: int):
         """CQScheme.known_sum at step n of the rows 0..n-1 recorded so far,

@@ -1,13 +1,14 @@
 """P1 finite elements on uniform interval meshes and structured triangulations.
 
 Homogeneous Dirichlet conditions are imposed by elimination: the
-assembled mass and stiffness matrices act on interior nodes only.  Only
-the mass factorization is kept, computed lazily and reused across the
-many solves of a time loop; a stiffness solve factors K and drops it.
+assembled mass and stiffness matrices act on interior nodes only.  A
+FemSystem caches its mass factorization and lambda_max(K, M) on first
+use, for every run on it; a Ritz projection factors K and drops it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -42,7 +43,6 @@ class ScalarField:
 @dataclass(eq=False)
 class Mesh:
     dimension: int
-    domain: tuple
     h: float
     nodes: np.ndarray           # (num_nodes, dim)
     elements: np.ndarray        # (num_elems, dim+1) vertex indices
@@ -62,10 +62,6 @@ class Mesh:
         self.gradients = np.concatenate([-inv.sum(axis=1, keepdims=True), inv], axis=1)
         self.measures.flags.writeable = False
         self.gradients.flags.writeable = False
-
-    @property
-    def num_interior(self) -> int:
-        return len(self.interior)
 
 
 def build_mesh(dimension: int, domain, n_per_side: int) -> Mesh:
@@ -100,7 +96,6 @@ def build_mesh(dimension: int, domain, n_per_side: int) -> Mesh:
     interior_index[interior] = np.arange(len(interior))
     return Mesh(
         dimension=dimension,
-        domain=domain,
         h=h,
         nodes=nodes,
         elements=elements,
@@ -123,32 +118,27 @@ def _reference_rule(dimension: int):
 
 @dataclass(eq=False)
 class FemSystem:
-    """Assembled interior-node mass and stiffness matrices with solvers."""
+    """Interior-node M and K; the mass factor and lambda_max are cached."""
 
     mesh: Mesh
     M: sp.csr_matrix
     K: sp.csr_matrix
-    _M_solve: Callable | None = field(default=None, init=False, repr=False)
-    _lambda_max: float | None = field(default=None, init=False, repr=False)
 
     @property
     def ndof(self) -> int:
         return self.M.shape[0]
 
+    @functools.cached_property
+    def _mass_solver(self) -> Callable:
+        return _spd_solver(self.M)
+
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
-        if self._M_solve is None:
-            self._M_solve = _spd_solver(self.M)
-        return self._M_solve(rhs)
+        return self._mass_solver(rhs)
 
-    def solve_stiffness(self, rhs: np.ndarray) -> np.ndarray:
-        """K^-1 rhs by a factor built for this solve alone."""
-        return _spd_solver(self.K)(rhs)
-
+    @functools.cached_property
     def lambda_max(self) -> float:
-        """lambda_max(K, M), computed once per system."""
-        if self._lambda_max is None:
-            self._lambda_max = max_generalized_eigenvalue(self)
-        return self._lambda_max
+        """lambda_max(K, M) by max_generalized_eigenvalue."""
+        return max_generalized_eigenvalue(self)
 
 
 def _spd_solver(A: sp.csr_matrix) -> Callable:
@@ -191,7 +181,7 @@ def assemble(mesh: Mesh) -> FemSystem:
     rows = np.broadcast_to(dofs[:, :, None], k_loc.shape)
     cols = np.broadcast_to(dofs[:, None, :], k_loc.shape)
     keep = (rows >= 0) & (cols >= 0)
-    n = mesh.num_interior
+    n = len(mesh.interior)
 
     def csr(vals):
         return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])),
@@ -247,7 +237,8 @@ def _gradient_load(system: FemSystem, field: ScalarField):
 def ritz_projection(system: FemSystem, u) -> np.ndarray:
     """H1-elliptic projection of a continuous field."""
     g = _gradient_load(system, u)
-    return system.solve_stiffness(g)
+    # K is factored for this one solve and not kept
+    return _spd_solver(system.K)(g)
 
 
 def interpolate(system: FemSystem, field: ScalarField) -> np.ndarray:
@@ -309,4 +300,4 @@ def max_generalized_eigenvalue(system: FemSystem) -> float:
 
 def inverse_constant(system: FemSystem) -> float:
     """Sharp inverse-inequality constant h * sqrt(lambda_max(K, M))."""
-    return system.mesh.h * float(np.sqrt(system.lambda_max()))
+    return system.mesh.h * float(np.sqrt(system.lambda_max))

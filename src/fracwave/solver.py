@@ -166,7 +166,7 @@ def _combine_rows(config: SimConfig, cq: CQHistory | None) -> tuple:
 
     Undamped, c = [2, -1, -kappa^2].  Damped, the step-n central
     difference holds the unknown u_{n+1}, whose weight enters as
-    shift = a w_n / (2 kappa) with w_n = cq.self_weight(n), and
+    shift = a w_n / (2 kappa), w_n = cq.scheme.self_weight(n, corrected), and
     c = s [2, kappa^2 shift - 1, -kappa^2 a, -kappa^2] with
     s = 1 / (1 + kappa^2 shift).  Only w_1 differs, by the corrected
     scheme's w1 term.
@@ -178,7 +178,8 @@ def _combine_rows(config: SimConfig, cq: CQHistory | None) -> tuple:
     a = config.a_gamma
 
     def row(n: int) -> np.ndarray:
-        k2_shift = k2 * a * cq.self_weight(n) / (2.0 * config.kappa)
+        w = cq.scheme.self_weight(n, config.corrected)
+        k2_shift = k2 * a * w / (2.0 * config.kappa)
         return (1.0 / (1.0 + k2_shift)) * np.array([2.0, k2_shift - 1.0, -k2 * a, -k2])
 
     return row(2), row(1)

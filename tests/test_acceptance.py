@@ -57,7 +57,7 @@ def test_criterion_5_builds_one_system_per_mesh(monkeypatch, fresh_systems):
     assembled, solved = [], []
     assemble, eigenvalue = harness.assemble, fem.max_generalized_eigenvalue
     monkeypatch.setattr(harness, "assemble",
-                        lambda mesh: assembled.append(mesh.num_interior) or assemble(mesh))
+                        lambda mesh: assembled.append(len(mesh.interior)) or assemble(mesh))
     monkeypatch.setattr(fem, "max_generalized_eigenvalue",
                         lambda system: solved.append(system.ndof) or eigenvalue(system))
     acceptance.criterion_5()

@@ -129,6 +129,19 @@ def test_every_method_is_used_by_the_package():
     assert not unused, "methods in src/fracwave not used there: " + ", ".join(unused)
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a _-prefixed name is its module's own: no other fracwave module may
+    # import it (dunders such as __version__ are the package's interface)
+    private = []
+    for path in sorted(Path(fracwave.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "fracwave"):
+                private += [f"{alias.name} ({path.name}:{node.lineno})" for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not private, "private names imported across src/fracwave: " + ", ".join(private)
+
+
 def test_import_leaves_special_and_integrate_unloaded():
     src = str(Path(fracwave.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from fem_reference import h1_seminorm_error_against, l2_error_against, l2_norm
+from fracwave import fem
 from fracwave.fem import (
     ScalarField,
     _spd_solver,
@@ -18,6 +19,8 @@ from fracwave.fem import (
     max_generalized_eigenvalue,
     ritz_projection,
 )
+from fracwave.fraccalc import FracParams
+from fracwave.solver import SimConfig, run
 
 
 def sin_field():
@@ -54,13 +57,13 @@ class TestBuildMesh:
     def test_interval_counts(self):
         mesh = build_mesh(1, (0.0, 1.0), 4)
         assert len(mesh.nodes) == 5
-        assert mesh.num_interior == 3
+        assert len(mesh.interior) == 3
         assert mesh.h == pytest.approx(0.25)
 
     def test_square_counts(self):
         mesh = build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), 4)
         assert len(mesh.nodes) == 25
-        assert mesh.num_interior == 9
+        assert len(mesh.interior) == 9
         assert len(mesh.elements) == 32
 
     def test_element_measures_sum_to_domain(self):
@@ -344,7 +347,7 @@ class TestSolvers:
         # and of several right-hand sides
         system = assemble(build_mesh(dimension, domain, cells))
         rng = np.random.default_rng(cells)
-        for A, solve in ((system.M, system.solve_mass), (system.K, system.solve_stiffness)):
+        for A, solve in ((system.M, system.solve_mass), (system.K, _spd_solver(system.K))):
             norm = abs(A).sum(axis=1).max()
             for b in (rng.standard_normal(system.ndof),
                       rng.standard_normal((system.ndof, 3))):
@@ -359,9 +362,31 @@ class TestSolvers:
         # K - shift M is symmetric, banded and indefinite for a shift inside
         # the spectrum of (K, M)
         system = assemble(build_mesh(dimension, domain, cells))
-        shifted = system.K - 0.5 * system.lambda_max() * system.M
+        shifted = system.K - 0.5 * system.lambda_max * system.M
         with pytest.raises(ValueError, match="not positive definite"):
             _spd_solver(shifted)
+
+    def test_one_mass_factor_per_system(self, monkeypatch):
+        # the CFL guard's Lanczos and every step of two damped runs share
+        # one factor of M; a Ritz projection factors K for its own solve
+        system = assemble(build_mesh(*UNIT_SQUARE, 8))
+        factored = {"M": 0, "K": 0}
+        spd_solver = fem._spd_solver
+
+        def counting(A):
+            for name in factored:
+                factored[name] += A is getattr(system, name)
+            return spd_solver(A)
+
+        monkeypatch.setattr(fem, "_spd_solver", counting)
+        u0 = interpolate(system, sin_sin_field())
+        for gamma in (-0.5, 0.5):
+            config = SimConfig(fem=system, T=0.75, kappa=1.0 / 64,
+                               frac=FracParams(gamma=gamma), u0=u0)
+            run(config)
+        assert factored == {"M": 1, "K": 0}
+        ritz_projection(system, sin_sin_field())
+        assert factored == {"M": 1, "K": 1}
 
 
 class TestInverseConstant:

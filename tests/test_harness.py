@@ -35,6 +35,21 @@ from fracwave.solver import CHECK_STEPS, KeptRows
 _SINGULAR_FIT_TIMES = np.geomspace(1e-9, 1e-7, 12)
 
 
+def per_time_deviation(case):
+    """verify_case's worst deviation at T = 1, one sample time at a time
+    with scalar calls of the source: the reference for its one-pass form."""
+    devs = []
+    for t in np.random.default_rng(harness._VERIFY_SEED).uniform(
+            0.05, 1.0, size=harness._VERIFY_SAMPLES):
+        t = float(t)
+        fr = caputo_quadrature(case.frac.gamma + 1.0, t, df=case.temporal.d1,
+                               d2f=case.temporal.d2)
+        ref = (case.temporal.d2(t) + case.lap_coef * case.temporal.value(t)
+               + case.frac.a_gamma * fr)
+        devs.append(abs(case.source_temporal(t) - ref) / max(1.0, abs(ref)))
+    return max(devs)
+
+
 def kept_rows(case, system, kappa, corrected):
     """The rows u_0..u_N of solve_case's run at T = 1, kept by KeptRows."""
     kept = KeptRows()
@@ -64,19 +79,19 @@ class TestBuildCase:
     def test_smooth1d_point_values(self):
         case = build_case("smooth1d", FracParams(gamma=0.5))
         pts = np.array([[0.5]])
-        assert case.spatial.value(pts)[0] * case.exact(0.0) == pytest.approx(1.0)
+        assert case.spatial.value(pts)[0] * case.temporal.value(0.0) == pytest.approx(1.0)
         assert case.lap_coef == pytest.approx(math.pi**2)
 
     def test_smooth2d_point_values(self):
         case = build_case("smooth2d", FracParams(gamma=0.7))
         pts = np.array([[0.5, 0.5]])
-        assert case.spatial.value(pts)[0] * case.exact(0.0) == pytest.approx(1.0)
+        assert case.spatial.value(pts)[0] * case.temporal.value(0.0) == pytest.approx(1.0)
         assert case.lap_coef == pytest.approx(2.0 * math.pi**2)
 
     def test_nonsmooth_temporal_initial_values(self):
         case = build_case("nonsmooth1d", FracParams(gamma=0.5))
-        assert case.exact(0.0) == pytest.approx(1.0)
-        assert case.exact_d1(0.0) == pytest.approx(1.0)
+        assert case.temporal.value(0.0) == pytest.approx(1.0)
+        assert case.temporal.d1(0.0) == pytest.approx(1.0)
         assert case.alpha == pytest.approx(0.5)
 
     @pytest.mark.parametrize("name", list(harness.CASES))
@@ -108,6 +123,10 @@ class TestBuildCase:
     def test_rhs_consistency(self, name, gamma):
         case = build_case(name, FracParams(gamma=gamma))
         assert verify_case(case) <= 1e-7
+        # one array call of the source may round apart from scalar calls
+        # (numpy's power against Python's pow) by a few eps of the deviation
+        assert verify_case(case) == pytest.approx(per_time_deviation(case),
+                                                  rel=0, abs=4 * np.finfo(float).eps)
 
     def test_rhs_check_covers_the_horizon(self):
         # a source wrong only after t = 1 passes the check up to T = 1
@@ -127,6 +146,16 @@ class TestBuildCase:
         case.source_temporal = lambda t: np.where(np.asarray(t) >= nan_from, np.nan, exact(t))
         with pytest.raises(RuntimeError, match="source inconsistency nan"):
             verify_case(case)
+
+    def test_rhs_check_evaluates_the_source_once(self, monkeypatch):
+        # the sample times reach source_temporal as one array, not one call
+        # per time
+        calls = []
+        source_temporal = ManufacturedCase.source_temporal
+        monkeypatch.setattr(ManufacturedCase, "source_temporal",
+                            lambda case, t: calls.append(np.shape(t)) or source_temporal(case, t))
+        assert verify_case(build_case("smooth2d", FracParams(gamma=0.7))) <= 1e-7
+        assert calls == [(harness._VERIFY_SAMPLES,)]
 
     def test_rhs_check_on_a_horizon_below_the_old_floor(self):
         # the check times are drawn from (0.05 T, T), so T < 0.05 works
@@ -276,7 +305,7 @@ class TestErrorNorms:
         system = assemble(build_mesh(1, (0.0, 1.0), n))
         s = case.spatial.value(system.mesh.nodes[system.mesh.interior])
         steps = 513
-        us = np.stack([case.exact(m * kappa) * s for m in range(steps)])
+        us = np.stack([case.temporal.value(m * kappa) * s for m in range(steps)])
         # pure time-offset residual of the half-step norm: O(kappa^2)
         # with the solution's large frequencies (24, 12)
         err = error_norm_energy(us, case, system, kappa)
@@ -313,11 +342,11 @@ class TestBlockedNorms:
         s = case.spatial.value(system.mesh.nodes[system.mesh.interior])
         energy_ref = max(
             l2_norm(system, (us[n] - us[n - 1]) / kappa
-                    - case.exact_d1((n - 0.5) * kappa) * s)
+                    - case.temporal.d1((n - 0.5) * kappa) * s)
             + l2_norm(system, 0.5 * (us[n] + us[n - 1])
-                      - case.exact((n - 0.5) * kappa) * s)
+                      - case.temporal.value((n - 0.5) * kappa) * s)
             for n in range(1, steps))
-        l2_ref = max(l2_norm(system, us[n] - case.exact(n * kappa) * s)
+        l2_ref = max(l2_norm(system, us[n] - case.temporal.value(n * kappa) * s)
                      for n in range(steps))
         kept = (error_norm_energy(us, case, system, kappa),
                 error_norm_l2max(us, case, system, kappa))

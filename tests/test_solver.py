@@ -318,7 +318,7 @@ def reference_step(config, state):
     coef = 1.0 / kappa**2
     if state.cq is not None:
         a = config.a_gamma
-        shift = a * state.cq.self_weight(n) / (2.0 * kappa)
+        shift = a * state.cq.scheme.self_weight(n, config.corrected) / (2.0 * kappa)
         v = v - a * state.cq.known_sum(n) + shift * state.u_prev
         coef += shift
     rhs = system.K @ state.u_cur
