@@ -18,7 +18,7 @@ import numpy as np
 from fracwave.cq import CQScheme, apply_cq, apply_cq_corrected, mixed_operator
 from fracwave.fem import assemble, build_mesh
 from fracwave.fraccalc import FracParams, caputo_monomial, constants_table
-from fracwave.harness import (build_case, fit_rate, level_cells, mesh_system,
+from fracwave.harness import (GEOMETRY, build_case, fit_rate, level_system,
                               run_convergence, time_errors)
 from fracwave.oracle import VolterraProblem, asymptotic_check, solve_volterra
 from fracwave.solver import KeptRows, SimConfig, run, scalar_run
@@ -159,8 +159,7 @@ def criterion_4() -> CriterionResult:
                            f"min C2-C1 = {margin:.4f} over 99 gammas")
 
 
-def _fit_subcase(case_name, gamma, alpha0, corrected, target, tol,
-                 levels=4, kappa0=1.0 / 64):
+def _fit_subcase(case_name, gamma, alpha0, corrected, target, tol, levels=4):
     """One convergence fit graded against a pinned rate window.
 
     smooth2d is graded in the max-L2 norm, the other cases in the energy
@@ -169,7 +168,7 @@ def _fit_subcase(case_name, gamma, alpha0, corrected, target, tol,
     """
     case = build_case(case_name, FracParams(gamma=gamma, alpha0=alpha0))
     report = run_convergence(case, corrected=corrected, levels=levels,
-                             kappa0=kappa0, check_rhs=False)
+                             check_rhs=False)
     if case_name == "smooth2d":
         rate, pre_asymptotic = report.rate_l2, report.pre_asymptotic_l2
     else:
@@ -214,8 +213,7 @@ def criterion_6() -> CriterionResult:
         case = build_case("nonsmooth1d", FracParams(gamma=gamma))
         alpha = case.alpha
         bound = (min(2.0, 1.0 + alpha) if gamma < 0.0 else 1.0 + alpha) - 0.15
-        report = run_convergence(case, corrected=True, levels=4,
-                                 kappa0=1.0 / 64, check_rhs=False)
+        report = run_convergence(case, corrected=True, levels=4, check_rhs=False)
         ok = report.rate_energy >= bound
         passed = passed and ok
         mark = "" if ok else f" BELOW {bound:.2f}"
@@ -237,14 +235,13 @@ def criterion_7() -> CriterionResult:
     Corrected leg, target 2 +- 0.2: the combined space-time error with
     h = 10 kappa over 3 levels from kappa = 1/40.
     """
-    gamma, tol, kappa0 = 0.7, 0.2, 1.0 / 40
+    gamma, tol = 0.7, 0.2
     case = build_case("smooth2d", FracParams(gamma=gamma))
-    errors = time_errors(case, level_cells(case, kappa0), corrected=False,
+    errors = time_errors(case, level_system(case, GEOMETRY[2].kappa0), corrected=False,
                          kappa0=1.0 / 160, levels=3)
     ok_u, text_u = _grade(f"g={gamma:g}U time-only", *fit_rate(errors),
                           2.0 - gamma, tol)
-    ok_c, text_c = _fit_subcase("smooth2d", gamma, 1.0, True, 2.0, tol,
-                                levels=3, kappa0=kappa0)
+    ok_c, text_c = _fit_subcase("smooth2d", gamma, 1.0, True, 2.0, tol, levels=3)
     passed = ok_u is not False and ok_c is not False
     return CriterionResult(7, "smooth 2D convergence", passed, f"{text_u}; {text_c}")
 
@@ -300,7 +297,7 @@ def criterion_10() -> CriterionResult:
     frac = FracParams(gamma=gamma)
     N = 256
     kappa = T / N
-    system = mesh_system(1, (0.0, 1.0), level_cells(build_case("smooth1d", frac), kappa))
+    system = level_system(build_case("smooth1d", frac), kappa)
     mesh = system.mesh
     x = mesh.nodes[mesh.interior][:, 0]
     mode = np.sin(k_mode * np.pi * x)

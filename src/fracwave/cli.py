@@ -86,7 +86,10 @@ def _table(header, rows, path: Path | None = None) -> None:
 
 
 def _save(args: argparse.Namespace, name: str, header, rows) -> None:
-    """Write a table to the output directory, next to the config echo."""
+    """Write a table to the output directory, next to the config echo;
+    without --outdir, write nothing."""
+    if not args.outdir:
+        return
     outdir = Path(args.outdir)
     _write_echo(outdir, args)
     _table(header, rows, outdir / name)
@@ -129,9 +132,8 @@ def cmd_ode(args) -> int:
     print(f"u(T) = {F % solution.u[-1]}")
     if exponent is not None:
         print(f"startup_exponent = {F % exponent}")
-    if args.outdir:
-        _save(args, "ode.csv", ["t", "u", "v"],
-              zip(solution.times, solution.u, solution.v))
+    _save(args, "ode.csv", ["t", "u", "v"],
+          zip(solution.times, solution.u, solution.v))
     return 0
 
 
@@ -146,8 +148,7 @@ def cmd_convergence(args) -> int:
     _print_echo(args)
     _table(header, rows)
     print(report.summary())
-    if args.outdir:
-        _save(args, f"convergence_{args.case}.csv", header, rows)
+    _save(args, f"convergence_{args.case}.csv", header, rows)
     return 0
 
 
@@ -158,10 +159,9 @@ def cmd_damping(args) -> int:
     _print_echo(args)
     for label, e in energies.items():
         print(f"gamma={label}: E_final/E_1 = {F % (e[-1] / e[0])}")
-    if args.outdir:
-        _save(args, "damping_trace.csv",
-              ["t"] + [f"gamma_{label}" for label in traces],
-              zip(times, *traces.values()))
+    _save(args, "damping_trace.csv",
+          ["t"] + [f"gamma_{label}" for label in traces],
+          zip(times, *traces.values()))
     return 0
 
 
@@ -170,8 +170,7 @@ def cmd_constants(args) -> int:
     header = ["gamma", "C1", "C2"]
     _print_echo(args)
     _table(header, table)
-    if args.outdir:
-        _save(args, "constants.csv", header, table)
+    _save(args, "constants.csv", header, table)
     return 0
 
 
@@ -185,11 +184,10 @@ def cmd_solve(args) -> int:
     print(f"steps = {steps}")
     print(f"error_energy = {F % norms.energy}")
     print(f"error_l2max = {F % norms.l2}")
-    if args.outdir:
-        _save(args, "energy.csv", ["n", "t_n", "E_n"],
-              zip(range(1, steps + 1), traj.times[1:], traj.energy))
-        _save(args, "final_state.csv", ["x", "y"][:case.dimension] + ["u"],
-              np.column_stack([mesh.nodes[mesh.interior], traj.us[-1]]))
+    _save(args, "energy.csv", ["n", "t_n", "E_n"],
+          zip(range(1, steps + 1), traj.times[1:], traj.energy))
+    _save(args, "final_state.csv", ["x", "y"][:case.dimension] + ["u"],
+          np.column_stack([mesh.nodes[mesh.interior], traj.us[-1]]))
     return 0
 
 
@@ -221,6 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="flat key = value file presetting "
                         "the chosen subcommand's flags")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flag groups that several subcommands share, each declared once
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--gamma", type=float, required=True)
+    order.add_argument("--alpha0", type=float, default=1.0)
+    manufactured = argparse.ArgumentParser(add_help=False)
+    manufactured.add_argument("--case", required=True, choices=list(CASES))
+    manufactured.add_argument("--corrected", action="store_true")
+    written = argparse.ArgumentParser(add_help=False)
+    written.add_argument("--outdir")
 
     p = sub.add_parser("weights", help="CQ weight and correction tables")
     p.add_argument("--gamma", type=float, required=True)
@@ -228,9 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=16)
     p.set_defaults(func=cmd_weights)
 
-    p = sub.add_parser("ode", help="scalar Volterra oracle solve")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--alpha0", type=float, default=1.0)
+    p = sub.add_parser("ode", help="scalar Volterra oracle solve", parents=[order, written])
     p.add_argument("--lam", type=float, default=4.0)
     p.add_argument("--u0", type=float, default=1.0)
     p.add_argument("--v0", type=float, default=0.0)
@@ -240,14 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1024, help="number of steps")
     p.add_argument("--fit", action="store_true",
                    help="fit the startup exponent of u''")
-    p.add_argument("--outdir")
     p.set_defaults(func=cmd_ode)
 
-    p = sub.add_parser("convergence", help="manufactured refinement study")
-    p.add_argument("--case", required=True, choices=list(CASES))
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--alpha0", type=float, default=1.0)
-    p.add_argument("--corrected", action="store_true")
+    p = sub.add_parser("convergence", help="manufactured refinement study",
+                       parents=[manufactured, order, written])
     p.add_argument("--levels", type=int, default=4)
     one, two = GEOMETRY[1], GEOMETRY[2]
     p.add_argument("--coupling", type=float, default=None,
@@ -257,30 +258,23 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"coarsest step (default 1/{1 / one.kappa0:g} in 1D,"
                         f" 1/{1 / two.kappa0:g} in 2D)")
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--outdir")
     p.set_defaults(func=cmd_convergence)
 
-    p = sub.add_parser("damping", help="center-trace damping demo")
+    p = sub.add_parser("damping", help="center-trace damping demo", parents=[written])
     p.add_argument("--gammas", default="0.25,0.75,-0.25,-0.75",
                    help="comma-separated fractional orders")
     p.add_argument("--n", type=int, default=32, help="cells per side (even)")
     p.add_argument("--T", type=float, default=2.0)
-    p.add_argument("--outdir")
     p.set_defaults(func=cmd_damping)
 
-    p = sub.add_parser("constants", help="positivity constant table")
+    p = sub.add_parser("constants", help="positivity constant table", parents=[written])
     p.add_argument("--grid", type=int, default=99)
-    p.add_argument("--outdir")
     p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("solve", help="single manufactured run with snapshot")
-    p.add_argument("--case", required=True, choices=list(CASES))
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--alpha0", type=float, default=1.0)
-    p.add_argument("--corrected", action="store_true")
+    p = sub.add_parser("solve", help="single manufactured run with snapshot",
+                       parents=[manufactured, order, written])
     p.add_argument("--kappa", type=float, default=1.0 / 128)
     p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--outdir")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("acceptance", help="numbered acceptance criteria")

@@ -53,11 +53,9 @@ _VERIFY_SAMPLES = 20
 _VERIFY_TOL = 1e-7
 _VERIFY_SEED = 7
 
-# Step of the damping demonstration: kappa = h / _DAMPING_COUPLING.
-_DAMPING_COUPLING = 10.0
-
 # Assembled systems kept for reuse by mesh_system; the acceptance
-# criteria use eight distinct meshes.
+# criteria use seven distinct meshes, four 1D and three 2D (criterion 8
+# builds its own).
 _SYSTEMS_KEPT = 8
 
 # The manufactured cases: name -> (dimension, smooth).  Smooth cases take
@@ -308,8 +306,8 @@ class ConvergenceReport:
         )
 
 
-def level_cells(case: ManufacturedCase, kappa: float) -> int:
-    """Cells per side of the mesh with h = coupling * kappa."""
+def level_system(case: ManufacturedCase, kappa: float) -> FemSystem:
+    """The shared system of the ladder level's mesh, h = coupling * kappa."""
     if not 0.0 < kappa < math.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     if not 0.0 < case.coupling < math.inf:
@@ -320,7 +318,7 @@ def level_cells(case: ManufacturedCase, kappa: float) -> int:
         raise ValueError(f"kappa = {kappa} and coupling = {case.coupling} give h ="
                          f" coupling * kappa = {case.coupling * kappa},"
                          f" fewer than 2 cells on {case.domain}")
-    return cells
+    return mesh_system(case.dimension, case.domain, cells)
 
 
 @functools.lru_cache(maxsize=_SYSTEMS_KEPT)
@@ -350,7 +348,7 @@ def run_level(case: ManufacturedCase, kappa: float, corrected: bool,
     """Solve one refinement level on the mesh with h = coupling * kappa;
     returns the run's ErrorNorms, whose system holds the mesh, and its
     Trajectory."""
-    system = mesh_system(case.dimension, case.domain, level_cells(case, kappa))
+    system = level_system(case, kappa)
     norms = ErrorNorms(case, system, kappa)
     return norms, solve_case(case, system, kappa, corrected, T, observe=norms)
 
@@ -378,17 +376,15 @@ def run_convergence(case: ManufacturedCase, corrected: bool, levels: int = 4,
     return report
 
 
-def time_errors(case: ManufacturedCase, n_per_side: int, corrected: bool,
+def time_errors(case: ManufacturedCase, system: FemSystem, corrected: bool,
                 kappa0: float, levels: int) -> list[float]:
-    """Time error alone, on one fixed mesh.
+    """Time error alone, on the fixed mesh of system.
 
     For kappa = kappa0 / 2**lev, lev = 0..levels-1, returns
     max_n ||u_kappa(t_n) - u_{kappa/2}(t_n)||_M over t_n = n kappa in [0, 1].
     Both runs share the mesh, so their spatial errors cancel and the
     differences fall at the rate of the time discretization alone.
     """
-    system = mesh_system(case.dimension, case.domain, n_per_side)
-
     def kept_rows(kappa: float) -> np.ndarray:
         kept = KeptRows()
         solve_case(case, system, kappa, corrected, observe=kept)
@@ -426,7 +422,7 @@ def run_damping_demo(gammas=(0.25, 0.75, -0.25, -0.75), n_per_side: int = 32,
     if repeated:
         raise ValueError(f"repeated damping orders: {', '.join(repeated)}")
     system = mesh_system(2, GEOMETRY[2].domain, n)
-    kappa = system.mesh.h / _DAMPING_COUPLING
+    kappa = system.mesh.h / GEOMETRY[2].coupling
     # the interior node nearest the origin (linspace may miss 0 by round-off)
     dof = int(np.argmin(np.sum(system.mesh.nodes[system.mesh.interior]**2, axis=1)))
     bump = _gaussian_bump()

@@ -110,9 +110,10 @@ def test_criterion_10_traces_the_probe_of_every_row(monkeypatch):
 def test_smooth2d_skip_guard_reads_the_graded_norm(monkeypatch):
     # smooth2d is graded on max-L2: clean energy rates must not hide
     # pre-asymptotic L2 rates
-    from fracwave.harness import ConvergenceReport
+    from fracwave.harness import GEOMETRY, ConvergenceReport
 
-    def fake_run_convergence(case, corrected, levels, kappa0, check_rhs):
+    def fake_run_convergence(case, corrected, levels, check_rhs):
+        kappa0 = GEOMETRY[case.dimension].kappa0
         energy = [4.0**-lev for lev in range(levels)]
         l2 = [1.0, 0.25, 0.0625, 0.05]
         rows = [(10 * kappa0 / 2**lev, kappa0 / 2**lev, energy[lev], l2[lev])

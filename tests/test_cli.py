@@ -7,11 +7,11 @@ import pytest
 import scipy
 
 from fracwave import __version__, harness
-from fracwave.cli import main
+from fracwave.cli import build_parser, main
 from fracwave.cq import CQScheme, bdf2_weights
-from fracwave.fem import assemble, build_mesh
+from fracwave.fem import assemble
 from fracwave.fraccalc import FracParams
-from fracwave.harness import build_case, level_cells, run_level, solve_case
+from fracwave.harness import build_case, level_system, run_level, solve_case
 
 
 def run_cli(capsys, *argv):
@@ -241,7 +241,7 @@ class TestSolve:
         assert float(values["h"]) == norms.system.mesh.h
         assert float(values["error_energy"]) == norms.energy
         assert float(values["error_l2max"]) == norms.l2
-        mesh = build_mesh(1, case.domain, level_cells(case, 1.0 / 64))
+        mesh = level_system(case, 1.0 / 64).mesh
         traj = solve_case(case, assemble(mesh), 1.0 / 64, corrected=True)
         assert int(values["steps"]) == len(traj.energy) == 64
         rows = csv_rows(tmp_path / "energy.csv")
@@ -370,6 +370,59 @@ class TestConfigFile:
         assert code == 1
         assert "unknown key" in err
         assert "gamma" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "error: --config requires a file path"),
+        (["{empty}"], "error: --config requires a subcommand"),
+        (["{empty}", "bogus"], "error: unknown subcommand 'bogus'"),
+    ])
+    def test_expansion_errors(self, capsys, tmp_path, argv, message):
+        empty = tmp_path / "empty.cfg"
+        empty.write_text("")
+        code, out, err = run_cli(capsys, "--config",
+                                 *(arg.format(empty=empty) for arg in argv))
+        assert (code, out) == (1, "")
+        assert err == message + "\n"
+
+
+# Each subcommand's least valid command line and every value it parses to.
+_MINIMAL = {
+    "weights": (["--gamma", "0.5"],
+                {"gamma": 0.5, "kappa": 1.0, "n": 16}),
+    "ode": (["--gamma", "0.5"],
+            {"gamma": 0.5, "alpha0": 1.0, "lam": 4.0, "u0": 1.0, "v0": 0.0,
+             "cos_forcing": None, "T": 1.0, "m": 1024, "fit": False, "outdir": None}),
+    "convergence": (["--case", "smooth1d", "--gamma", "0.5"],
+                    {"case": "smooth1d", "corrected": False, "gamma": 0.5,
+                     "alpha0": 1.0, "levels": 4, "coupling": None, "kappa0": None,
+                     "T": 1.0, "outdir": None}),
+    "damping": ([], {"gammas": "0.25,0.75,-0.25,-0.75", "n": 32, "T": 2.0,
+                     "outdir": None}),
+    "constants": ([], {"grid": 99, "outdir": None}),
+    "solve": (["--case", "smooth1d", "--gamma", "0.5"],
+              {"case": "smooth1d", "corrected": False, "gamma": 0.5, "alpha0": 1.0,
+               "kappa": 1.0 / 128, "T": 1.0, "outdir": None}),
+    "acceptance": ([], {"criteria": None, "assert_": False}),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(_MINIMAL))
+    def test_flags_and_defaults(self, command):
+        flags, values = _MINIMAL[command]
+        args = vars(build_parser().parse_args([command, *flags]))
+        del args["func"]
+        assert args == {"command": command, "config": None, **values}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, (flags, _) in _MINIMAL.items()
+        for flag in flags if flag.startswith("--")])
+    def test_required_flag_left_out(self, capsys, command, flag):
+        flags = _MINIMAL[command][0]
+        at = flags.index(flag)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, *flags[:at], *flags[at + 2:]])
+        assert f"required: {flag}" in capsys.readouterr().err
 
 
 class TestAcceptance:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fem_reference import h1_seminorm_error_against, l2_error_against, l2_norm
+from fem_reference import (h1_seminorm_error_against, l2_error_against, l2_norm,
+                           mode_eigenvalue)
 from fracwave import fem
 from fracwave.fem import (
     ScalarField,
@@ -412,9 +413,7 @@ class TestInverseConstant:
     def interval_closed_form(cells):
         """lambda_max(K, M) on the unit interval: the mode of wavenumber
         (cells - 1) pi."""
-        h = 1.0 / cells
-        c = math.cos((cells - 1) * math.pi * h)
-        return (6.0 / h**2) * (1.0 - c) / (2.0 + c)
+        return mode_eigenvalue(1.0 / cells, cells - 1)
 
     @pytest.mark.parametrize("cells", [2, 3])
     def test_smallest_meshes_closed_form(self, cells):

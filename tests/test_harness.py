@@ -20,7 +20,7 @@ from fracwave.harness import (
     error_norm_energy,
     error_norm_l2max,
     fit_rate,
-    level_cells,
+    level_system,
     run_convergence,
     run_damping_demo,
     run_level,
@@ -172,7 +172,7 @@ class TestBuildCase:
     def test_level_cells_rejects_a_bad_step(self, kappa):
         case = build_case("smooth1d", FracParams(gamma=0.5))
         with pytest.raises(ValueError, match="kappa must be positive and finite"):
-            level_cells(case, kappa)
+            level_system(case, kappa)
 
     @pytest.mark.parametrize("name, kappa", [("smooth1d", 0.5), ("smooth2d", 1.0)])
     def test_level_cells_rejects_a_mesh_under_two_cells(self, name, kappa):
@@ -180,7 +180,7 @@ class TestBuildCase:
         case = build_case(name, FracParams(gamma=0.5))
         with pytest.raises(ValueError, match=rf"kappa = {kappa} and coupling ="
                            rf" {case.coupling} give .* fewer than 2 cells on"):
-            level_cells(case, kappa)
+            level_system(case, kappa)
 
     @pytest.mark.parametrize("gamma", [0.25, 0.75, -0.25, -0.75])
     def test_source_singular_exponent(self, gamma):
@@ -361,7 +361,7 @@ class TestBlockedNorms:
     def test_time_errors_equal_per_step_loop(self):
         case = build_case("smooth1d", FracParams(gamma=-0.25))
         system = assemble(build_mesh(1, (0.0, 1.0), 8))
-        got = time_errors(case, 8, corrected=True, kappa0=1.0 / 32, levels=2)
+        got = time_errors(case, system, corrected=True, kappa0=1.0 / 32, levels=2)
         runs = [kept_rows(case, system, kappa, True)
                 for kappa in (1.0 / 32, 1.0 / 64, 1.0 / 128)]
         want = [max(l2_norm(system, fine[2 * n] - coarse[n])
@@ -385,7 +385,7 @@ class TestStreamedNorms:
     ])
     def test_run_level_equals_the_kept_trajectory(self, name, kappa, corrected):
         case = build_case(name, FracParams(gamma=0.5))
-        system = harness.mesh_system(case.dimension, case.domain, level_cells(case, kappa))
+        system = level_system(case, kappa)
         assert round(1.0 / kappa) > 2 * CHECK_STEPS
         norms, traj = run_level(case, kappa, corrected)
         assert traj.us.shape == (1, system.ndof)
@@ -400,7 +400,7 @@ class TestStreamedNorms:
     def test_norms_refuse_an_observed_trajectory(self):
         case = build_case("smooth1d", FracParams(gamma=0.5))
         kappa = 1.0 / 64
-        system = harness.mesh_system(1, case.domain, level_cells(case, kappa))
+        system = level_system(case, kappa)
         traj = solve_case(case, system, kappa, False)
         for norm in (error_norm_energy, error_norm_l2max):
             with pytest.raises(ValueError, match=r"u_0\.\.u_N that KeptRows keeps, got"
@@ -497,17 +497,19 @@ class TestMeshSystem:
         monkeypatch.setattr(harness, "assemble",
                             lambda mesh: assembled.append(mesh.h) or assemble(mesh))
         case = build_case("smooth1d", FracParams(gamma=-0.75))
-        cells = harness.level_cells(case, 1.0 / 64)
-        time_errors(case, cells, corrected=True, kappa0=1.0 / 64, levels=1)
+        system = level_system(case, 1.0 / 64)
+        time_errors(case, system, corrected=True, kappa0=1.0 / 64, levels=1)
         norms, _ = run_level(case, 1.0 / 64, corrected=False)
         run_level(case, 1.0 / 64, corrected=True)
-        assert assembled == [norms.system.mesh.h] == [1.0 / cells]
+        assert assembled == [norms.system.mesh.h]
+        assert norms.system is system
 
 
 class TestTimeErrors:
     def test_corrected_time_rate_is_two(self):
         case = build_case("smooth1d", FracParams(gamma=-0.75))
-        errors = time_errors(case, 8, corrected=True, kappa0=1.0 / 64, levels=3)
+        errors = time_errors(case, harness.mesh_system(1, case.domain, 8), corrected=True,
+                             kappa0=1.0 / 64, levels=3)
         assert len(errors) == 3
         rate, pre = fit_rate(errors)
         assert rate == pytest.approx(2.0, abs=0.1)
@@ -516,8 +518,10 @@ class TestTimeErrors:
     def test_spatial_error_cancels(self):
         # halving h changes the P1 error fourfold but the time error hardly
         case = build_case("smooth1d", FracParams(gamma=-0.75))
-        coarse = time_errors(case, 8, corrected=False, kappa0=1.0 / 64, levels=3)
-        fine = time_errors(case, 16, corrected=False, kappa0=1.0 / 64, levels=3)
+        coarse = time_errors(case, harness.mesh_system(1, case.domain, 8), corrected=False,
+                             kappa0=1.0 / 64, levels=3)
+        fine = time_errors(case, harness.mesh_system(1, case.domain, 16), corrected=False,
+                           kappa0=1.0 / 64, levels=3)
         np.testing.assert_allclose(coarse, fine, rtol=0.02)
 
 

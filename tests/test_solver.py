@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from fem_reference import l2_norm
+from fem_reference import l2_norm, mode_eigenvalue, mode_scalar_run
 from fracwave.cq import RING_ROWS, CQHistory, CQScheme, mixed_operator
 from fracwave.fem import ScalarField, assemble, build_mesh, load_vector
 from fracwave.fraccalc import FracParams
@@ -180,8 +180,7 @@ class TestRun:
         system = interval_system(cells)
         h = system.mesh.h
         config = SimConfig(fem=system, T=1.0, kappa=h / 6.0, u0=sin_field())
-        c = math.cos((cells - 1) * math.pi * h)
-        closed = h * math.sqrt((6.0 / h**2) * (1.0 - c) / (2.0 + c))
+        closed = h * math.sqrt(mode_eigenvalue(h, cells - 1))
         assert config.c_inv == pytest.approx(closed, rel=1e-10)
 
     def test_cfl_constant_is_computed_once_per_system(self, monkeypatch):
@@ -602,17 +601,13 @@ class TestModeStructure:
         system = assemble(build_mesh(1, (0.0, 1.0), n))
         x = system.mesh.nodes[system.mesh.interior][:, 0]
         mode = np.sin(3.0 * np.pi * x)
-        h = system.mesh.h
-        c = math.cos(3.0 * math.pi * h)
-        lam_h = (6.0 / h**2) * (1.0 - c) / (2.0 + c)
+        lam_h = mode_eigenvalue(system.mesh.h, 3.0)
         frac = FracParams(gamma=gamma)
         config = SimConfig(fem=system, T=1.0, kappa=kappa, frac=frac,
                            corrected=corrected, u0=mode.copy())
         _, us = kept_run(config)
         probe = int(np.argmax(np.abs(mode)))
-        d = scalar_run(gamma, frac.a_gamma, lam_h, kappa, N, d0=1.0,
-                       d1=1.0 - 0.5 * kappa**2 * lam_h, dtd0=0.0,
-                       corrected=corrected)
+        d = mode_scalar_run(gamma, frac.a_gamma, lam_h, kappa, N, corrected)
         assert np.max(np.abs(us[:, probe] / mode[probe] - d)) <= 1e-12
 
 
@@ -639,11 +634,8 @@ class TestModeStructure:
         assert config.n_steps == N
         h = system.mesh.h
         for k, a in amplitudes.items():
-            c = math.cos(k * math.pi * h)
-            lam_h = (6.0 / h**2) * (1.0 - c) / (2.0 + c)
-            d = scalar_run(gamma, frac.a_gamma, lam_h, kappa, N, d0=1.0,
-                           d1=1.0 - 0.5 * kappa**2 * lam_h, dtd0=0.0,
-                           corrected=corrected)
+            lam_h = mode_eigenvalue(h, k)
+            d = mode_scalar_run(gamma, frac.a_gamma, lam_h, kappa, N, corrected)
             coef = us @ modes[k] / (modes[k] @ modes[k])
             assert np.max(np.abs(coef - a * d)) <= 1e-9
         assert_ring_holds_central_differences(traj, us, config)
