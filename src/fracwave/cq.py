@@ -135,6 +135,15 @@ class CQScheme:
 
 FAR_STEPS = 64   # the block: exact lags below 2 * FAR_STEPS, older ones by the tail
 RING_ROWS = FAR_STEPS   # block m overwrites the rows [m - FAR_STEPS, m) it reads
+# The budget in floats (256 KB) of the time loop's per-block temporaries:
+# CQHistory opens a block in panels of budget_rows(FAR_STEPS) columns, and
+# solver.run checks blocks of at most budget_rows(ndof) steps
+BLOCK_FLOATS = 2**15
+
+
+def budget_rows(width: int) -> int:
+    """The rows of width floats that fit in BLOCK_FLOATS, at least one."""
+    return max(1, BLOCK_FLOATS // width)
 
 
 def tail_weights(gamma: float, kappa: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -192,12 +201,15 @@ class _ExponentialTail:
         self._expand = weights * np.exp(np.outer(lags, log_rates))
         self._state = np.zeros((len(weights), ncols))
 
-    def advance(self, previous: np.ndarray, pending: np.ndarray) -> None:
+    def advance(self, previous: np.ndarray, pending: np.ndarray, cols: slice) -> None:
         """Add the tail to the open block's pending rows, then move the
-        state to the next block, folding in the rows `previous` before it."""
-        pending += self._expand[:len(pending)] @ self._state
-        self._state *= self._decay
-        self._state += self._fold @ previous
+        state to the next block, folding in the rows `previous` before it;
+        all three on the columns cols alone, which previous and pending
+        already are."""
+        state = self._state[:, cols]
+        pending += self._expand[:len(pending)] @ state
+        state *= self._decay
+        state += self._fold @ previous
 
 
 class CQHistory:
@@ -237,7 +249,9 @@ class CQHistory:
     block opens (n = 2).  The rows of the open block after row n are not
     recorded yet and hold their pending far-field sums.  The sum keeps
     nothing beyond values, one Toeplitz matrix, the Q x ndof tail state
-    and the copy of rows 0 and 1.
+    and the copy of rows 0 and 1.  A block opens in panels of at most
+    budget_rows(FAR_STEPS) = 512 columns, so that its products' temporaries
+    (FAR_STEPS or Q rows) are as wide as a panel, whatever ndof.
     """
 
     def __init__(self, scheme: CQScheme, slope0: np.ndarray, corrected: bool) -> None:
@@ -294,18 +308,23 @@ class CQHistory:
         start lo, the previous block by one Toeplitz product and the older
         rows by the tail, written over the previous block once the tail has
         folded it in; then the startup terms c0[n] values[0] + c1[n]
-        values[1], by one (rows x 2) x (2 x ndof) product."""
+        values[1], by one (rows x 2) x (2 x ndof) product.  Each runs on
+        one panel of columns at a time."""
         if lo == 2:   # the ring overwrites rows 0 and 1 at steps RING_ROWS and RING_ROWS + 1
             self._first = self.values[:2].copy()
         hi = min(hi, self.scheme.N)
         pending = self._rows_of(lo, hi)   # at lo = 2 still the zeros of the new ring
-        if lo % FAR_STEPS == 0:
-            previous = self._rows_of(lo - FAR_STEPS, lo)
-            sums = self._kernel[:hi - lo] @ previous
-            if self.tail is not None:
-                self.tail.advance(previous, sums)
-            pending[...] = sums
-        pending += self._startup[lo:hi] @ self._first
+        startup = self._startup[lo:hi]
+        width = budget_rows(FAR_STEPS)
+        for start in range(0, pending.shape[1], width):
+            cols = slice(start, start + width)
+            if lo % FAR_STEPS == 0:
+                previous = self._rows_of(lo - FAR_STEPS, lo)[:, cols]
+                sums = self._kernel[:hi - lo] @ previous
+                if self.tail is not None:
+                    self.tail.advance(previous, sums, cols)
+                pending[:, cols] = sums
+            pending[:, cols] += startup @ self._first[:, cols]
 
 
 def _cq_sum(scheme: CQScheme, g: np.ndarray, n: int, corrected: bool):

@@ -149,14 +149,16 @@ def _spd_solver(A: sp.csr_matrix) -> Callable:
     on a rectangle of n cells per side.  At band 1 A = L D L^T is
     factored once by LAPACK dpttrf and each solve runs dpttrs; any other
     band gets a banded Cholesky factor (dpbtrf) and dpbtrs, whose sweeps
-    at band 1 would make one BLAS call per column.  A single dof (band 0)
+    at band 1 would make one BLAS call per column.  The band array is
+    Fortran-ordered, as LAPACK stores it, so dpbtrf factors it in place
+    rather than a copy: the factor is the one band-sized array.  A single dof (band 0)
     stays banded: f2py's dpttrf refuses an empty off-diagonal.
     """
     coo = A.tocoo()
     lower = (coo.row >= coo.col) & (coo.data != 0.0)
     rows, cols = coo.row[lower], coo.col[lower]
     band = int((rows - cols).max(initial=0))
-    ab = np.zeros((band + 1, A.shape[0]))
+    ab = np.zeros((band + 1, A.shape[0]), order="F")
     ab[rows - cols, cols] = coo.data[lower]
     if band == 1:
         d, e, info = dpttrf(ab[0], ab[1, :-1])

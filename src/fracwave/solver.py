@@ -16,11 +16,13 @@ difference there, in a ring of 64 rows whatever N, and an undamped
 run keeps no history.  run alone knows the step count N, assembles
 the source load and its F(0), and holds the loop state: step returns
 u_{n+1} and run advances the state.  The energy log and the divergence
-check run once per CHECK_STEPS steps, on one reused block of the
-trajectory rows of those steps, and each checked block then goes to the
-caller's observer, if any: a run keeps u_N alone, and a caller that
-reads rows keeps them, or the columns it reads, with a KeptRows
-observer, while one that only reduces them (the error norms) keeps none.
+check run once per block of at most CHECK_STEPS steps (fewer above 1024
+dofs, so that a block of rows stays within cq.BLOCK_FLOATS), on one
+reused buffer of the trajectory rows of those steps, and each checked
+block then goes to the caller's observer, if any: a run keeps u_N
+alone, and a caller that reads rows keeps them, or the columns it reads,
+with a KeptRows observer, while one that only reduces them (the error
+norms) keeps none.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from fracwave.cq import CQHistory, CQScheme
+from fracwave.cq import CQHistory, CQScheme, budget_rows
 from fracwave.fem import (
     FemSystem,
     ScalarField,
@@ -46,7 +48,7 @@ from fracwave.fraccalc import FracParams
 # aborts the run as divergent; under the CFL condition it is at most 2 E_n.
 ENERGY_ABORT_FACTOR = 1e6
 # The energy log, the divergence check and the observers take blocks of
-# this many steps.
+# this many steps, or of fewer where their rows would exceed cq.BLOCK_FLOATS.
 CHECK_STEPS = 32
 
 
@@ -275,12 +277,14 @@ def run(config: SimConfig,
     flags CFL violations cleanly: past the CFL limit the energy itself
     stays put, but the kinetic part of a growing mode grows with it, and
     within the limit it is at most 2 E_n.  Both are checked once per
-    block of CHECK_STEPS steps and at the end,
-    so a divergent run may take up to CHECK_STEPS - 1 steps past the
-    first offending one, which the error names, before it raises.
+    block and at the end; a block has CHECK_STEPS steps up to 1024 dofs,
+    and above that budget_rows(ndof), the steps whose rows fit in
+    cq.BLOCK_FLOATS (8 at 3969 dofs, at least 1).  So a divergent run may
+    take up to a block less one step past the first offending one, which
+    the error names, before it raises.
 
-    The rows u_lo..u_hi of each block of CHECK_STEPS steps, and of the
-    last, partial one, go to observe(lo, rows) once they are checked;
+    The rows u_lo..u_hi of each block, and of the last, partial one, go
+    to observe(lo, rows) once they are checked;
     consecutive blocks share their boundary row, and rows is one buffer,
     reused, so it is only valid during the call: KeptRows copies the rows,
     or the columns, a caller reads.  The Trajectory's us holds u_N alone,
@@ -313,19 +317,20 @@ def run(config: SimConfig,
                        config.corrected)
     state = SimState(n=1, u_prev=u0_h, u_cur=u1_h, cq=cq, source=source, load=load,
                      combine=_combine_rows(config, cq))
-    rows = np.empty((min(CHECK_STEPS, N) + 1, system.ndof))
+    block = min(CHECK_STEPS, budget_rows(system.ndof))
+    rows = np.empty((min(block, N) + 1, system.ndof))
     rows[0] = u0_h
-    rows[1] = u1_h
     lo = 0
-    for n in range(2, N + 1):
-        u_next = step(config, state)
-        state.n, state.u_prev, state.u_cur = n, state.u_cur, u_next
-        rows[n - lo] = u_next
-        if n - lo == CHECK_STEPS:
+    for n in range(1, N + 1):   # u_1 is initial data; a block of one step ends with it
+        if n > 1:
+            u_next = step(config, state)
+            state.n, state.u_prev, state.u_cur = n, state.u_cur, u_next
+        rows[n - lo] = state.u_cur
+        if n - lo == block:
             _check_block(config, rows, energy, lo)
             observe(lo, rows)
             lo = n
-            rows[0] = u_next           # the boundary row opens the next block
+            rows[0] = state.u_cur      # the boundary row opens the next block
     if N > lo:
         _check_block(config, rows[:N - lo + 1], energy, lo)
         observe(lo, rows[:N - lo + 1])

@@ -62,6 +62,31 @@ MUTANTS = (
            "self.values[(self._n + 1) % len(self.values)] = row",
            ("tests/test_cq.py::TestCQHistory::test_ring_matches_the_full_history"
             "[-0.5-False-65-7]",)),
+    Mutant("tail_fold_skipped_at_64", "fracwave/cq.py",
+           "if self.tail is not None:",
+           "if self.tail is not None and lo > FAR_STEPS:",
+           ("tests/test_cq.py::TestCQHistory::test_matches_direct_sum_at_every_step"
+            "[0.5-False-300-7]",)),
+    Mutant("startup_from_live_rows", "fracwave/cq.py",
+           "startup @ self._first[:, cols]",
+           "startup @ self.values[:2, cols]",
+           ("tests/test_cq.py::TestCQHistory::test_ring_matches_the_full_history"
+            "[0.5-True-300-7]",)),
+    Mutant("panel_skips_last_column", "fracwave/cq.py",
+           "cols = slice(start, start + width)",
+           "cols = slice(start, start + width - 1)",
+           ("tests/test_cq.py::TestCQHistory::test_ring_in_panels_of_two_columns"
+            "[0.5-True-300]",)),
+    Mutant("block_ignores_budget", "fracwave/solver.py",
+           "block = min(CHECK_STEPS, budget_rows(system.ndof))",
+           "block = CHECK_STEPS",
+           ("tests/test_solver.py::TestBlockBudget::test_short_blocks_give_the_same_run",
+            "tests/test_solver.py::TestBlockBudget"
+            "::test_block_temporaries_stay_within_the_budget")),
+    Mutant("observe_before_check", "fracwave/solver.py",
+           "_check_block(config, rows, energy, lo)\n            observe(lo, rows)",
+           "observe(lo, rows)\n            _check_block(config, rows, energy, lo)",
+           ("tests/test_solver.py::TestObservedRun::test_divergence_reaches_no_observer",)),
     Mutant("mass_solver_uncached", "fracwave/fem.py",
            "    @functools.cached_property\n    def _mass_solver",
            "    @property\n    def _mass_solver",

@@ -315,6 +315,17 @@ class TestCQHistory:
         # went over the first block's, and N = 129 reaches the tail
         check_ring_against_full_history(gamma, corrected, N, ndof, monkeypatch)
 
+    @pytest.mark.parametrize("N", [129, 192, 257, 300, 1000, 3000, 8192])
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("gamma", [-0.5, 0.5])
+    def test_ring_in_panels_of_two_columns(self, gamma, corrected, N, monkeypatch):
+        # a budget of 2 FAR_STEPS floats opens every block in panels of two
+        # columns, of which the last of the 7 holds one; every N reaches
+        # the tail, whose state each panel slices
+        monkeypatch.setattr(cq, "BLOCK_FLOATS", 2 * FAR_STEPS)
+        assert cq.budget_rows(FAR_STEPS) == 2
+        check_ring_against_full_history(gamma, corrected, N, 7, monkeypatch)
+
     @pytest.mark.parametrize("N", [2, 65, 300])
     @pytest.mark.parametrize("corrected", [False, True])
     def test_fft_reference_is_the_direct_sum(self, corrected, N):

@@ -310,7 +310,7 @@ class TestProjections:
         assert residual <= 1e-10 * np.max(np.abs(g))
 
     def test_ritz_projection_keeps_nothing_beyond_its_result(self, traced):
-        # the 2D stiffness factor (band 32, 254 KB) is built for the
+        # the 2D stiffness factor (band 31, 246 KB) is built for the
         # projection and dropped; a first projection on another system
         # fills the quadrature rule caches
         ritz_projection(assemble(build_mesh(*UNIT_SQUARE, 32)), sin_sin_field())
@@ -318,6 +318,13 @@ class TestProjections:
         with traced() as window:
             x = ritz_projection(system, sin_sin_field())
         assert window.current <= 1.1 * x.nbytes
+        # dpbtrf factors the band in place: the factoring peaks at 1.56
+        # factors, the band's COO indices besides, and at 2.23 when dpbtrf
+        # copied the band.  (The projection's own peak is the gradient
+        # load's, 2.2 factors of the field's quadrature arrays.)
+        with traced() as window:
+            _spd_solver(system.K)
+        assert window.peak <= 1.7 * 32 * system.ndof * 8
 
     def test_l2_projection_recovers_grid_function(self):
         system = assemble(build_mesh(1, (0.0, 1.0), 16))

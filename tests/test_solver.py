@@ -10,10 +10,18 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from fem_reference import l2_norm, mode_eigenvalue, mode_scalar_run
-from fracwave.cq import RING_ROWS, CQHistory, CQScheme, mixed_operator
+from fracwave.cq import (
+    BLOCK_FLOATS,
+    RING_ROWS,
+    CQHistory,
+    CQScheme,
+    budget_rows,
+    mixed_operator,
+    tail_weights,
+)
 from fracwave.fem import ScalarField, assemble, build_mesh, load_vector
 from fracwave.fraccalc import FracParams
-from fracwave import solver
+from fracwave import harness, solver
 from fracwave.solver import (
     CHECK_STEPS,
     ENERGY_ABORT_FACTOR,
@@ -569,6 +577,100 @@ class TestObservedRun:
         failed_block = (first - 1) // CHECK_STEPS * CHECK_STEPS
         assert blocks == [(lo, CHECK_STEPS + 1)
                           for lo in range(0, failed_block, CHECK_STEPS)]
+
+
+class TestBlockBudget:
+    """A block holds min(CHECK_STEPS, budget_rows(ndof)) steps: CHECK_STEPS
+    up to 1024 dofs, fewer above, so that no block temporary outgrows
+    BLOCK_FLOATS."""
+
+    @staticmethod
+    def observed_case(case, system, kappa, N):
+        """The run of the case to step N: its Trajectory, the rows KeptRows
+        keeps, the ErrorNorms and a copy of each observed block."""
+        kept, norms, blocks = KeptRows(), harness.ErrorNorms(case, system, kappa), []
+
+        def observe(lo, rows):
+            kept(lo, rows)
+            norms(lo, rows)
+            blocks.append((lo, rows.copy()))
+
+        traj = harness.solve_case(case, system, kappa, corrected=True, T=N * kappa,
+                                  observe=observe)
+        return traj, kept.us, (norms.energy, norms.l2), blocks
+
+    def test_short_blocks_give_the_same_run(self, monkeypatch):
+        # 63 dofs and a budget of 5 rows: 5-step blocks, the last of 4, and
+        # the CQ history opens its blocks in panels of 4 columns.  N = 64
+        # opens no Toeplitz block, whose products differ by round-off
+        # across panel widths (test_cq bounds them)
+        case = harness.build_case("smooth1d", FracParams(gamma=0.5))
+        system, kappa, N = interval_system(64), 1.0 / 256, 64
+        traj, us, norms, blocks = self.observed_case(case, system, kappa, N)
+        assert [lo for lo, _ in blocks] == [0, CHECK_STEPS]
+        monkeypatch.setattr("fracwave.cq.BLOCK_FLOATS", 5 * system.ndof)
+        short, short_us, short_norms, short_blocks = self.observed_case(
+            case, system, kappa, N)
+        np.testing.assert_array_equal(short.energy, traj.energy)
+        np.testing.assert_array_equal(short.us, traj.us)
+        np.testing.assert_array_equal(short_us, us)
+        assert short_norms == norms
+        assert [lo for lo, _ in short_blocks] == list(range(0, N, 5))
+        assert max(rows.shape[0] for _, rows in short_blocks) == 6
+        assert short_blocks[-1][1].shape[0] == 5
+        for (_, rows), (_, after) in zip(short_blocks, short_blocks[1:]):
+            np.testing.assert_array_equal(rows[-1], after[0])
+
+    @pytest.mark.parametrize("N", [1, 2, 40])
+    def test_blocks_of_one_step(self, N, monkeypatch):
+        # past 2^15 dofs a block holds one step: the first is u_0, u_1, the
+        # initial data, checked before the first step.  Undamped, so that
+        # no CQ product runs in panels of one column
+        config = SimConfig(fem=interval_system(16), T=N / 128, kappa=1.0 / 128,
+                           u0=sin_field(), v0=sin_field(),
+                           f=SeparableSource(spatial=sin_field(),
+                                             temporal=lambda t: np.cos(3.0 * t)))
+        want, us = kept_run(config)
+        monkeypatch.setattr("fracwave.cq.BLOCK_FLOATS", config.fem.ndof)
+        traj, blocks = TestObservedRun.observed(config)
+        TestObservedRun.assert_blocks_cover(blocks, us, 1)
+        TestObservedRun.assert_same_run(traj, want)
+
+    def test_short_blocks_name_the_same_divergent_step(self, monkeypatch):
+        monkeypatch.setattr(solver, "inverse_constant", lambda system: 1e-3)
+        system = interval_system(64)
+        kappa = 1.5 * math.sqrt(2.0) * system.mesh.h / math.sqrt(12.0)
+        config = SimConfig(fem=system, T=200.0 * kappa, kappa=kappa, u0=sin_field())
+        first = TestRun.first_offending_step(config)
+        # the last step of a 32-step block, and inside a 5-step one
+        assert first is not None and first % CHECK_STEPS == 0 and first % 5 != 0
+        with pytest.raises(SolverDivergence, match=f"at step {first};") as whole:
+            run(config)
+        monkeypatch.setattr("fracwave.cq.BLOCK_FLOATS", 5 * system.ndof)
+        with pytest.raises(SolverDivergence) as short:
+            run(config)
+        assert str(short.value) == str(whole.value)
+
+    def test_block_temporaries_stay_within_the_budget(self, traced):
+        # 4095 dofs: blocks of 8 steps, and the history opens each block of
+        # 64 in 8 panels of 512 columns.  The guard has factored M before
+        # the window; in it the run keeps the 64-row ring, the Q-row tail
+        # state and the 9-row block buffer, each ndof wide
+        system = interval_system(4096)
+        kappa, N = 1.0 / 16384, 256
+        x = system.mesh.nodes[system.mesh.interior][:, 0]
+        config = SimConfig(fem=system, T=N * kappa, kappa=kappa,
+                           frac=FracParams(gamma=0.5), corrected=True,
+                           u0=np.sin(np.pi * x), v0=np.zeros(system.ndof))
+        with traced() as window:
+            traj = run(config)
+        modes = len(tail_weights(0.5, kappa, N)[0])
+        block = budget_rows(system.ndof)
+        assert block == 8
+        kept = traj.history.nbytes + 8 * (modes + block + 1) * system.ndof
+        # 6.4 budgets, five of them the check's block temporaries; 20.6 with
+        # blocks of 32 steps and unpanelled 64 x ndof block products
+        assert window.peak - kept <= 8 * 8 * BLOCK_FLOATS
 
 
 class TestModeStructure:
