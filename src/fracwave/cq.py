@@ -136,8 +136,8 @@ class CQScheme:
 FAR_STEPS = 64   # the block: exact lags below 2 * FAR_STEPS, older ones by the tail
 RING_ROWS = FAR_STEPS   # block m overwrites the rows [m - FAR_STEPS, m) it reads
 # The budget in floats (256 KB) of the time loop's per-block temporaries:
-# CQHistory opens a block in panels of budget_rows(FAR_STEPS) columns, and
-# solver.run checks blocks of at most budget_rows(ndof) steps
+# CQHistory opens a block in panels of budget_rows(max(FAR_STEPS, Q))
+# columns, and solver.run checks blocks of at most budget_rows(ndof) steps
 BLOCK_FLOATS = 2**15
 
 
@@ -200,6 +200,7 @@ class _ExponentialTail:
         self._fold = np.exp(np.outer(log_rates, 2 * FAR_STEPS - lags))
         self._expand = weights * np.exp(np.outer(lags, log_rates))
         self._state = np.zeros((len(weights), ncols))
+        self.modes = len(weights)
 
     def advance(self, previous: np.ndarray, pending: np.ndarray, cols: slice) -> None:
         """Add the tail to the open block's pending rows, then move the
@@ -250,8 +251,9 @@ class CQHistory:
     recorded yet and hold their pending far-field sums.  The sum keeps
     nothing beyond values, one Toeplitz matrix, the Q x ndof tail state
     and the copy of rows 0 and 1.  A block opens in panels of at most
-    budget_rows(FAR_STEPS) = 512 columns, so that its products' temporaries
-    (FAR_STEPS or Q rows) are as wide as a panel, whatever ndof.
+    budget_rows(max(FAR_STEPS, Q)) columns (512 up to Q = 64 modes), so
+    that each of its products' temporaries, FAR_STEPS or Q rows by a
+    panel, fits in BLOCK_FLOATS, whatever ndof.
     """
 
     def __init__(self, scheme: CQScheme, slope0: np.ndarray, corrected: bool) -> None:
@@ -315,7 +317,9 @@ class CQHistory:
         hi = min(hi, self.scheme.N)
         pending = self._rows_of(lo, hi)   # at lo = 2 still the zeros of the new ring
         startup = self._startup[lo:hi]
-        width = budget_rows(FAR_STEPS)
+        # the Toeplitz product has FAR_STEPS rows, the tail's fold Q
+        width = budget_rows(FAR_STEPS if self.tail is None
+                            else max(FAR_STEPS, self.tail.modes))
         for start in range(0, pending.shape[1], width):
             cols = slice(start, start + width)
             if lo % FAR_STEPS == 0:

@@ -4,6 +4,8 @@ Homogeneous Dirichlet conditions are imposed by elimination: the
 assembled mass and stiffness matrices act on interior nodes only.  A
 FemSystem caches its mass factorization and lambda_max(K, M) on first
 use, for every run on it; a Ritz projection factors K and drops it.
+lambda_max comes from the CFL guard's own Lanczos runs, on numpy and
+scipy.linalg, so importing fem loads no scipy.sparse.linalg.
 """
 
 from __future__ import annotations
@@ -15,15 +17,15 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpttrf, dpttrs
 
 from fracwave.fraccalc import gauss_jacobi
 
-# Lanczos vectors (ARPACK's ncv; scipy's default is 20) of both eigsh runs
-# of the CFL guard: a larger subspace needs fewer restarts.
+# The basis rows of each Lanczos run of the CFL guard: a run stops after
+# this many steps, and at most this many dofs it spans the whole space.
 LANCZOS_VECTORS = 40
-# The guard's first eigsh stops at this relative residual, and its first
+# The guard's estimate stops at this relative residual bound, and its first
 # shift lies this far above the Ritz value it returns.
 ESTIMATE_TOL = 1e-3
 
@@ -250,21 +252,72 @@ def interpolate(system: FemSystem, field: ScalarField) -> np.ndarray:
     )
 
 
+def _top_ritz(op: Callable, M: sp.csr_matrix, v: np.ndarray, tol: float):
+    """Largest Ritz pair of op, self-adjoint in the M inner product, by
+    Lanczos from v with full reorthogonalization (Parlett, The Symmetric
+    Eigenvalue Problem, 1998, ch. 13).
+
+    The basis V (one row per Lanczos vector, at most LANCZOS_VECTORS) is
+    kept, M V is not: each step takes one product with op and two with M,
+    one for the reorthogonalization coefficients V M w and one for w's M
+    norm.  The run stops once the residual bound beta_j |s_j| of the
+    largest Ritz value theta is at most tol * theta, on breakdown, or after
+    LANCZOS_VECTORS steps.  When those span the whole space no bound is
+    checked on the way: one tridiagonal eigensolve at the end gives an
+    eigenvalue to round-off.  Returns theta, its M-unit Ritz vector and
+    whether the bound was met, as it always is over the whole space.
+    """
+    n = len(v)
+    steps = min(n, LANCZOS_VECTORS)
+    basis = np.empty((steps, n))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    mv = M @ v
+    norm = math.sqrt(v @ mv)
+    v, mv = v / norm, mv / norm
+
+    def top(k):
+        theta, s = eigh_tridiagonal(alpha[:k], beta[:k - 1], select="i",
+                                    select_range=(k - 1, k - 1))
+        return float(theta[0]), s[:, 0], beta[k - 1] * abs(s[-1, 0]) <= tol * theta[0]
+
+    for k in range(1, steps + 1):
+        j = k - 1
+        basis[j] = v
+        w = op(v)
+        alpha[j] = w @ mv
+        w -= alpha[j] * v
+        if j:
+            w -= beta[j - 1] * basis[j - 1]
+        w -= (basis[:k] @ (M @ w)) @ basis[:k]
+        mv = M @ w
+        beta[j] = math.sqrt(w @ mv)
+        if beta[j] <= np.finfo(float).eps * np.abs(alpha[:k]).max():
+            break    # breakdown: the Krylov space is invariant
+        if steps < n and top(k)[2]:
+            break
+        v, mv = w / beta[j], mv / beta[j]
+    theta, s, converged = top(k)
+    return theta, s @ basis[:k], converged or steps == n
+
+
 def max_generalized_eigenvalue(system: FemSystem) -> float:
-    """Largest eigenvalue of K x = lambda M x by Lanczos (ARPACK eigsh) with
+    """Largest eigenvalue of K x = lambda M x by Lanczos (_top_ritz) with
     a certified shift.
 
-    1. Estimate: eigsh on M^-1 K to the loose tolerance ESTIMATE_TOL, with
-       the system's cached mass factorization (which the time loop
-       reuses) and a seeded start vector, gives a Ritz value theta <=
-       lambda_max and its vector.
+    1. Estimate: Lanczos on M^-1 K to the loose tolerance ESTIMATE_TOL, or
+       for LANCZOS_VECTORS steps, with the system's cached mass
+       factorization (which the time loop reuses) and a seeded start
+       vector, gives a Ritz value theta <= lambda_max and its vector.
     2. Certificate: sigma = theta (1 + margin), margin = ESTIMATE_TOL at
        first.  By Sylvester's law of inertia sigma M - K is positive
        definite, so its Cholesky factor exists, only if sigma > lambda_max;
        while the factorization fails the margin grows fourfold.
-    3. Refine: shift-invert eigsh about sigma, started from the Ritz
-       vector, returns the eigenvalue nearest sigma, which is lambda_max,
-       to round-off.  It needs no mass solves.
+    3. Refine: Lanczos on (sigma M - K)^-1 M, started from the Ritz vector,
+       gives its largest eigenvalue mu, and lambda_max = sigma - 1 / mu, to
+       within machine epsilon times lambda_max.  It needs no mass solves.
+       Its Ritz value lies below mu, on the unsafe side, so a run that
+       stops unconverged restarts from its Ritz vector, and a refine still
+       unconverged after about n steps raises RuntimeError.
     At most LANCZOS_VECTORS dofs, the estimate's Krylov space is the
     whole space, so theta is lambda_max to round-off and steps 2 and 3
     are skipped.
@@ -272,13 +325,10 @@ def max_generalized_eigenvalue(system: FemSystem) -> float:
     n = system.ndof
     if n == 1:
         return float(system.K[0, 0] / system.M[0, 0])
-    ncv = min(n, LANCZOS_VECTORS)
-    m_inv = spla.LinearOperator((n, n), matvec=system.solve_mass, dtype=float)
     v0 = np.random.default_rng(1234).standard_normal(n)
-    theta, x = spla.eigsh(system.K, k=1, M=system.M, Minv=m_inv, which="LA",
-                          v0=v0, ncv=ncv, tol=ESTIMATE_TOL)
-    theta = float(theta[0])
-    if ncv == n:
+    theta, x, _ = _top_ritz(lambda b: system.solve_mass(system.K @ b), system.M, v0,
+                            ESTIMATE_TOL)
+    if n <= LANCZOS_VECTORS:
         return theta
     margin = ESTIMATE_TOL
     while True:
@@ -288,11 +338,22 @@ def max_generalized_eigenvalue(system: FemSystem) -> float:
             break
         except ValueError:
             margin *= 4.0
-    # OPinv is (K - sigma M)^-1 = -(sigma M - K)^-1
-    op_inv = spla.LinearOperator((n, n), matvec=lambda b: -solve(b), dtype=float)
-    lam = float(spla.eigsh(system.K, k=1, M=system.M, sigma=sigma, OPinv=op_inv,
-                           which="LM", v0=x[:, 0], ncv=ncv,
-                           return_eigenvectors=False)[0])
+    # mu - mu_ritz <= tol mu_ritz puts lambda within tol (sigma - lambda_max)
+    # <= tol theta margin = eps theta of lambda_max
+    tol = np.finfo(float).eps / margin
+    shift_invert = lambda b: solve(system.M @ b)
+    mu, x, converged = _top_ritz(shift_invert, system.M, x, tol)
+    # restarts, to about n steps in all: the most Lanczos takes in exact
+    # arithmetic
+    for _ in range(n // LANCZOS_VECTORS):
+        if converged:
+            break
+        mu, x, converged = _top_ritz(shift_invert, system.M, x, tol)
+    if not converged:
+        raise RuntimeError(f"CFL guard: shift-invert Lanczos about {sigma!r} did not"
+                           f" converge in {n // LANCZOS_VECTORS} restarts; its Ritz value"
+                           f" {sigma - 1.0 / mu!r} may lie below lambda_max")
+    lam = sigma - 1.0 / mu
     # theta, a Rayleigh quotient, is at most lambda_max up to round-off
     if lam < theta * (1.0 - 1e-12):
         raise RuntimeError(f"CFL guard: shift-invert Lanczos about {sigma!r} gave"

@@ -77,6 +77,10 @@ MUTANTS = (
            "cols = slice(start, start + width - 1)",
            ("tests/test_cq.py::TestCQHistory::test_ring_in_panels_of_two_columns"
             "[0.5-True-300]",)),
+    Mutant("tail_panel_ignores_modes", "fracwave/cq.py",
+           "else max(FAR_STEPS, self.tail.modes))",
+           "else FAR_STEPS)",
+           ("tests/test_solver.py::TestBlockBudget::test_tail_panels_stay_within_the_budget",)),
     Mutant("block_ignores_budget", "fracwave/solver.py",
            "block = min(CHECK_STEPS, budget_rows(system.ndof))",
            "block = CHECK_STEPS",
@@ -87,6 +91,24 @@ MUTANTS = (
            "_check_block(config, rows, energy, lo)\n            observe(lo, rows)",
            "observe(lo, rows)\n            _check_block(config, rows, energy, lo)",
            ("tests/test_solver.py::TestObservedRun::test_divergence_reaches_no_observer",)),
+    Mutant("guard_returns_theta", "fracwave/fem.py",
+           "    if n <= LANCZOS_VECTORS:\n        return theta\n",
+           "    return theta\n",
+           ("tests/test_fem.py::TestInverseConstant::test_guard_against_dense_eigenvalue",)),
+    Mutant("shift_margin_never_widens", "fracwave/fem.py",
+           "margin *= 4.0",
+           "margin *= 1.0",
+           ("tests/test_fem.py::TestInverseConstant::test_refused_shift_widens_the_margin",)),
+    Mutant("lanczos_unreorthogonalized", "fracwave/fem.py",
+           "        w -= (basis[:k] @ (M @ w)) @ basis[:k]\n",
+           "",
+           ("tests/test_fem.py::TestInverseConstant::test_ritz_pair_over_the_whole_space",)),
+    Mutant("refine_stops_unconverged", "fracwave/fem.py",
+           "    for _ in range(n // LANCZOS_VECTORS):\n        if converged:\n            break\n"
+           "        mu, x, converged = _top_ritz(shift_invert, system.M, x, tol)\n"
+           "    if not converged:\n",
+           "    if False:\n",
+           ("tests/test_fem.py::TestInverseConstant::test_unconverged_refine_is_never_returned",)),
     Mutant("mass_solver_uncached", "fracwave/fem.py",
            "    @functools.cached_property\n    def _mass_solver",
            "    @property\n    def _mass_solver",

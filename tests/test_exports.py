@@ -49,6 +49,31 @@ print(json.dumps(dict(loaded=loaded, steps=steps, polynomial_by_run=polynomial_b
 """
 
 
+# The CFL guard's Lanczos is numpy's and scipy.linalg's: reading
+# lambda_max, through the certified shift and its refine at 3969 dofs,
+# loads no scipy.sparse.linalg (2.1 MB and 35 modules).
+_GUARD_PROCESS = """
+import json, sys
+import fracwave, fracwave.cli, fracwave.acceptance
+from fracwave.harness import mesh_system
+system = mesh_system(2, ((-1.0, 1.0), (-1.0, 1.0)), 64)
+print(json.dumps(dict(ndof=system.ndof, lambda_max=system.lambda_max,
+                      loaded="scipy.sparse.linalg" in sys.modules)))
+"""
+
+
+def _fresh_process(script: str) -> dict:
+    """Run script in a new interpreter with this fracwave on its path and
+    parse the JSON line it prints."""
+    src = str(Path(fracwave.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in fracwave.__all__ if not hasattr(fracwave, name)]
     assert not missing
@@ -143,13 +168,7 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_import_leaves_special_and_integrate_unloaded():
-    src = str(Path(fracwave.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    out = _fresh_process(_FRESH_PROCESS)
     assert out["loaded"] == []
     assert out["steps"] > 128          # the damped run built its exponential tail
     assert not out["polynomial_by_run"]
@@ -157,3 +176,10 @@ def test_import_leaves_special_and_integrate_unloaded():
     assert abs(out["quadrature"] - out["closed_form"]) <= 1e-13 * out["closed_form"]
     assert out["deviation"] <= 1e-7
     assert out["loaded_after_verify"] == []
+
+
+def test_cfl_guard_leaves_sparse_linalg_unloaded():
+    out = _fresh_process(_GUARD_PROCESS)
+    assert out["ndof"] == 3969
+    assert out["lambda_max"] > 0.0
+    assert not out["loaded"]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from fem_reference import (h1_seminorm_error_against, l2_error_against, l2_norm,
@@ -438,7 +439,7 @@ class TestInverseConstant:
         return assemble(build_mesh(2, ((-1.0, 1.0), (-1.0, 1.0)), cells))
 
     def test_square_against_full_tolerance_lanczos(self):
-        # the reference is the one-phase guard: eigsh on M^-1 K to machine
+        # the independent reference: ARPACK's eigsh on M^-1 K to machine
         # precision
         import scipy.sparse.linalg as spla
 
@@ -452,8 +453,6 @@ class TestInverseConstant:
         assert lam == pytest.approx(ref, rel=1e-12)
 
     def test_refused_shift_widens_the_margin(self, monkeypatch):
-        import fracwave.fem as fem
-
         system = self.square_system(16)
         expected = max_generalized_eigenvalue(self.square_system(16))
         shifted = []
@@ -472,18 +471,18 @@ class TestInverseConstant:
         assert (shifted[1] - shifted[0]).count_nonzero() > 0
 
     def test_refined_value_below_the_estimate_is_refused(self, monkeypatch):
-        import fracwave.fem as fem
+        top_ritz, runs = fem._top_ritz, []
 
-        eigsh = fem.spla.eigsh
+        def low_refinement(*args):
+            # the estimate's run as it is, the refine's mu halved
+            theta, x, converged = top_ritz(*args)
+            runs.append(theta)
+            return (theta if len(runs) == 1 else 0.5 * theta), x, converged
 
-        def low_refinement(*args, **kwargs):
-            if "sigma" in kwargs:
-                return 0.5 * eigsh(*args, **kwargs)
-            return eigsh(*args, **kwargs)
-
-        monkeypatch.setattr(fem.spla, "eigsh", low_refinement)
+        monkeypatch.setattr(fem, "_top_ritz", low_refinement)
         with pytest.raises(RuntimeError, match="below the Ritz value"):
             max_generalized_eigenvalue(self.square_system(16))
+        assert len(runs) == 2
 
     def test_mass_solves_at_3969_dofs(self):
         system = self.square_system()
@@ -492,8 +491,59 @@ class TestInverseConstant:
         solve = system.solve_mass
         system.solve_mass = lambda b: solves.append(1) or solve(b)
         max_generalized_eigenvalue(system)
-        # the one-phase guard to full tolerance made 381
-        assert 0 < len(solves) <= 120
+        # one per estimate step, at most LANCZOS_VECTORS; ARPACK's eigsh
+        # made 61, and the one-phase guard to full tolerance 381
+        assert 0 < len(solves) <= 40
+
+    @pytest.mark.parametrize("spectrum", [
+        np.r_[np.arange(1.0, 40.0), 100.0],   # the top converges first
+        1.1 ** np.arange(40),
+    ])
+    def test_ritz_pair_over_the_whole_space(self, spectrum):
+        # LANCZOS_VECTORS steps span the whole space: the Ritz value is
+        # the top eigenvalue and its vector is M-unit, with the residual of
+        # an eigenvector.  Lanczos without reorthogonalization loses both
+        # once the top has converged
+        n = len(spectrum)
+        assert n == fem.LANCZOS_VECTORS
+        rng = np.random.default_rng(5)
+        m = rng.uniform(1.0, 2.0, n)
+        # a diagonal op is self-adjoint in the inner product of a diagonal M
+        theta, x, converged = fem._top_ritz(lambda b: spectrum * b, sp.diags(m),
+                                            rng.standard_normal(n), 1e-3)
+        top = spectrum.max()
+        assert converged
+        assert abs(theta - top) <= 1e-13 * top
+        assert abs(x @ (m * x) - 1.0) <= 1e-13
+        residual = spectrum * x - theta * x
+        assert math.sqrt(residual @ (m * residual)) <= 1e-12 * top
+
+    @pytest.mark.parametrize("vectors", [4, 8])
+    def test_unconverged_refine_is_never_returned(self, monkeypatch, vectors):
+        # with a few Lanczos vectors the refine stops unconverged, with its
+        # Ritz value below lambda_max: the guard restarts it until it
+        # converges, or raises, and never returns the low value
+        import scipy.linalg as sla
+
+        system = self.square_system(32)
+        assert system.ndof == 961
+        dense = sla.eigh(system.K.toarray(), system.M.toarray(), eigvals_only=True)[-1]
+        top_ritz, runs = fem._top_ritz, []
+
+        def count_runs(*args):
+            runs.append(1)
+            return top_ritz(*args)
+
+        monkeypatch.setattr(fem, "_top_ritz", count_runs)
+        monkeypatch.setattr(fem, "LANCZOS_VECTORS", vectors)
+        try:
+            lam = max_generalized_eigenvalue(system)
+        except RuntimeError as error:
+            assert "did not converge" in str(error)
+        else:
+            assert abs(lam - dense) <= 1e-12 * dense
+        # the estimate and at least two refine runs
+        assert len(runs) > 2
 
     @pytest.mark.parametrize("dimension,domain,cells", [
         (1, (0.0, 1.0), 7), (1, (0.0, 1.0), 170),
@@ -523,8 +573,6 @@ class TestInverseConstant:
         # whole space: its Ritz value is lambda_max, and no sigma M - K is
         # factored
         import scipy.linalg as sla
-
-        import fracwave.fem as fem
 
         factored = []
 

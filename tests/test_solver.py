@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,9 +13,11 @@ import scipy.sparse as sp
 from fem_reference import l2_norm, mode_eigenvalue, mode_scalar_run
 from fracwave.cq import (
     BLOCK_FLOATS,
+    FAR_STEPS,
     RING_ROWS,
     CQHistory,
     CQScheme,
+    _ExponentialTail,
     budget_rows,
     mixed_operator,
     tail_weights,
@@ -671,6 +674,41 @@ class TestBlockBudget:
         # 6.4 budgets, five of them the check's block temporaries; 20.6 with
         # blocks of 32 steps and unpanelled 64 x ndof block products
         assert window.peak - kept <= 8 * 8 * BLOCK_FLOATS
+
+    def test_tail_panels_stay_within_the_budget(self, traced, monkeypatch):
+        # N = 1024 gives the tail Q = 76 > FAR_STEPS modes, so the 1023
+        # columns open in panels of budget_rows(Q) = 431: the fold's Q x
+        # panel product fits in BLOCK_FLOATS, as the Toeplitz product's
+        # FAR_STEPS x panel one does.  A block opening holds at most two
+        # such products at once, plus numpy's ufunc buffers for the
+        # panels' strided views: getbufsize() floats for each of two operands
+        system = interval_system(1024)
+        kappa, N = 1.0 / 4096, 1024
+        x = system.mesh.nodes[system.mesh.interior][:, 0]
+        config = SimConfig(fem=system, T=N * kappa, kappa=kappa,
+                           frac=FracParams(gamma=0.5), corrected=True,
+                           u0=np.sin(np.pi * x), v0=np.zeros(system.ndof))
+        panels, peaks = set(), []
+        advance, open_block = _ExponentialTail.advance, CQHistory._open_block
+
+        def note_panel(tail, previous, pending, cols):
+            panels.add((tail.modes, len(pending), previous.shape[1]))
+            advance(tail, previous, pending, cols)
+
+        def measured(history, lo, hi):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            open_block(history, lo, hi)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+        monkeypatch.setattr(_ExponentialTail, "advance", note_panel)
+        monkeypatch.setattr(CQHistory, "_open_block", measured)
+        with traced():
+            run(config)
+        assert {(modes, width) for modes, _, width in panels} == {(76, 431), (76, 161)}
+        assert max(max(modes, rows) * width for modes, rows, width in panels) <= BLOCK_FLOATS
+        assert len(peaks) == N // FAR_STEPS
+        assert max(peaks) <= 8 * (2 * BLOCK_FLOATS + 2 * np.getbufsize())
 
 
 class TestModeStructure:
